@@ -11,6 +11,7 @@ Subpackages by theme:
 * :mod:`phasecraft.affine` -- deformable-body models and their lattice form.
 * :mod:`phasecraft.ensembles` -- Liouville measure, shell ensembles, entropy.
 * :mod:`phasecraft.wigner` -- grid transforms, star product, semiclassics.
+* :mod:`phasecraft.checks` -- the acceptance criteria as one registry.
 * :mod:`phasecraft.cli` -- the ``phasecraft`` scenario runner.
 """
 

@@ -14,6 +14,7 @@ isotropy algebra whose quotient carries the symplectic structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -141,20 +142,33 @@ def coboundary(alg: LieAlgebraSpec, f: KForm) -> KForm:
         rest = [m for m in range(k + 1) if m not in (i, j)]
         term = np.moveaxis(base, range(k + 1), [i, j] + rest)
         dense = dense + ((-1) ** (i + j)) * term
-    return KForm(k + 1, _mirror_strict(dense, n, k + 1))
+    # keep the strictly increasing entries and mirror them with exact signs;
+    # adding 0.0 turns every signed zero into +0.0
+    _, strict = _mirror_table(n, k + 1)[0]
+    return KForm(k + 1, _antisymmetric(dense.reshape(-1)[strict], n, k + 1) + 0.0)
 
 
-def _mirror_strict(dense: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Rebuild a tensor from its strictly increasing entries, mirroring with
-    exact permutation signs so antisymmetry holds bit-for-bit."""
-    out = np.zeros((n,) * k)
-    for idx in itertools.combinations(range(n), k):
-        val = dense[idx]
-        if val == 0.0:
-            continue
-        for perm in itertools.permutations(range(k)):
-            out[tuple(idx[p] for p in perm)] = _perm_sign(list(perm)) * val
-    return out
+@functools.lru_cache(maxsize=None)
+def _mirror_table(n: int, k: int):
+    """For each permutation of the k slots, identity first: its sign and the
+    flat positions of the strictly increasing multi-indices of (n, k) in
+    that slot order."""
+    sets = _strict_index_sets(n, k)
+    strict = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+    strides = n ** np.arange(k - 1, -1, -1)
+    return [
+        (float(_perm_sign(list(perm))), strict[:, perm] @ strides)
+        for perm in itertools.permutations(range(k))
+    ]
+
+
+def _antisymmetric(strict_values: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Tensor whose strictly increasing entries are ``strict_values``,
+    mirrored with exact permutation signs so antisymmetry holds bit-for-bit."""
+    out = np.zeros(n**k)
+    for sign, flat in _mirror_table(n, k):
+        out[flat] = sign * strict_values
+    return out.reshape((n,) * k)
 
 
 def _strict_index_sets(n: int, k: int):
@@ -163,17 +177,13 @@ def _strict_index_sets(n: int, k: int):
 
 def form_to_vector(f: KForm) -> np.ndarray:
     """Components on the strictly increasing multi-index basis."""
-    idx = _strict_index_sets(f.dim, f.degree)
-    return np.array([f.coeffs[i] for i in idx])
+    _, strict = _mirror_table(f.dim, f.degree)[0]
+    return f.coeffs.reshape(-1)[strict]
 
 
 def form_from_vector(v: np.ndarray, n: int, k: int) -> KForm:
     """Inverse of :func:`form_to_vector`."""
-    out = np.zeros((n,) * k)
-    for val, idx in zip(v, _strict_index_sets(n, k)):
-        for perm in itertools.permutations(range(k)):
-            out[tuple(idx[p] for p in perm)] = _perm_sign(list(perm)) * val
-    return KForm(k, out)
+    return KForm(k, _antisymmetric(np.asarray(v, dtype=float), n, k))
 
 
 def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
@@ -195,8 +205,10 @@ def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     if k not in (1, 2):
         raise ValueError("cocycle_space supports k in {1, 2}")
     n = alg.dim
-    if k >= n:
+    if k > n:
         return []
+    if k == n:  # top degree: everything is closed
+        return [form_from_vector(np.ones(1), n, k)]
     mat = coboundary_matrix(alg, k)
     null = _null_space(mat)
     return [form_from_vector(null[:, i], n, k) for i in range(null.shape[1])]
@@ -214,18 +226,7 @@ def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
 
 def cohomology_dim(alg: LieAlgebraSpec, k: int) -> int:
     """dim H^k = dim Z^k - dim B^k with SVD rank decisions."""
-    if k not in (1, 2):
-        raise ValueError("cohomology_dim supports k in {1, 2}")
-    n = alg.dim
-    if k >= n:
-        z_dim = 0 if k > n else 1  # top degree: everything is closed
-    else:
-        z_dim = _null_space(coboundary_matrix(alg, k)).shape[1]
-    if k - 1 >= n:
-        b_dim = 0
-    else:
-        b_dim = int(np.linalg.matrix_rank(coboundary_matrix(alg, k - 1), tol=_RANK_CUTOFF))
-    return z_dim - b_dim
+    return len(cocycle_space(alg, k)) - len(coboundary_space(alg, k))
 
 
 def radical(alg: LieAlgebraSpec, omega: KForm):

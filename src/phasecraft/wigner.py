@@ -237,16 +237,18 @@ def cat_state(separation: float, n: int, qmin: float, qmax: float,
 # phase-space transform
 
 
-def _upsample2(psi: np.ndarray) -> np.ndarray:
-    """Trigonometric x2 interpolation (split-Nyquist zero padding)."""
-    n = len(psi)
+def _upsample2(psi: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Trigonometric x2 interpolation (split-Nyquist zero padding) along
+    one axis."""
+    psi = np.moveaxis(psi, axis, -1)
+    n = psi.shape[-1]
     spec = np.fft.fft(psi)
-    up = np.zeros(2 * n, dtype=complex)
-    up[: n // 2] = spec[: n // 2]
-    up[-(n // 2) + 1 :] = spec[n // 2 + 1 :]
-    up[n // 2] = 0.5 * spec[n // 2]
-    up[-(n // 2)] = 0.5 * spec[n // 2]
-    return 2.0 * np.fft.ifft(up)
+    up = np.zeros(psi.shape[:-1] + (2 * n,), dtype=complex)
+    up[..., : n // 2] = spec[..., : n // 2]
+    up[..., -(n // 2) + 1 :] = spec[..., n // 2 + 1 :]
+    up[..., n // 2] = 0.5 * spec[..., n // 2]
+    up[..., -(n // 2)] = 0.5 * spec[..., n // 2]
+    return np.moveaxis(2.0 * np.fft.ifft(up), -1, axis)
 
 
 def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
@@ -316,9 +318,7 @@ def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     two_nq = 2 * nq
     two_np = 2 * np_
     # symbol upsampled x4 along q: rows at spacing dq/4 index (j + k)
-    a4 = np.empty((4 * nq, np_), dtype=complex)
-    for m in range(np_):
-        a4[:, m] = _upsample2(_upsample2(values[:, m].astype(complex)))
+    a4 = _upsample2(_upsample2(values.astype(complex), axis=0), axis=0)
     # F[l, r] = sum_m a4[l, m] e^{i p_m r h / hbar}, p_m = p0 + m dp,
     # p_m r h / hbar = p0 r h / hbar + pi m r / Np  -> zero-padded inverse
     # FFT of length 2 Np (exactly periodic in r with period 2 Np)
@@ -378,9 +378,7 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     # lattice pushes the kernel's alias diagonal to the padded box edge.
     # Edges are replicated, not zeroed, so constant symbols stay exact.
     def doubled(vals):
-        up_p = np.empty((n, 2 * n), dtype=complex)
-        for i in range(n):
-            up_p[i] = _upsample2(vals[i].astype(complex))
+        up_p = _upsample2(vals.astype(complex))
         out = np.empty((2 * n, 2 * n), dtype=complex)
         out[: n // 2] = up_p[0]
         out[n // 2 : n // 2 + n] = up_p

@@ -406,6 +406,35 @@ def test_lattice_flow_matches_exponential_solution():
     assert np.max(np.abs(states[-1].N - ref.N)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_flow_equals_rk4_on_separate_parts(n):
+    # reference: RK4 on q, p, M and N as four arrays; stepping one flat state
+    # vector must reproduce it bit for bit
+    rng = np.random.default_rng(n)
+    skew = [a - a.T for a in rng.normal(size=(2, n, n))]
+    lat0 = TwoPolarState(L=np.eye(n), R=np.eye(n), q=np.linspace(1.0, -1.0, n),
+                         p=rng.normal(size=n), M=skew[0], N=skew[1])
+
+    def rhs(y):
+        dq, dp, dm, dn = affine._lattice_gradients("hyperbolic", {"a": 1.0}, *y, 0.0, 0.0)
+        (rho, tau), g_rho, g_tau = rho_tau_from_mn(y[2], y[3]), -dm + dn, -dm - dn
+        return [dp, -dq, *mn_from_rho_tau(rho @ g_rho - g_rho @ rho, tau @ g_tau - g_tau @ tau)]
+
+    dt, parts = 1e-3, [lat0.q, lat0.p, lat0.M, lat0.N]
+    for _ in range(20):
+        k1 = rhs(parts)
+        k2 = rhs([y + 0.5 * dt * k for y, k in zip(parts, k1)])
+        k3 = rhs([y + 0.5 * dt * k for y, k in zip(parts, k2)])
+        k4 = rhs([y + dt * k for y, k in zip(parts, k3)])
+        parts = [y + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+                 for y, a, b, c, d in zip(parts, k1, k2, k3, k4)]
+    got = lattice_dynamics("hyperbolic", {"a": 1.0}, lat0, dt, 20, sample_every=20)[-1]
+    npt.assert_array_equal(got.q, parts[0])
+    npt.assert_array_equal(got.p, parts[1])
+    npt.assert_array_equal(got.M, 0.5 * (parts[2] - parts[2].T))
+    npt.assert_array_equal(got.N, 0.5 * (parts[3] - parts[3].T))
+
+
 @pytest.mark.parametrize("seed", [9, 21, 33])
 def test_lattice_flow_oracle_gauge_invariants(seed):
     # the canonical two-polar representative may flip rotor column signs

@@ -151,12 +151,56 @@ def test_cohomology_accepts_bare_algebra_document(tmp_path):
     from phasecraft.algebra import algebra_to_json
     from phasecraft.fixtures import fixture
 
-    path = tmp_path / "galilei.json"
-    path.write_text(algebra_to_json(fixture("galilei")))
+    # abelian2 reaches the top degree at k = 2: its area form is a cocycle
+    for name, z2, b2 in (("galilei", 10, 9), ("abelian2", 1, 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(algebra_to_json(fixture(name)))
+        out = str(tmp_path / name)
+        assert cli.run("cohomology", str(path), out, seed=None) == 0
+        doc = read_json(out, "cohomology.json")
+        assert (doc["Z2"], doc["B2"], doc["H2"]) == (z2, b2, z2 - b2)
+
+
+@pytest.mark.parametrize("algebra,pairs", [
+    ("abelian1", [[0, 0, 1.0]]),  # no two-forms on a line
+    ("so3", [[0, 3, 1.0]]),       # index outside the algebra
+])
+def test_cohomology_bad_omega_is_schema_error(tmp_path, algebra, pairs):
+    scen = write(tmp_path, "c.json", {"algebra": algebra, "omega": {"pairs": pairs}})
+    with pytest.raises(SchemaError):
+        cli.run("cohomology", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["cohomology", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_euler_torqued_top_checks_energy_only(tmp_path):
+    scen = write(tmp_path, "torque.json", {
+        "principal_moments": [1.0, 2.0, 3.0],
+        "initial": {"sigma": [1.0, 1.0, 1.0]},
+        "potential": "trace_alignment",
+        "t_end": 0.02,
+    })
     out = str(tmp_path / "out")
-    assert cli.run("cohomology", str(path), out, seed=None) == 0
-    doc = read_json(out, "cohomology.json")
-    assert doc["H2"] == 1
+    assert cli.main(["euler", scen, "--out", out]) == 0
+    doc = read_json(out, "conservation.json")
+    assert [chk["name"] for chk in doc["checks"]] == ["energy_drift"]
+    assert {"momentum_map_drift", "casimir_drift"} <= doc["report"].keys()
+
+
+@pytest.mark.parametrize("sub,scenario", [
+    ("euler", {"principal_moments": [1.0, 2.0, 3.0], "initial": {"sigma": [1.0, 0.0, 0.0]}}),
+    ("affine", {"model": "lattice_hyperbolic",
+                "initial": {"q": [1.5, -1.5], "p": [0.0, 0.0],
+                            "M": [[0.0, 1.0], [-1.0, 0.0]], "N": [[0.0, 1.2], [-1.2, 0.0]]}}),
+], ids=["euler", "affine"])
+@pytest.mark.parametrize("times", [
+    {"t_end": 1.0, "dt": 0}, {"t_end": -1}, {"t_end": "nan"}, {"t_end": 1.0, "dt": "fast"},
+    {"t_end": 0.01, "sample_every": 0}, {"t_end": 0.01, "sample_every": 2.5},
+], ids=["dt_zero", "t_end_negative", "t_end_nan", "dt_text",
+        "sample_every_zero", "sample_every_fraction"])
+def test_time_grid_rejects_nonpositive_or_nonfinite(tmp_path, sub, scenario, times):
+    scen = write(tmp_path, "s.json", {**scenario, **times})
+    with pytest.raises(SchemaError):
+        cli.run(sub, scen, str(tmp_path / "out"), seed=None)
 
 
 def test_selftest_deterministic(tmp_path):

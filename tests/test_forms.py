@@ -85,6 +85,17 @@ def test_cocycle_dimensions():
     assert len(cocycle_space(fixture("abelian2"), 1)) == 2
 
 
+def test_form_vector_round_trip():
+    # KForm rejects any mirrored entry that breaks exact antisymmetry; the
+    # strictly increasing entries must come back unchanged
+    from math import comb
+
+    rng = np.random.default_rng(5)
+    for n, k in ((3, 0), (1, 1), (4, 1), (4, 2), (5, 3), (4, 4)):
+        v = rng.normal(size=comb(n, k))
+        npt.assert_array_equal(form_to_vector(form_from_vector(v, n, k)), v)
+
+
 def test_cocycle_basis_orthonormal():
     for name in ("so3", "heisenberg", "galilei"):
         basis = cocycle_space(fixture(name), 2)
@@ -114,10 +125,17 @@ def test_so3_cocycles_span_all_two_forms():
         ("galilei", 1, 1), ("galilei", 2, 1),
         ("heisenberg", 1, 6), ("heisenberg", 2, 14),
         ("abelian2", 2, 1),
+        ("abelian2", 1, 2),
+        ("abelian1", 1, 1), ("abelian1", 2, 0),
+        ("gl2", 1, 1), ("gl2", 2, 0),
+        ("gl3", 1, 1), ("gl3", 2, 0),
+        ("heisenberg_rot", 1, 0), ("heisenberg_rot", 2, 0),
     ],
 )
 def test_cohomology_dimensions(name, k, expect):
-    assert cohomology_dim(fixture(name), k) == expect
+    alg = fixture(name)
+    assert cohomology_dim(alg, k) == expect
+    assert len(cocycle_space(alg, k)) - len(coboundary_space(alg, k)) == expect
 
 
 def test_image_contained_in_kernel():

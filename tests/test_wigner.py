@@ -413,3 +413,11 @@ def test_free_wkb_transport_residuals_shrink_with_hbar():
     # difference defect stays at discretization level for every hbar
     for hbar in (1.0, 0.5, 0.25):
         assert cont[hbar] <= 2e-4
+
+
+def test_axis_upsampling_equals_line_by_line():
+    vals = np.random.default_rng(2).normal(size=(32, 48)).astype(complex)
+    rows = np.stack([wg._upsample2(row) for row in vals])
+    cols = np.stack([wg._upsample2(col) for col in vals.T], axis=1)
+    npt.assert_array_equal(wg._upsample2(vals), rows)
+    npt.assert_array_equal(wg._upsample2(vals, axis=0), cols)
