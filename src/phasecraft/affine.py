@@ -20,6 +20,7 @@ Q = exp(q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ import scipy.linalg
 from .errors import (
     ModelMismatch,
     OrientationReversed,
+    Overflow,
     Singular,
     SingularConfiguration,
 )
@@ -388,143 +390,97 @@ def lattice_hamiltonian(
     p = lat.p if lat.p is not None else np.zeros_like(q)
     m_mat = lat.M if lat.M is not None else np.zeros((lat.n, lat.n))
     n_mat = lat.N if lat.N is not None else np.zeros((lat.n, lat.n))
+    coef, _ = _pair_terms(variant, params, q)
+    energy = _one_body_terms(variant, params, q, p, dilatation_k, dilatation_center)[0]
+    # coef holds each pair twice, at (a, b) and (b, a)
+    pairs = (coef * np.array((m_mat, n_mat), dtype=float) ** 2).sum(axis=0)
+    return energy + 0.5 * float(np.sum(pairs))
 
-    if variant == "hyperbolic":
-        a = float(params["a"])
-        val = float(p @ p) / (2.0 * a)
-        val += _pair_sum(q, m_mat, n_mat, a, kind="hyperbolic")
-    elif variant == "trigonometric":
-        a = float(params["a"])
-        val = float(p @ p) / (2.0 * a)
-        val += _pair_sum(q, m_mat, n_mat, a, kind="trigonometric")
-    elif variant == "calogero":
-        inertia = float(params["I"])
-        big_p = np.exp(-q) * p
-        big_q = np.exp(q)
-        val = float(big_p @ big_p) / (2.0 * inertia)
-        for a_idx in range(lat.n):
-            for b_idx in range(lat.n):
-                if a_idx == b_idx:
-                    continue
-                diff = big_q[a_idx] - big_q[b_idx]
-                if abs(diff) < _DENOM_FLOOR:
-                    raise SingularConfiguration("coincident deformation invariants")
-                val += m_mat[a_idx, b_idx] ** 2 / (8.0 * inertia * diff**2)
-                val += n_mat[a_idx, b_idx] ** 2 / (
-                    8.0 * inertia * (big_q[a_idx] + big_q[b_idx]) ** 2
-                )
+
+def _one_body_terms(variant, params, q, p, dil_k, dil_c):
+    """Kinetic term plus the dilatation well: (T, dT/dq, dT/dp)."""
+    if variant == "calogero":
+        # T = sum_a exp(-2 q_a) p_a^2 / 2I
+        weight = np.exp(-2.0 * q) / float(params["I"])
+        dt_dp = weight * p
+        dt_dq = -dt_dp * p
+    elif variant in ("hyperbolic", "trigonometric"):
+        dt_dp = p / float(params["a"])
+        dt_dq = np.zeros(len(q))
     else:
         raise ValueError(f"unknown lattice variant {variant!r}")
+    energy = 0.5 * float(p @ dt_dp)
+    if dil_k != 0.0:
+        shift = float(np.mean(q)) - dil_c
+        energy += 0.5 * dil_k * shift**2
+        dt_dq = dt_dq + dil_k * shift / len(q)
+    return energy, dt_dq, dt_dp
 
-    if dilatation_k != 0.0:
-        val += 0.5 * dilatation_k * (float(np.mean(q)) - dilatation_center) ** 2
-    return val
 
+def _pair_terms(variant, params, q):
+    """Pair coefficients of the lattice Hamiltonian and their q-derivatives.
 
-def _pair_sum(q, m_mat, n_mat, a: float, kind: str) -> float:
-    val = 0.0
+    The pair part of H is sum_{a<b} c_M M_ab^2 + c_N N_ab^2, both orderings
+    of the printed double sum counted.  Returns 2 x n x n arrays (coef,
+    dcoef), stacked as (M, N) is: coef[0, a, b] = coef[0, b, a] = c_M of the
+    pair, dcoef[0, a, b] = dc_M/dq_a and dcoef[0, b, a] = dc_M/dq_b, and
+    likewise for N at index 1.
+    """
+    hyper, calogero = variant == "hyperbolic", variant == "calogero"
+    if hyper or variant == "trigonometric":
+        scale, sign = 1.0 / (16.0 * float(params["a"])), -1.0 if hyper else 1.0
+        rep_f, att_f = (math.sinh, math.cosh) if hyper else (math.sin, math.cos)
+    elif calogero:
+        scale, sign = 0.25 / float(params["I"]), 1.0
+    else:
+        raise ValueError(f"unknown lattice variant {variant!r}")
     n = len(q)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            half = 0.5 * (q[i] - q[j])
-            if kind == "hyperbolic":
-                rep, att = np.sinh(half), np.cosh(half)
-                sign = -1.0
-            else:
-                rep, att = np.sin(half), np.cos(half)
-                sign = 1.0
-            if abs(rep) < _DENOM_FLOOR or abs(att) < _DENOM_FLOOR:
-                raise SingularConfiguration("lattice denominator underflow")
-            val += m_mat[i, j] ** 2 / (32.0 * a * rep**2)
-            val += sign * n_mat[i, j] ** 2 / (32.0 * a * att**2)
-    return val
+    terms = np.zeros((4, n, n))
+    c_m, c_n, d_m, d_n = terms
+    try:
+        qs = [math.exp(x) for x in q.tolist()] if calogero else q.tolist()
+        for a in range(n):
+            for b in range(a + 1, n):
+                # repulsive and attractive denominators, c_M = scale / rep^2 and
+                # c_N = sign * scale / att^2, and their q_a and q_b derivatives
+                if calogero:
+                    rep, att = qs[a] - qs[b], qs[a] + qs[b]
+                    rep_a, rep_b = qs[a], -qs[b]
+                    att_a, att_b = qs[a], qs[b]
+                else:
+                    half = 0.5 * (qs[a] - qs[b])
+                    rep, att = rep_f(half), att_f(half)
+                    rep_a, att_a = 0.5 * att, -0.5 * sign * rep
+                    rep_b, att_b = -rep_a, -att_a
+                if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
+                    raise SingularConfiguration("lattice denominator underflow")
+                cm, cn = scale / rep**2, sign * scale / att**2
+                c_m[a, b] = c_m[b, a] = cm
+                c_n[a, b] = c_n[b, a] = cn
+                d_m[a, b], d_m[b, a] = -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep
+                d_n[a, b], d_n[b, a] = -2.0 * cn * att_a / att, -2.0 * cn * att_b / att
+    except OverflowError as exc:
+        raise Overflow("deformation invariants too far apart for the lattice terms") from exc
+    return terms[:2], terms[2:]
 
 
 # ---------------------------------------------------------------------------
 # lattice dynamics
 
 
-def _lattice_gradients(variant, params, q, p, m_mat, n_mat, dilatation_k, dilatation_center):
-    """Analytic dH/dq, dH/dp and the skew gradients dH/dM, dH/dN.
-
-    dH/dM_ab collects both orderings of the double sum, i.e. it is the
-    derivative with respect to the independent a < b coordinate, extended
-    antisymmetrically.
-    """
-    n = len(q)
-    dq = np.zeros(n)
-    dp = np.zeros(n)
-    dm = np.zeros((n, n))
-    dn = np.zeros((n, n))
-
-    if variant in ("hyperbolic", "trigonometric"):
-        a = float(params["a"])
-        dp[:] = p / a
-        hyper = variant == "hyperbolic"
-        rep_f, att_f = (np.sinh, np.cosh) if hyper else (np.sin, np.cos)
-        att_sign = -1.0 if hyper else 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                half = 0.5 * (q[i] - q[j])
-                rep, att = rep_f(half), att_f(half)
-                if abs(rep) < _DENOM_FLOOR or abs(att) < _DENOM_FLOOR:
-                    raise SingularConfiguration("lattice denominator underflow")
-                dm[i, j] = m_mat[i, j] / (8.0 * a * rep**2)
-                dn[i, j] = att_sign * n_mat[i, j] / (8.0 * a * att**2)
-                # d/dq_i of the pair terms, both orderings included; the
-                # same closed form covers sinh/cosh and sin/cos.
-                dpair = (
-                    -m_mat[i, j] ** 2 * att / (16.0 * a * rep**3)
-                    + n_mat[i, j] ** 2 * rep / (16.0 * a * att**3)
-                )
-                dq[i] += dpair
-                dq[j] -= dpair
-                dm[j, i] = -dm[i, j]
-                dn[j, i] = -dn[i, j]
-    elif variant == "calogero":
-        inertia = float(params["I"])
-        big_q = np.exp(q)
-        dp[:] = np.exp(-2.0 * q) * p / inertia
-        dq[:] = -np.exp(-2.0 * q) * p**2 / inertia
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = big_q[i] - big_q[j]
-                total = big_q[i] + big_q[j]
-                if abs(diff) < _DENOM_FLOOR:
-                    raise SingularConfiguration("coincident deformation invariants")
-                dm[i, j] = m_mat[i, j] / (2.0 * inertia * diff**2)
-                dn[i, j] = n_mat[i, j] / (2.0 * inertia * total**2)
-                dm[j, i] = -dm[i, j]
-                dn[j, i] = -dn[i, j]
-                dq[i] += (
-                    -m_mat[i, j] ** 2 * big_q[i] / (2.0 * inertia * diff**3)
-                    - n_mat[i, j] ** 2 * big_q[i] / (2.0 * inertia * total**3)
-                )
-                dq[j] += (
-                    +m_mat[i, j] ** 2 * big_q[j] / (2.0 * inertia * diff**3)
-                    - n_mat[i, j] ** 2 * big_q[j] / (2.0 * inertia * total**3)
-                )
-    else:
-        raise ValueError(f"unknown lattice variant {variant!r}")
-
-    if dilatation_k != 0.0:
-        dq += dilatation_k * (float(np.mean(q)) - dilatation_center) / n
-    return dq, dp, dm, dn
-
-
-def _lattice_rhs_raw(variant, params, q, p, m_mat, n_mat, dil_k, dil_c):
-    dq_h, dp_h, dm_h, dn_h = _lattice_gradients(
-        variant, params, q, p, m_mat, n_mat, dil_k, dil_c
-    )
-    rho, tau = rho_tau_from_mn(m_mat, n_mat)
-    g_rho = -dm_h + dn_h
-    g_tau = -dm_h - dn_h
-    rho_dot = rho @ g_rho - g_rho @ rho
-    tau_dot = tau @ g_tau - g_tau @ tau
-    m_dot, n_dot = mn_from_rho_tau(rho_dot, tau_dot)
-    return dp_h, -dq_h, m_dot, n_dot
+def _lattice_rhs_raw(variant, params, q, p, mn, dil_k, dil_c):
+    """(dq, dp, d(M, N)) with M and N stacked in one 2 x n x n array."""
+    coef, dcoef = _pair_terms(variant, params, q)
+    _, dq_h, dp_h = _one_body_terms(variant, params, q, p, dil_k, dil_c)
+    dq_h = dq_h + (dcoef * mn**2).sum(axis=(0, 2))
+    # dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew (c_M, c_N are symmetric).
+    # The rotor brackets drho/dt = [rho, dH/drho] and dtau/dt = [tau, dH/dtau]
+    # of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
+    #   dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N]
+    grad = 2.0 * coef * mn
+    # paired[0] = (dH/dM, dH/dN) and paired[1] = (dH/dN, dH/dM), against (M, N)
+    paired = np.concatenate((grad, grad[::-1])).reshape(2, *mn.shape)
+    return dp_h, -dq_h, (paired @ mn - mn @ paired).sum(axis=1)
 
 
 def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
@@ -537,9 +493,10 @@ def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
     fixed against the exponential-solution flow of the doubly invariant
     model), pushed through the linear change to (M, N).
     """
-    return _lattice_rhs_raw(
-        variant, params, lat.q, lat.p, lat.M, lat.N, dilatation_k, dilatation_center
+    dq, dp, dmn = _lattice_rhs_raw(
+        variant, params, lat.q, lat.p, np.array((lat.M, lat.N), dtype=float), dilatation_k, dilatation_center
     )
+    return dq, dp, dmn[0], dmn[1]
 
 
 def lattice_dynamics(
@@ -556,26 +513,32 @@ def lattice_dynamics(
 
     The rotor configurations L, R are carried along unchanged (the chart
     closes on the momenta alone).  Raises SingularConfiguration when two
-    invariants collide or cross.
+    invariants collide or cross, and ValueError for a ``dt`` that is not
+    finite and positive, a ``sample_every`` below 1 or a non-finite state.
     """
     if lat.p is None or lat.M is None or lat.N is None:
         raise ValueError("lattice dynamics needs p, M and N")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
+        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
     out = [lat]
     n = lat.n
     # RK4 acts elementwise, so one flat (q, p, M, N) vector gives the same
     # bits as stepping the four parts apart, with a quarter of the array ops
-    mid = 2 * n + n * n
 
     def unpack(y):
-        return y[:n], y[n : 2 * n], y[2 * n : mid].reshape(n, n), y[mid:].reshape(n, n)
+        return y[:n], y[n : 2 * n], y[2 * n :].reshape(2, n, n)
 
     def rhs(y):
-        dq, dp, dm, dn = _lattice_rhs_raw(
+        dq, dp, dmn = _lattice_rhs_raw(
             variant, params, *unpack(y), dilatation_k, dilatation_center
         )
-        return np.concatenate((dq, dp, dm.ravel(), dn.ravel()))
+        return np.concatenate((dq, dp, dmn.ravel()))
 
     y = np.concatenate([lat.q, lat.p, lat.M.ravel(), lat.N.ravel()])
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial q, p, M and N must be finite")
     for k in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
@@ -585,7 +548,7 @@ def lattice_dynamics(
         if np.any(y[1:n] > y[: n - 1]):
             raise SingularConfiguration("deformation invariants crossed")
         if (k + 1) % sample_every == 0 or k == steps - 1:
-            q, p, m_mat, n_mat = unpack(y)
+            q, p, (m_mat, n_mat) = unpack(y)
             out.append(
                 TwoPolarState(
                     L=lat.L, R=lat.R, q=q, p=p,

@@ -45,7 +45,7 @@ _SCHEMAS = {
     },
     "ensemble": {
         "required": {"observable", "a", "epsilon", "box", "samples", "seed"},
-        "optional": {"hbar", "expectation", "flow_time", "tolerances"},
+        "optional": {"hbar", "expectation", "flow_time"},
     },
     "wigner": {
         "required": {"state", "grid"},
@@ -53,7 +53,7 @@ _SCHEMAS = {
     },
     "cohomology": {
         "required": {"algebra"},
-        "optional": {"omega", "tolerances", "seed"},
+        "optional": {"omega", "seed"},
     },
 }
 
@@ -163,15 +163,48 @@ def _check(name: str, value: float, bound: float) -> dict:
 # subcommand runners
 
 
-def _positive(scn: dict, key: str, default=None) -> float:
-    value = scn.get(key, default)
+def _positive(doc: dict, key: str, default=None, zero_ok: bool = False) -> float:
+    value = doc.get(key, default)
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = np.nan
-    if not (np.isfinite(number) and number > 0):
-        raise SchemaError(f"{key} must be a finite positive number, got {value!r}")
+    if not (np.isfinite(number) and (number > 0 or zero_ok and number == 0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise SchemaError(f"{key} must be a finite {sign} number, got {value!r}")
     return number
+
+
+def _integer(scn: dict, key: str, low: int, default=None) -> int:
+    value = scn.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < low:
+        raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
+    return number
+
+
+# default check bounds per runner; a scenario's "tolerances" overrides them
+_TOLERANCES = {
+    "euler": {"energy_drift": 1.0e-8, "momentum_drift": 1.0e-6, "casimir_drift": 1.0e-10},
+    "affine": {"energy_rate": 1.0e-7, "coupling_drift": 1.0e-10},
+    "wigner": {"marginal": 1.0e-8, "mass": 1.0e-8},
+}
+
+
+def _tolerances(scn: dict, subcommand: str) -> dict:
+    """The runner's check bounds with the scenario's overrides applied."""
+    bounds = dict(_TOLERANCES[subcommand])
+    given = scn.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise SchemaError(f"tolerances must be an object, got {given!r}")
+    for name in given:
+        if name not in bounds:
+            raise SchemaError(f"unknown tolerance {name!r}; {subcommand} has {sorted(bounds)}")
+        bounds[name] = _positive(given, name, zero_ok=True)
+    return bounds
 
 
 def _time_grid(scn: dict) -> tuple[float, float, int, int]:
@@ -179,18 +212,13 @@ def _time_grid(scn: dict) -> tuple[float, float, int, int]:
     dt = _positive(scn, "dt", 1.0e-3)
     t_end = _positive(scn, "t_end")
     steps = max(1, int(round(t_end / dt)))
-    every = scn.get("sample_every", max(1, steps // 200))
-    try:
-        sample_every = int(every)
-    except (TypeError, ValueError, OverflowError):
-        sample_every = 0
-    if sample_every < 1 or sample_every != every:
-        raise SchemaError(f"sample_every must be a positive integer, got {every!r}")
+    sample_every = _integer(scn, "sample_every", 1, default=max(1, steps // 200))
     return dt, t_end, steps, sample_every
 
 
 def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     dt, t_end, steps, sample_every = _time_grid(scn)
+    tol = _tolerances(scn, "euler")
     method = scn.get("method", "lie_midpoint")
 
     if scn.get("principal_moments") is not None:
@@ -242,19 +270,12 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
         rows.append(row)
     art.write_csv("euler.csv", header, rows)
 
-    tol = scn.get("tolerances", {})
-    checks = [
-        _check("energy_drift", report["energy_drift"], float(tol.get("energy_drift", 1.0e-8))),
-    ]
+    checks = [_check("energy_drift", report["energy_drift"], tol["energy_drift"])]
     # a torque breaks both symmetries: their drifts stay in the report only
     if model.potential is None:
-        checks.append(
-            _check("momentum_drift", report["momentum_map_drift"], float(tol.get("momentum_drift", 1.0e-6)))
-        )
+        checks.append(_check("momentum_drift", report["momentum_map_drift"], tol["momentum_drift"]))
         if has_casimir:
-            checks.append(
-                _check("casimir_drift", report["casimir_drift"], float(tol.get("casimir_drift", 1.0e-10)))
-            )
+            checks.append(_check("casimir_drift", report["casimir_drift"], tol["casimir_drift"]))
     art.write_json("conservation.json", {"report": report, "checks": checks})
     return checks
 
@@ -272,6 +293,7 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     model = scn["model"]
     constants = scn.get("constants", {})
     dt, t_end, steps, sample_every = _time_grid(scn)
+    tol = _tolerances(scn, "affine")
     init = scn["initial"]
 
     if "phi" in init:
@@ -319,22 +341,21 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
         ["t"] + [f"q_{i+1}" for i in range(n)] + ["energy", "m_norm", "n_norm"]
     )
     energies = [affine.lattice_hamiltonian(variant, params, s) for s in states]
-    times = [0.0] + [dt * sample_every * (k + 1) for k in range(len(states) - 2)] + [t_end]
+    # states are sampled at steps 0, sample_every, 2 sample_every, ... and steps
+    step_of = [sample_every * k for k in range(len(states) - 1)] + [steps]
+    times = [dt * k for k in step_of]
     rows = []
     for t, s, e in zip(times, states, energies):
         rows.append([t, *s.q, e, float(np.linalg.norm(s.M)), float(np.linalg.norm(s.N))])
     art.write_csv("affine.csv", header, rows)
 
-    tol = scn.get("tolerances", {})
     e_drift = max(abs(e - energies[0]) for e in energies) / (1.0 + abs(energies[0]))
-    checks = [
-        _check("energy_drift", e_drift / max(t_end, 1.0), float(tol.get("energy_rate", 1.0e-7)))
-    ]
+    checks = [_check("energy_drift", e_drift / max(t_end, 1.0), tol["energy_rate"])]
     if n == 2:
         m_drift = max(abs(s.M[0, 1] - lat.M[0, 1]) for s in states)
         n_drift = max(abs(s.N[0, 1] - lat.N[0, 1]) for s in states)
-        checks.append(_check("m_drift", m_drift, float(tol.get("coupling_drift", 1.0e-10))))
-        checks.append(_check("n_drift", n_drift, float(tol.get("coupling_drift", 1.0e-10))))
+        checks.append(_check("m_drift", m_drift, tol["coupling_drift"]))
+        checks.append(_check("n_drift", n_drift, tol["coupling_drift"]))
     art.write_json(
         "conservation.json",
         {"energy_initial": energies[0], "energy_drift": e_drift, "checks": checks},
@@ -359,13 +380,16 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
         raise SchemaError("observable must be 'harmonic' or {'quadratic': matrix}")
 
     observable, grad = build_observable(scn["observable"])
-    shell = ensembles.ShellEnsemble(
-        observable=observable,
-        center=float(scn["a"]),
-        epsilon=float(scn["epsilon"]),
-        samples=int(scn["samples"]),
-        seed=int(scn["seed"]),
-    )
+    try:
+        shell = ensembles.ShellEnsemble(
+            observable=observable,
+            center=float(scn["a"]),
+            epsilon=float(scn["epsilon"]),
+            samples=_integer(scn, "samples", 0),
+            seed=_integer(scn, "seed", 0),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad ensemble: {exc}") from exc
     f_fun, _ = build_observable(scn.get("expectation", scn["observable"]))
     result = ensembles.shell_probability(shell, region, f_fun)
 
@@ -404,6 +428,7 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
     n = int(grid["N"])
     qmin, qmax = float(grid["qmin"]), float(grid["qmax"])
     hbar = float(scn.get("hbar", 1.0))
+    tol = _tolerances(scn, "wigner")
     state = scn["state"]
     kind = state["kind"] if isinstance(state, dict) else state
     if kind == "ho-ground":
@@ -436,11 +461,10 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
     )
     pos_err = float(np.max(np.abs(pos - np.abs(psi.psi) ** 2)))
     mom_err = float(np.max(np.abs(mom - np.abs(psi.fourier()) ** 2)))
-    tol = scn.get("tolerances", {})
     checks = [
-        _check("position_marginal", pos_err, float(tol.get("marginal", 1.0e-8))),
-        _check("momentum_marginal", mom_err, float(tol.get("marginal", 1.0e-8))),
-        _check("mass_defect", abs(w.integral() - 1.0), float(tol.get("mass", 1.0e-8))),
+        _check("position_marginal", pos_err, tol["marginal"]),
+        _check("momentum_marginal", mom_err, tol["marginal"]),
+        _check("mass_defect", abs(w.integral() - 1.0), tol["mass"]),
     ]
     art.write_json("wigner_checks.json", {"checks": checks})
     return checks

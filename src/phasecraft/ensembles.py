@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _N_BATCHES = 16
+# Philox keys (seed << 16) + batch stay distinct only for seeds below 2^48
+_SEED_LIMIT = 2**48
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,12 @@ class ShellEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("shell width must be positive")
         if self.samples < _N_BATCHES:
             raise ValueError(f"need at least {_N_BATCHES} samples")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2^48), got {self.seed}")
 
 
 def _batch_points(region: PhaseRegion, seed: int, batch: int, count: int) -> np.ndarray:

@@ -283,6 +283,8 @@ def integrate(
     sample_every: int = 1,
 ) -> Trajectory:
     """Run ``n_steps`` steps, sampling every ``sample_every``-th state."""
+    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
+        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
     states = [state]
     current = state
     for k in range(n_steps):

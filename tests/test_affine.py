@@ -25,6 +25,7 @@ from phasecraft.affine import (
 from phasecraft.errors import (
     ModelMismatch,
     OrientationReversed,
+    Overflow,
     Singular,
     SingularConfiguration,
 )
@@ -316,6 +317,15 @@ def test_lattice_singular_configuration():
         lattice_hamiltonian("hyperbolic", {"a": 1.0}, lat)
     with pytest.raises(SingularConfiguration):
         lattice_hamiltonian("calogero", {"I": 1.0}, lat)
+    # a NaN invariant fails the denominator floor as well
+    nan_lat = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([0.5, np.nan]))
+    for variant, params in (("trigonometric", {"a": 1.0}), ("calogero", {"I": 1.0})):
+        with pytest.raises(SingularConfiguration):
+            lattice_hamiltonian(variant, params, nan_lat)
+    far = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([800.0, -800.0]))
+    for variant, params in (("hyperbolic", {"a": 1.0}), ("calogero", {"I": 1.0})):
+        with pytest.raises(Overflow):
+            lattice_hamiltonian(variant, params, far)
 
 
 def test_trigonometric_both_terms_repulsive_signed():
@@ -416,9 +426,10 @@ def test_lattice_flow_equals_rk4_on_separate_parts(n):
                          p=rng.normal(size=n), M=skew[0], N=skew[1])
 
     def rhs(y):
-        dq, dp, dm, dn = affine._lattice_gradients("hyperbolic", {"a": 1.0}, *y, 0.0, 0.0)
-        (rho, tau), g_rho, g_tau = rho_tau_from_mn(y[2], y[3]), -dm + dn, -dm - dn
-        return [dp, -dq, *mn_from_rho_tau(rho @ g_rho - g_rho @ rho, tau @ g_tau - g_tau @ tau)]
+        q, p, m_mat, n_mat = y
+        dq, dp, dmn = affine._lattice_rhs_raw(
+            "hyperbolic", {"a": 1.0}, q, p, np.stack((m_mat, n_mat)), 0.0, 0.0)
+        return dq, dp, dmn[0], dmn[1]
 
     dt, parts = 1e-3, [lat0.q, lat0.p, lat0.M, lat0.N]
     for _ in range(20):
@@ -433,6 +444,53 @@ def test_lattice_flow_equals_rk4_on_separate_parts(n):
     npt.assert_array_equal(got.p, parts[1])
     npt.assert_array_equal(got.M, 0.5 * (parts[2] - parts[2].T))
     npt.assert_array_equal(got.N, 0.5 * (parts[3] - parts[3].T))
+
+
+@pytest.mark.parametrize("dilatation_k", [0.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant,params", [
+    ("hyperbolic", {"a": 1.3}), ("trigonometric", {"a": 0.8}), ("calogero", {"I": 0.6}),
+], ids=["hyperbolic", "trigonometric", "calogero"])
+def test_lattice_flow_is_hamiltonian_flow_of_the_energy(variant, params, n, dilatation_k):
+    # the RHS against central differences of lattice_hamiltonian: Hamilton's
+    # equations on (q, p), and no change of H along the full flow
+    rng = np.random.default_rng(7 * n)
+    skew = [a - a.T for a in rng.normal(size=(2, n, n))]
+    q, p = np.linspace(0.9, -0.9, n) + 0.05 * rng.normal(size=n), rng.normal(size=n)
+    well = {"dilatation_k": dilatation_k, "dilatation_center": 0.2}
+
+    def energy(q, p, m_mat, n_mat):
+        lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q, p=p, M=m_mat, N=n_mat)
+        return lattice_hamiltonian(variant, params, lat, **well)
+
+    lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q, p=p, M=skew[0], N=skew[1])
+    flow = affine.lattice_rhs(variant, params, lat, **well)
+    h, unit = 1e-6, np.eye(n)
+    dh_dq = [(energy(q + h * e, p, *skew) - energy(q - h * e, p, *skew)) / (2 * h) for e in unit]
+    dh_dp = [(energy(q, p + h * e, *skew) - energy(q, p - h * e, *skew)) / (2 * h) for e in unit]
+    npt.assert_allclose(flow[0], dh_dp, rtol=1e-7, atol=1e-7)
+    npt.assert_allclose(flow[1], -np.asarray(dh_dq), rtol=1e-7, atol=1e-7)
+    ahead = [x + h * dx for x, dx in zip((q, p, *skew), flow)]
+    behind = [x - h * dx for x, dx in zip((q, p, *skew), flow)]
+    rate = (energy(*ahead) - energy(*behind)) / (2 * h)
+    scale = sum(float(np.sum(dx * dx)) for dx in flow)
+    assert abs(rate) <= 1e-7 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("dt,steps,sample_every,q", [
+    (1e-3, 10, 0, [1.0, -1.0]),
+    (-1e-3, 10, 1, [1.0, -1.0]),
+    (float("nan"), 10, 1, [1.0, -1.0]),
+    (float("inf"), 10, 1, [1.0, -1.0]),
+    (1e-3, 10, 1, [1.0, float("nan")]),
+], ids=["sample_every_zero", "dt_negative", "dt_nan", "dt_inf", "q_nan"])
+def test_lattice_dynamics_rejects_bad_steps_and_states(dt, steps, sample_every, q):
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array(q), p=np.zeros(2),
+        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError):
+        lattice_dynamics("hyperbolic", {"a": 1.0}, lat, dt, steps, sample_every=sample_every)
 
 
 @pytest.mark.parametrize("seed", [9, 21, 33])

@@ -87,12 +87,15 @@ def test_affine_lattice_run_and_collision_failure(tmp_path):
         "constants": {"a": 1.0},
         "initial": {"q": [1.5, -1.5], "p": [0.0, 0.0],
                     "M": [[0.0, 1.0], [-1.0, 0.0]], "N": [[0.0, 1.2], [-1.2, 0.0]]},
-        "t_end": 1.0,
+        "t_end": 1.0004,
     })
     out = str(tmp_path / "out")
     assert cli.run("affine", ok, out, seed=None) == 0
     rep = read_json(out, "conservation.json")
     assert all(chk["pass"] for chk in rep["checks"])
+    # 1000 steps of 1e-3 sampled every 5th: each row's time is its step times dt
+    rows = open(os.path.join(out, "affine.csv")).read().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1e-3 * k for k in range(0, 1001, 5)]
 
     crash = write(tmp_path, "crash.json", {
         "model": "lattice_calogero",
@@ -201,6 +204,47 @@ def test_time_grid_rejects_nonpositive_or_nonfinite(tmp_path, sub, scenario, tim
     scen = write(tmp_path, "s.json", {**scenario, **times})
     with pytest.raises(SchemaError):
         cli.run(sub, scen, str(tmp_path / "out"), seed=None)
+
+
+SHELL = {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
+         "box": [[-2.2, 2.2], [-2.2, 2.2]], "samples": 3200, "seed": 3}
+
+
+WIGNER_64 = {"state": {"kind": "ho-ground"}, "grid": {"N": 64, "qmin": -8.0, "qmax": 8.0}}
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"marginal": "tight"}, [1], {"marginals": 1e-30}, {"marginal": -1}, {"mass": float("inf")},
+], ids=["text", "not_object", "unknown_name", "negative", "infinite"])
+def test_bad_tolerances_are_schema_errors(tmp_path, tolerances):
+    scen = write(tmp_path, "w.json", {**WIGNER_64, "tolerances": tolerances})
+    with pytest.raises(SchemaError):
+        cli.run("wigner", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["wigner", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_tolerances_override_the_default_bounds(tmp_path):
+    scen = write(tmp_path, "w.json", {**WIGNER_64, "tolerances": {"mass": 0.5, "marginal": 0}})
+    out = str(tmp_path / "out")
+    assert cli.run("wigner", scen, out, seed=None) == 1  # no marginal is exact
+    bounds = {c["name"]: c["bound"] for c in read_json(out, "wigner_checks.json")["checks"]}
+    assert bounds == {"position_marginal": 0.0, "momentum_marginal": 0.0, "mass_defect": 0.5}
+    for sub, doc in (("ensemble", SHELL), ("cohomology", {"algebra": "so3"})):
+        scen = write(tmp_path, f"{sub}.json", {**doc, "tolerances": {}})
+        with pytest.raises(SchemaError):  # no check there reads a bound
+            cli.parse_scenario(scen, sub)
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": -1}, {"seed": 2**48}, {"seed": 1.5}, {"epsilon": 0}, {"epsilon": "wide"},
+    {"samples": 15},
+], ids=["seed_negative", "seed_2_48", "seed_fraction", "epsilon_zero", "epsilon_text",
+        "samples_15"])
+def test_bad_ensemble_inputs_are_schema_errors(tmp_path, bad):
+    scen = write(tmp_path, "s.json", {**SHELL, **bad})
+    with pytest.raises(SchemaError):
+        cli.run("ensemble", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["ensemble", scen, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_selftest_deterministic(tmp_path):

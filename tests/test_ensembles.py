@@ -75,6 +75,16 @@ def test_shell_determinism_under_seed():
     assert a == b
 
 
+def test_shell_seed_outside_philox_key_range_rejected():
+    # the Philox key (seed << 16) + batch wraps at 2^64
+    for seed in (-1, 2**48):
+        with pytest.raises(ValueError):
+            ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3, samples=32, seed=seed)
+    largest = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3, samples=32,
+                                seed=2**48 - 1)
+    assert len(ens.shell_samples(largest, box(2.2))) == 16
+
+
 def test_empty_shell_raises():
     shell = ens.ShellEnsemble(observable=harmonic, center=50.0, epsilon=0.01,
                               samples=2_000, seed=0)

@@ -302,6 +302,14 @@ def test_potential_run_conserves_energy():
     assert rep["energy_drift"] <= 1e-6
 
 
+@pytest.mark.parametrize("sample_every", [0, -3, 2.5])
+def test_integrate_rejects_bad_sample_every(sample_every):
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, 10,
+                        sample_every=sample_every)
+
+
 def test_midpoint_no_convergence_for_huge_step():
     model = rigid.so3_model((1.0, 2.0, 3.0))
     st = identity_state([50.0, -40.0, 30.0])
