@@ -202,7 +202,7 @@ class GroupElement:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("group element must be a square matrix")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("group element has non-finite entries")
         if self.tag not in _GROUP_TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")

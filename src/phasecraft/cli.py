@@ -163,16 +163,45 @@ def _check(name: str, value: float, bound: float) -> dict:
 # subcommand runners
 
 
-def _positive(doc: dict, key: str, default=None, zero_ok: bool = False) -> float:
+def _finite(doc: dict, key: str, default=None) -> float:
     value = doc.get(key, default)
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = np.nan
-    if not (np.isfinite(number) and (number > 0 or zero_ok and number == 0)):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise SchemaError(f"{key} must be a finite {sign} number, got {value!r}")
+    if not np.isfinite(number):
+        raise SchemaError(f"{key} must be a finite number, got {value!r}")
     return number
+
+
+def _positive(doc: dict, key: str, default=None, zero_ok: bool = False) -> float:
+    number = _finite(doc, key, default)
+    if not (number > 0 or zero_ok and number == 0):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise SchemaError(f"{key} must be a finite {sign} number, got {number!r}")
+    return number
+
+
+def _array(doc: dict, key: str, shape: tuple, default=None) -> np.ndarray:
+    """``doc[key]`` as a nonempty array of finite floats of the given shape;
+    a None in ``shape`` accepts any length along that axis."""
+    value = doc.get(key, default)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.empty(0)
+    if not (arr.size and arr.ndim == len(shape) and np.isfinite(arr).all()
+            and all(want in (None, got) for got, want in zip(arr.shape, shape))):
+        dims = " x ".join("n" if d is None else str(d) for d in shape)
+        raise SchemaError(f"{key} must be finite numbers of shape {dims}, got {value!r}")
+    return arr
+
+
+def _object(doc: dict, key: str, default=None) -> dict:
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def _integer(scn: dict, key: str, low: int, default=None) -> int:
@@ -207,10 +236,18 @@ def _tolerances(scn: dict, subcommand: str) -> dict:
     return bounds
 
 
+# step budget of an euler or affine run, 100 times the longest shipped
+# scenario (sutherland_bound_pair: 1e5 steps)
+_MAX_STEPS = 10_000_000
+
+
 def _time_grid(scn: dict) -> tuple[float, float, int, int]:
     """(dt, t_end, steps, sample_every) of an euler or affine scenario."""
     dt = _positive(scn, "dt", 1.0e-3)
     t_end = _positive(scn, "t_end")
+    if t_end / dt > _MAX_STEPS:
+        raise SchemaError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the budget of "
+                          f"{_MAX_STEPS:.0e} steps")
     steps = max(1, int(round(t_end / dt)))
     sample_every = _integer(scn, "sample_every", 1, default=max(1, steps // 200))
     return dt, t_end, steps, sample_every
@@ -244,9 +281,11 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
         )
         tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
 
-    init = scn["initial"]
-    g0 = np.asarray(init.get("g", np.eye(model.algebra.basis[0].shape[0])), dtype=float)
-    state = rigid.BodyState(GroupElement(g0, tag=tag), np.asarray(init["sigma"], dtype=float))
+    init = _object(scn, "initial")
+    m = model.algebra.basis[0].shape[0]
+    g0 = _array(init, "g", (m, m), default=np.eye(m))
+    sigma = _array(init, "sigma", (model.algebra.dim,))
+    state = rigid.BodyState(GroupElement(g0, tag=tag), sigma)
     traj = rigid.integrate(model, state, dt, steps, method=method, sample_every=sample_every)
     report = rigid.conservation_report(model, traj)
 
@@ -291,47 +330,49 @@ def _builtin_potential(name: str):
 
 def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     model = scn["model"]
-    constants = scn.get("constants", {})
+    constants = _object(scn, "constants", {})
     dt, t_end, steps, sample_every = _time_grid(scn)
     tol = _tolerances(scn, "affine")
-    init = scn["initial"]
+    init = _object(scn, "initial")
 
-    if "phi" in init:
-        state = affine.AffineState(
-            phi=np.asarray(init["phi"], dtype=float),
-            sigma_hat=np.asarray(init["sigma_hat"], dtype=float),
-            x=np.asarray(init["x"], dtype=float) if "x" in init else None,
-            p=np.asarray(init["p"], dtype=float) if "p" in init else None,
-        )
-        lat = affine.to_two_polar(state)
-    else:
-        lat = affine.TwoPolarState(
-            L=np.asarray(init.get("L", np.eye(len(init["q"]))), dtype=float),
-            R=np.asarray(init.get("R", np.eye(len(init["q"]))), dtype=float),
-            q=np.asarray(init["q"], dtype=float),
-            p=np.asarray(init["p"], dtype=float),
-            M=np.asarray(init["M"], dtype=float),
-            N=np.asarray(init["N"], dtype=float),
-        )
+    try:
+        if "phi" in init:
+            phi = _array(init, "phi", (None, None))
+            n = len(phi)
+            state = affine.AffineState(
+                phi=phi,
+                sigma_hat=_array(init, "sigma_hat", (n, n)),
+                x=_array(init, "x", (n,)) if "x" in init else None,
+                p=_array(init, "p", (n,)) if "p" in init else None,
+            )
+            lat = affine.to_two_polar(state)
+        else:
+            q = _array(init, "q", (None,))
+            n = len(q)
+            lat = affine.TwoPolarState(
+                L=_array(init, "L", (n, n), default=np.eye(n)),
+                R=_array(init, "R", (n, n), default=np.eye(n)),
+                q=q,
+                p=_array(init, "p", (n,)),
+                M=_array(init, "M", (n, n)),
+                N=_array(init, "N", (n, n)),
+            )
+    except ValueError as exc:  # the state's own checks: ordering, orthogonality, symmetry
+        raise SchemaError(f"bad initial state: {exc}") from exc
 
     if model == "standard":
-        if abs(float(constants.get("J_iso", 1.0))) <= 0:
-            raise SchemaError("standard model needs isotropic inertia J_iso > 0")
-        variant, params = "calogero", {"I": float(constants.get("J_iso", 1.0))}
+        variant, params = "calogero", {"I": _positive(constants, "J_iso", 1.0)}
     elif model in ("affine_left", "affine_right"):
-        if float(constants.get("inv_b", 0.0)) != 0.0 or float(constants.get("inv_c", 0.0)) != 0.0:
+        if _finite(constants, "inv_b", 0.0) != 0.0 or _finite(constants, "inv_c", 0.0) != 0.0:
             raise SchemaError(
                 "dynamics is implemented for the trace-form term only; "
                 "set inv_b = inv_c = 0"
             )
-        variant, params = "hyperbolic", {"a": float(constants.get("a", 1.0))}
+        variant, params = "hyperbolic", {"a": _positive(constants, "a", 1.0)}
     elif model in ("lattice_hyperbolic", "lattice_trigonometric", "lattice_calogero"):
         variant = model.removeprefix("lattice_")
-        params = (
-            {"I": float(constants.get("I", 1.0))}
-            if variant == "calogero"
-            else {"a": float(constants.get("a", 1.0))}
-        )
+        key = "I" if variant == "calogero" else "a"
+        params = {key: _positive(constants, key, 1.0)}
     else:
         raise SchemaError(f"unknown affine model {model!r}")
 
@@ -424,21 +465,27 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
 
 
 def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
-    grid = scn["grid"]
-    n = int(grid["N"])
-    qmin, qmax = float(grid["qmin"]), float(grid["qmax"])
-    hbar = float(scn.get("hbar", 1.0))
+    grid = _object(scn, "grid")
+    n = _integer(grid, "N", 4)
+    if n & (n - 1):
+        raise SchemaError(f"N must be a power of two, got {n}")
+    qmin, qmax = _finite(grid, "qmin"), _finite(grid, "qmax")
+    if not qmin < qmax:
+        raise SchemaError(f"qmin must be below qmax, got {qmin!r} and {qmax!r}")
+    hbar = _positive(scn, "hbar", 1.0)
     tol = _tolerances(scn, "wigner")
     state = scn["state"]
-    kind = state["kind"] if isinstance(state, dict) else state
+    state = state if isinstance(state, dict) else {"kind": state}
+    kind = state.get("kind")
     if kind == "ho-ground":
         psi = wigner.ho_ground(n, qmin, qmax, hbar=hbar)
     elif kind == "ho-excited":
-        psi = wigner.ho_excited(int(state.get("k", 1)), n, qmin, qmax, hbar=hbar)
+        psi = wigner.ho_excited(_integer(state, "k", 0, default=1), n, qmin, qmax, hbar=hbar)
     elif kind == "gaussian":
-        psi = wigner.gaussian_packet(float(state.get("sigma", 1.0)), n, qmin, qmax, hbar=hbar)
+        psi = wigner.gaussian_packet(_positive(state, "sigma", 1.0), n, qmin, qmax, hbar=hbar)
     elif kind == "cat":
-        psi = wigner.cat_state(float(state.get("separation", 4.0)), n, qmin, qmax, hbar=hbar)
+        psi = wigner.cat_state(_positive(state, "separation", 4.0, zero_ok=True),
+                               n, qmin, qmax, hbar=hbar)
     else:
         raise SchemaError(f"unknown state kind {kind!r}")
     psi = psi.normalized()

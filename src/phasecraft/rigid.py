@@ -15,6 +15,7 @@ conserves quadratic invariants of the momentum equation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +53,9 @@ __all__ = [
 _TORQUE_STEP = 1.0e-6
 _MIDPOINT_TOL = 1.0e-12
 _MIDPOINT_MAX_ITER = 50
+# Below this angle Rodrigues' coefficients are their Taylor polynomials; the
+# dropped terms (theta^4 / 120 and theta^4 / 720) are under 1e-18.
+_TAYLOR_THETA = 1.0e-4
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,15 @@ class InvariantModel:
     chirality: str = "left"
     potential: Callable[[GroupElement], float] | None = None
     principal_moments: tuple[float, float, float] | None = None
+    # Tables built once from the fields above, so that a step is a few matmuls.
+    # _bracket[a, d, c] = -/+ C^d_ab gamma^bc: the bracket term is (A @ S) @ S.
+    # _velocity[c] = gamma^ca E_a, flattened: the velocity matrix is S @ B.
+    # _skew3: every E_a is a real antisymmetric 3x3 matrix (Rodrigues applies).
+    # _torque_exps[a] = (exp(+h E_a), exp(-h E_a)) with h = _TORQUE_STEP.
+    _bracket: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _velocity: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _skew3: bool = field(init=False, repr=False, compare=False, default=False)
+    _torque_exps: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if self.chirality not in ("left", "right"):
@@ -76,6 +89,27 @@ class InvariantModel:
             if len(moments) != 3 or any(i <= 0 for i in moments):
                 raise ValueError("principal moments must be three positive reals")
             object.__setattr__(self, "principal_moments", moments)
+
+        ginv = self.metric.inverse  # None: legendre_inv raises SingularMetric on use
+        basis = self.algebra.basis
+        if ginv is not None:
+            sign = -1.0 if self.chirality == "left" else 1.0
+            bracket = sign * np.einsum("dab,bc->adc", self.algebra.structure, ginv)
+            object.__setattr__(self, "_bracket", bracket)
+        if basis is None:
+            return
+        stacked = np.stack(basis)
+        if ginv is not None:
+            velocity = np.tensordot(ginv, stacked, axes=(0, 0))
+            object.__setattr__(self, "_velocity", velocity.reshape(len(basis), -1))
+        object.__setattr__(self, "_skew3", stacked.shape[1:] == (3, 3)
+                           and np.isrealobj(stacked)
+                           and np.array_equal(stacked, -stacked.transpose(0, 2, 1)))
+        if self.potential is not None:
+            object.__setattr__(self, "_torque_exps", tuple(
+                (scipy.linalg.expm(_TORQUE_STEP * e), scipy.linalg.expm(-(_TORQUE_STEP * e)))
+                for e in basis
+            ))
 
 
 def so3_model(
@@ -105,7 +139,7 @@ class BodyState:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        if not np.all(np.isfinite(sigma)):
+        if not np.isfinite(sigma).all():
             raise ValueError("momentum has non-finite entries")
         sigma = sigma.copy()
         sigma.setflags(write=False)
@@ -140,18 +174,24 @@ def legendre_inv(model: InvariantModel, sigma) -> np.ndarray:
 
 
 def _bracket_term(model: InvariantModel, sigma: np.ndarray) -> np.ndarray:
-    omega = legendre_inv(model, sigma)
-    term = np.einsum("b,d,dab->a", omega, sigma, model.algebra.structure)
-    return -term if model.chirality == "left" else term
+    """-/+ gamma^bc S_c S_d C^d_ab, the torque-free part of dS_a/dt."""
+    if model._bracket is None:
+        model.metric.require_inverse()
+    return (model._bracket @ sigma) @ sigma
 
 
 def euler_rhs(model: InvariantModel, state: BodyState) -> np.ndarray:
     """dS/dt at the given state, torque included when a potential is set."""
     rhs = _bracket_term(model, state.sigma)
     if model.potential is not None:
-        spatial, comoving = torque_from_potential(model, state.g)
-        rhs = rhs + (comoving if model.chirality == "left" else spatial)
+        rhs = rhs + _torque(model, state.g)
     return rhs
+
+
+def _torque(model: InvariantModel, g: GroupElement) -> np.ndarray:
+    """The torque in the model's momentum frame: co-moving (left) or spatial."""
+    spatial, comoving = torque_from_potential(model, g)
+    return comoving if model.chirality == "left" else spatial
 
 
 def torque_from_potential(model: InvariantModel, g: GroupElement):
@@ -163,22 +203,19 @@ def torque_from_potential(model: InvariantModel, g: GroupElement):
     """
     if model.potential is None:
         raise NoPotential("model has no potential energy")
-    alg = model.algebra
-    if alg.basis is None:
+    if model.algebra.basis is None:
         raise ValueError("torques need a matrix basis for the algebra")
     pot = model.potential
-    n = alg.dim
+    g_mat, tag, metric = g.matrix, g.tag, g.metric
+    n = model.algebra.dim
     spatial = np.empty(n)
     comoving = np.empty(n)
-    for a in range(n):
-        step_mat = _TORQUE_STEP * alg.basis[a]
-        exp_p = scipy.linalg.expm(step_mat)
-        exp_m = scipy.linalg.expm(-step_mat)
-        left_p = GroupElement(exp_p @ g.matrix, tag=g.tag, metric=g.metric)
-        left_m = GroupElement(exp_m @ g.matrix, tag=g.tag, metric=g.metric)
+    for a, (exp_p, exp_m) in enumerate(model._torque_exps):
+        left_p = GroupElement(exp_p @ g_mat, tag=tag, metric=metric)
+        left_m = GroupElement(exp_m @ g_mat, tag=tag, metric=metric)
         spatial[a] = -(pot(left_p) - pot(left_m)) / (2.0 * _TORQUE_STEP)
-        right_p = GroupElement(g.matrix @ exp_p, tag=g.tag, metric=g.metric)
-        right_m = GroupElement(g.matrix @ exp_m, tag=g.tag, metric=g.metric)
+        right_p = GroupElement(g_mat @ exp_p, tag=tag, metric=metric)
+        right_m = GroupElement(g_mat @ exp_m, tag=tag, metric=metric)
         comoving[a] = -(pot(right_p) - pot(right_m)) / (2.0 * _TORQUE_STEP)
     return spatial, comoving
 
@@ -191,13 +228,39 @@ _FLOW_NORM_BOUND = 1.0e4
 
 
 def _velocity_matrix(model: InvariantModel, sigma: np.ndarray) -> np.ndarray:
-    return model.algebra.matrix_of(legendre_inv(model, sigma))
+    """The matrix of O^a = gamma^ab S_b, that is O^a E_a."""
+    if model._velocity is None:  # no basis or no inverse: this raises their error
+        return model.algebra.matrix_of(legendre_inv(model, sigma))
+    m = model.algebra.basis[0].shape[0]
+    return (sigma @ model._velocity).reshape(m, m)
 
 
-def _guarded_expm(x: np.ndarray) -> np.ndarray:
+def _guarded_expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
+    """exp(x) after the finite and 1-norm guard; ``skew3`` says that x is a
+    real antisymmetric 3x3 matrix, whose exponential Rodrigues' formula gives."""
     if not np.all(np.isfinite(x)) or np.linalg.norm(x, 1) > _FLOW_NORM_BOUND:
         raise Overflow("flow generator too large for a trustworthy exponential")
-    return scipy.linalg.expm(x)
+    return _rodrigues(x) if skew3 else scipy.linalg.expm(x)
+
+
+def _rodrigues(x: np.ndarray) -> np.ndarray:
+    """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
+    theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2."""
+    (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
+    t2 = w1 * w1 + w2 * w2 + w3 * w3
+    if t2 < _TAYLOR_THETA * _TAYLOR_THETA:
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    else:
+        theta = math.sqrt(t2)
+        a = math.sin(theta) / theta
+        half = math.sin(0.5 * theta) / theta
+        b = 2.0 * half * half  # 1 - cos(theta) = 2 sin^2(theta / 2), no cancellation
+    # K^2 = w w^T - theta^2 I
+    return np.array([
+        [1.0 - b * (w2 * w2 + w3 * w3), b * w1 * w2 - a * w3, b * w1 * w3 + a * w2],
+        [b * w1 * w2 + a * w3, 1.0 - b * (w1 * w1 + w3 * w3), b * w2 * w3 - a * w1],
+        [b * w1 * w3 - a * w2, b * w2 * w3 + a * w1, 1.0 - b * (w1 * w1 + w2 * w2)],
+    ])
 
 
 def _configuration_rate(model: InvariantModel, g_mat, sigma) -> np.ndarray:
@@ -225,12 +288,13 @@ def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4"
 
 def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     g0, s0 = state.g.matrix, state.sigma
+    tag, metric = state.g.tag, state.g.metric
 
     def rate(g_mat, sigma):
-        st = BodyState(
-            GroupElement(g_mat, tag=state.g.tag, metric=state.g.metric), sigma
-        )
-        return _configuration_rate(model, g_mat, sigma), euler_rhs(model, st)
+        rhs = _bracket_term(model, sigma)
+        if model.potential is not None:
+            rhs = rhs + _torque(model, GroupElement(g_mat, tag=tag, metric=metric))
+        return _configuration_rate(model, g_mat, sigma), rhs
 
     k1g, k1s = rate(g0, s0)
     k2g, k2s = rate(g0 + 0.5 * dt * k1g, s0 + 0.5 * dt * k1s)
@@ -238,36 +302,37 @@ def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     k4g, k4s = rate(g0 + dt * k3g, s0 + dt * k3s)
     g1 = g0 + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
     s1 = s0 + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-    g1 = _project_group(g1, state.g.tag)
-    return BodyState(
-        GroupElement(g1, tag=state.g.tag, metric=state.g.metric), s1, state.time + dt
-    )
+    if not np.isfinite(g1).all():
+        raise ValueError("group element has non-finite entries")
+    return BodyState(GroupElement(_project_group(g1, tag), tag=tag, metric=metric),
+                     s1, state.time + dt)
 
 
 def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     g0, s0 = state.g, state.sigma
-    tol = _MIDPOINT_TOL * (1.0 + float(np.max(np.abs(s0))))
-    s_mid = s0.copy()
-    for _ in range(_MIDPOINT_MAX_ITER):
-        rhs = _bracket_term(model, s_mid)
-        if model.potential is not None:
-            om_mid = _velocity_matrix(model, s_mid)
-            half = _guarded_expm(0.5 * dt * om_mid)
-            g_mid_mat = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
-            g_mid = GroupElement(g_mid_mat, tag=g0.tag, metric=g0.metric)
-            spatial, comoving = torque_from_potential(model, g_mid)
-            rhs = rhs + (comoving if model.chirality == "left" else spatial)
-        s_next = s0 + 0.5 * dt * rhs
-        if float(np.max(np.abs(s_next - s_mid))) < tol:
+    tol = _MIDPOINT_TOL * (1.0 + float(np.abs(s0).max()))
+    half_dt = 0.5 * dt
+    s_mid = s0
+    # An iterate that overflows (a diverging iteration, or a potential that
+    # does) turns to inf and NaN, never passes the tolerance test and ends in
+    # NoConvergence, so the overflow warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MIDPOINT_MAX_ITER):
+            rhs = _bracket_term(model, s_mid)
+            if model.potential is not None:
+                half = _guarded_expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
+                g_mid = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
+                rhs = rhs + _torque(model, GroupElement(g_mid, tag=g0.tag, metric=g0.metric))
+            s_next = s0 + half_dt * rhs
+            converged = all(abs(a - b) < tol for a, b in zip(s_next.tolist(), s_mid.tolist()))
             s_mid = s_next
-            break
-        s_mid = s_next
-    else:
-        raise NoConvergence("implicit midpoint iteration did not converge")
+            if converged:
+                break
+        else:
+            raise NoConvergence("implicit midpoint iteration did not converge")
 
     s1 = 2.0 * s_mid - s0
-    om_mid = _velocity_matrix(model, s_mid)
-    flow = _guarded_expm(dt * om_mid)
+    flow = _guarded_expm(dt * _velocity_matrix(model, s_mid), model._skew3)
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
     return BodyState(
         GroupElement(g1_mat, tag=g0.tag, metric=g0.metric), s1, state.time + dt

@@ -489,6 +489,8 @@ def free_propagator(xi, tau: float, mass: float = 1.0, hbar: float = 1.0,
 def propagate_free(psi: GridWavefunction, t: float) -> GridWavefunction:
     """Free evolution by the exact spectral multiplier exp(-i p^2 t / 2 m hbar),
     computed on a zero-padded (doubled) grid to suppress wrap-around."""
+    if not math.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t!r}")
     _require_resolved(psi, "propagate_free")
     n = psi.n_points
     pad = np.zeros(2 * n, dtype=complex)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_euler_run_artifacts(tmp_path):
     manifest = read_json(out, "manifest.json")
     names = {f["name"] for f in manifest["files"]}
     assert names == {"euler.csv", "conservation.json"}
-    csv_lines = open(os.path.join(out, "euler.csv")).read().splitlines()
+    csv_lines = Path(out, "euler.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:5] == ["t", "sigma_1", "sigma_2", "sigma_3", "energy"]
     report = read_json(out, "conservation.json")
     assert all(chk["pass"] for chk in report["checks"])
@@ -94,7 +95,7 @@ def test_affine_lattice_run_and_collision_failure(tmp_path):
     rep = read_json(out, "conservation.json")
     assert all(chk["pass"] for chk in rep["checks"])
     # 1000 steps of 1e-3 sampled every 5th: each row's time is its step times dt
-    rows = open(os.path.join(out, "affine.csv")).read().splitlines()[1:]
+    rows = Path(out, "affine.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [1e-3 * k for k in range(0, 1001, 5)]
 
     crash = write(tmp_path, "crash.json", {
@@ -198,12 +199,85 @@ def test_euler_torqued_top_checks_energy_only(tmp_path):
 @pytest.mark.parametrize("times", [
     {"t_end": 1.0, "dt": 0}, {"t_end": -1}, {"t_end": "nan"}, {"t_end": 1.0, "dt": "fast"},
     {"t_end": 0.01, "sample_every": 0}, {"t_end": 0.01, "sample_every": 2.5},
+    {"t_end": 1e9, "dt": 1e-9}, {"t_end": 1e300, "dt": 1e-300},
 ], ids=["dt_zero", "t_end_negative", "t_end_nan", "dt_text",
-        "sample_every_zero", "sample_every_fraction"])
+        "sample_every_zero", "sample_every_fraction", "over_step_budget", "step_count_inf"])
 def test_time_grid_rejects_nonpositive_or_nonfinite(tmp_path, sub, scenario, times):
     scen = write(tmp_path, "s.json", {**scenario, **times})
     with pytest.raises(SchemaError):
         cli.run(sub, scen, str(tmp_path / "out"), seed=None)
+
+
+def test_step_budget_boundary():
+    assert cli._time_grid({"t_end": cli._MAX_STEPS * 0.5, "dt": 0.5})[2] == cli._MAX_STEPS
+    with pytest.raises(SchemaError):
+        cli._time_grid({"t_end": (cli._MAX_STEPS + 1) * 0.5, "dt": 0.5})
+
+
+FREE_TOP = {"principal_moments": [1.0, 2.0, 3.0], "t_end": 0.01}
+
+
+@pytest.mark.parametrize("initial", [
+    {"sigma": [1.0, "x", 0.0]}, {"sigma": [1.0, 0.0]}, {"sigma": [[1.0, 0.0, 0.0]]},
+    {"sigma": [1.0, float("inf"), 0.0]}, {},
+    {"sigma": [1.0, 0.0, 0.0], "g": np.eye(2).tolist()},
+    {"sigma": [1.0, 0.0, 0.0], "g": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]},
+    {"sigma": [1.0, 0.0, 0.0], "g": [[1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    [1.0, 0.0, 0.0],
+], ids=["sigma_text", "sigma_short", "sigma_matrix", "sigma_inf", "sigma_missing",
+        "g_shape", "g_nan", "g_ragged", "not_object"])
+def test_euler_bad_initial_is_schema_error(tmp_path, initial):
+    scen = write(tmp_path, "e.json", {**FREE_TOP, "initial": initial})
+    with pytest.raises(SchemaError):
+        cli.run("euler", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["euler", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"grid": {"N": "many"}}, {"grid": {"N": 100}}, {"grid": {"N": 2}}, {"grid": {"N": 64.5}},
+    {"grid": {"qmin": "x"}}, {"grid": {"qmax": -9.0}}, {"grid": {"qmax": float("inf")}},
+    {"hbar": 0}, {"hbar": "planck"},
+    {"state": {"kind": "ho-excited", "k": -1}}, {"state": {"kind": "ho-excited", "k": 1.5}},
+    {"state": {"kind": "gaussian", "sigma": "wide"}}, {"state": {"kind": "gaussian", "sigma": 0}},
+    {"state": {"kind": "cat", "separation": -1.0}}, {"state": {}}, {"grid": "fine"},
+], ids=["N_text", "N_not_power_of_two", "N_too_small", "N_fraction", "qmin_text",
+        "qmax_below_qmin", "qmax_inf", "hbar_zero", "hbar_text", "k_negative", "k_fraction",
+        "sigma_text", "sigma_zero", "separation_negative", "kind_missing", "grid_not_object"])
+def test_bad_wigner_values_are_schema_errors(tmp_path, change):
+    doc = {**WIGNER_64, **change}
+    if isinstance(change.get("grid"), dict):
+        doc["grid"] = {**WIGNER_64["grid"], **change["grid"]}
+    scen = write(tmp_path, "w.json", doc)
+    with pytest.raises(SchemaError):
+        cli.run("wigner", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["wigner", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+LATTICE = {"model": "lattice_hyperbolic", "constants": {"a": 1.0}, "t_end": 0.01,
+           "initial": {"q": [1.5, -1.5], "p": [0.0, 0.0],
+                       "M": [[0.0, 1.0], [-1.0, 0.0]], "N": [[0.0, 1.2], [-1.2, 0.0]]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"constants": {"a": "x"}}, {"constants": {"a": 0.0}}, {"constants": "strong"},
+    {"model": "lattice_calogero", "constants": {"I": "heavy"}},
+    {"model": "standard", "constants": {"J_iso": -1.0}},
+    {"model": "affine_left", "constants": {"inv_b": "x"}},
+    {"initial": {"q": [1.5, 0.0, -1.5]}}, {"initial": {"p": [0.0]}},
+    {"initial": {"M": [[0.0, "x"], [-1.0, 0.0]]}}, {"initial": {"N": [0.0, 1.2]}},
+    {"initial": {"q": []}}, {"initial": {"L": [[1.0, 0.0], [0.0, float("nan")]]}},
+    {"initial": {"q": [-1.5, 1.5]}}, {"initial": {"M": [[0.0, 1.0], [1.0, 0.0]]}},
+], ids=["a_text", "a_zero", "constants_not_object", "I_text", "J_iso_negative", "inv_b_text",
+        "q_longer_than_M", "p_short", "M_text", "N_vector", "q_empty", "L_nan",
+        "q_ascending", "M_symmetric"])
+def test_bad_affine_values_are_schema_errors(tmp_path, change):
+    doc = {**LATTICE, **change}
+    if "initial" in change:
+        doc["initial"] = {**LATTICE["initial"], **change["initial"]}
+    scen = write(tmp_path, "a.json", doc)
+    with pytest.raises(SchemaError):
+        cli.run("affine", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
 
 
 SHELL = {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
@@ -251,9 +325,7 @@ def test_selftest_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.run("selftest", None, out1, seed=7) == 0
     assert cli.run("selftest", None, out2, seed=7) == 0
-    m1 = open(os.path.join(out1, "manifest.json"), "rb").read()
-    m2 = open(os.path.join(out2, "manifest.json"), "rb").read()
-    assert m1 == m2
+    assert Path(out1, "manifest.json").read_bytes() == Path(out2, "manifest.json").read_bytes()
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -265,7 +337,7 @@ def test_rerun_byte_identical(tmp_path):
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
         assert cli.run("wigner", scen, out, seed=1) == 0
-        outs.append(open(os.path.join(out, "manifest.json"), "rb").read())
+        outs.append(Path(out, "manifest.json").read_bytes())
     assert outs[0] == outs[1]
 
 

@@ -326,3 +326,176 @@ def test_step_overflow_guard():
     st = identity_state([1.0e5, 0.0, 0.0])
     with pytest.raises(Overflow):
         rigid.step(model, st, 1.0, method="lie_midpoint")
+
+
+# --- step kernel: closed-form exponential, per-model tables -------------------
+
+EPS = np.finfo(float).eps
+
+
+def _axis_rotation(axis, theta):
+    i, j = [(1, 2), (2, 0), (0, 1)][axis]
+    out = np.eye(3)
+    out[i, i] = out[j, j] = np.cos(theta)
+    out[i, j], out[j, i] = -np.sin(theta), np.sin(theta)
+    return out
+
+
+@pytest.mark.parametrize("theta", [
+    1e-9, rigid._TAYLOR_THETA * (1 - 1e-12), rigid._TAYLOR_THETA,
+    rigid._TAYLOR_THETA * (1 + 1e-12), 1.0, np.pi - 1e-6, np.pi, np.pi + 1e-6, 9.99e3,
+], ids=["1e-9", "below_switch", "at_switch", "above_switch", "1", "below_pi", "pi",
+        "above_pi", "near_guard"])
+def test_rodrigues_matches_expm(theta):
+    so3 = fixture("so3")
+    for axis in range(3):  # exact: a plane rotation by theta
+        w = np.zeros(3)
+        w[axis] = theta
+        npt.assert_allclose(rigid._rodrigues(so3.matrix_of(w)), _axis_rotation(axis, theta),
+                            rtol=0, atol=4 * EPS)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        u = rng.normal(size=3)
+        x = so3.matrix_of(theta * u / np.linalg.norm(u))
+        x *= min(1.0, 9.99e3 / np.linalg.norm(x, 1))  # inside the 1e4 guard
+        got = rigid._guarded_expm(x, skew3=True)
+        # expm's own error grows with the norm (scaling and squaring): its
+        # orthogonality residual near the guard is ~1e-11, Rodrigues' a few eps
+        bound = 4 * EPS * max(1.0, theta) if theta < 4 else 128 * EPS * theta
+        assert np.max(np.abs(got - scipy.linalg.expm(x))) <= bound
+        assert np.max(np.abs(got.T @ got - np.eye(3))) <= 8 * EPS
+
+
+def test_closed_form_exponential_keeps_the_guard():
+    from phasecraft.errors import Overflow
+
+    so3 = fixture("so3")
+    for w in ([1.0e4 + 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(Overflow):
+            rigid._guarded_expm(so3.matrix_of(w), skew3=True)
+
+
+def test_closed_form_chosen_by_the_basis_not_the_label():
+    from phasecraft.algebra import LieAlgebraSpec
+
+    so3 = fixture("so3")
+    assert rigid.so3_model((1.0, 2.0, 3.0))._skew3
+    renamed = LieAlgebraSpec(3, so3.structure, basis=so3.basis, label="rotations")
+    assert rigid.InvariantModel(renamed, BilinearForm(np.eye(3)))._skew3
+    su2 = tuple(-0.5j * s for s in (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                                    np.array([[1, 0], [0, -1]])))
+    spinors = LieAlgebraSpec(3, so3.structure, basis=su2, label="so3")
+    assert not rigid.InvariantModel(spinors, BilinearForm(np.eye(3)))._skew3
+    assert not rigid.InvariantModel(fixture("so13"), BilinearForm(np.eye(6)))._skew3
+
+
+def test_torque_exponentials_come_from_the_table(monkeypatch):
+    model = rigid.so3_model((1.0, 2.0, 3.0), potential=trace_potential)
+    for (exp_p, exp_m), e in zip(model._torque_exps, model.algebra.basis):
+        assert np.array_equal(exp_p, scipy.linalg.expm(rigid._TORQUE_STEP * e))
+        assert np.array_equal(exp_m, scipy.linalg.expm(-rigid._TORQUE_STEP * e))
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda x: calls.append(1) or expm(x))
+    rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, 20)
+    assert calls == []  # the flow of so(3) is Rodrigues', the torque's from the table
+
+
+def _ref_bracket(model, sigma):
+    term = np.einsum("b,d,dab->a", rigid.legendre_inv(model, sigma), sigma,
+                     model.algebra.structure)
+    return -term if model.chirality == "left" else term
+
+
+def _ref_torque(model, g):
+    h = rigid._TORQUE_STEP
+    spatial, comoving = [], []
+    for e in model.algebra.basis:
+        exp_p, exp_m = scipy.linalg.expm(h * e), scipy.linalg.expm(-h * e)
+
+        def pot(m):
+            return model.potential(GroupElement(m, tag=g.tag, metric=g.metric))
+
+        spatial.append(-(pot(exp_p @ g.matrix) - pot(exp_m @ g.matrix)) / (2.0 * h))
+        comoving.append(-(pot(g.matrix @ exp_p) - pot(g.matrix @ exp_m)) / (2.0 * h))
+    return np.array(comoving if model.chirality == "left" else spatial)
+
+
+def _ref_rhs(model, state):
+    rhs = _ref_bracket(model, state.sigma)
+    return rhs if model.potential is None else rhs + _ref_torque(model, state.g)
+
+
+def _ref_step(model, state, dt, method):
+    """One step as first written: the einsum bracket term, the velocity by
+    legendre_inv and matrix_of, a GroupElement and a BodyState in every RK4
+    stage and torque exponentials by expm on every call.  The flow
+    exponential is the module's (test_rodrigues_matches_expm checks it)."""
+    g0, s0 = state.g, state.sigma
+
+    def element(m):
+        return GroupElement(m, tag=g0.tag, metric=g0.metric)
+
+    def side(g_mat, x):
+        return g_mat @ x if model.chirality == "left" else x @ g_mat
+
+    def velocity(sigma):
+        return model.algebra.matrix_of(rigid.legendre_inv(model, sigma))
+
+    if method == "rk4":
+        def rate(g_mat, sigma):
+            st = rigid.BodyState(element(g_mat), sigma)
+            return side(g_mat, velocity(sigma)), _ref_rhs(model, st)
+
+        k1g, k1s = rate(g0.matrix, s0)
+        k2g, k2s = rate(g0.matrix + 0.5 * dt * k1g, s0 + 0.5 * dt * k1s)
+        k3g, k3s = rate(g0.matrix + 0.5 * dt * k2g, s0 + 0.5 * dt * k2s)
+        k4g, k4s = rate(g0.matrix + dt * k3g, s0 + dt * k3s)
+        g1 = g0.matrix + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+        s1 = s0 + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+        return rigid.BodyState(element(rigid._project_group(g1, g0.tag)), s1, state.time + dt)
+
+    tol = rigid._MIDPOINT_TOL * (1.0 + float(np.max(np.abs(s0))))
+    s_mid = s0.copy()
+    for _ in range(rigid._MIDPOINT_MAX_ITER):
+        rhs = _ref_bracket(model, s_mid)
+        if model.potential is not None:
+            half = rigid._guarded_expm(0.5 * dt * velocity(s_mid), model._skew3)
+            rhs = rhs + _ref_torque(model, element(side(g0.matrix, half)))
+        s_next = s0 + 0.5 * dt * rhs
+        done = float(np.max(np.abs(s_next - s_mid))) < tol
+        s_mid = s_next
+        if done:
+            break
+    else:
+        raise AssertionError("reference midpoint iteration did not converge")
+    flow = rigid._guarded_expm(dt * velocity(s_mid), model._skew3)
+    return rigid.BodyState(element(side(g0.matrix, flow)), 2.0 * s_mid - s0, state.time + dt)
+
+
+def _so13_top():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 6))
+    model = rigid.InvariantModel(fixture("so13"), BilinearForm(np.eye(6) + 0.1 * (a @ a.T) / 6.0))
+    sigma = rng.normal(size=6)
+    return model, rigid.BodyState(GroupElement(np.eye(4)), 0.25 * sigma / np.linalg.norm(sigma))
+
+
+@pytest.mark.parametrize("body,method", [
+    ("free", "lie_midpoint"), ("free", "rk4"), ("torque", "lie_midpoint"), ("so13", "lie_midpoint"),
+])
+def test_step_kernel_matches_reference_trajectory(body, method):
+    if body == "so13":
+        model, state = _so13_top()
+    else:
+        potential = trace_potential if body == "torque" else None
+        model = rigid.so3_model((1.3, 2.1, 2.9), potential=potential)
+        sigma = np.array([0.6, -0.5, 0.62]) * (0.8 if body == "torque" else 1.0)
+        state = identity_state(sigma)
+    ref = state
+    traj = rigid.integrate(model, state, 1e-3, 2000, method=method)
+    for got in traj.states[1:]:
+        ref = _ref_step(model, ref, 1e-3, method)
+        assert np.max(np.abs(got.sigma - ref.sigma)) <= 1e-12 * np.max(np.abs(ref.sigma))
+        assert np.max(np.abs(got.g.matrix - ref.g.matrix)) <= 1e-12 * np.max(np.abs(ref.g.matrix))
+    assert got.time == ref.time

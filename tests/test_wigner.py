@@ -276,6 +276,12 @@ def test_propagate_free_matches_spreading_gaussian():
     assert var == pytest.approx(1.25, rel=1e-8)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_propagate_free_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        wg.propagate_free(wg.gaussian_packet(1.0, 64, -8.0, 8.0), t)
+
+
 def test_propagate_free_short_time_continuity():
     psi0 = wg.gaussian_packet(1.0, 512, -25.6, 25.6)
     diff = []
