@@ -387,8 +387,11 @@ def algebra_from_json(text: str) -> LieAlgebraSpec:
     n = int(doc["dim"])
     c = np.zeros((n, n, n))
     for k, i, j, v in doc["structure"]:
-        c[int(k), int(i), int(j)] = v
-        c[int(k), int(j), int(i)] = -v
+        k, i, j = int(k), int(i), int(j)
+        if not (0 <= k < n and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"structure entry {[k, i, j, v]} has an index outside [0, {n})")
+        c[k, i, j] = v
+        c[k, j, i] = -v
     basis = None
     if doc.get("basis") is not None:
         basis = tuple(np.asarray(m) for m in doc["basis"])

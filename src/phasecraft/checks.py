@@ -334,7 +334,7 @@ def criterion_11_wigner_suite(seed, quick):
         wg.gaussian_packet(0.7, n, -8.0, 8.0, q_center=0.5, p_center=0.3)
     )
     prod = wg.star_product(w, other)
-    lhs = complex(prod.values.sum()) * prod.dq * prod.dp
+    lhs = prod.integral()
     rhs = float((w.values * other.values).sum()) * w.dq * w.dp
     records.append(_check("trace of the star product",
                           abs(lhs - rhs) / (2.0 * np.pi), 1.0e-7))

@@ -7,6 +7,9 @@ writes deterministic artifacts plus a content-hashed manifest.
 Time series go to CSV, reports to JSON, 2-D fields to raw little-endian
 float64 with a JSON sidecar.  Reruns with the same scenario and seed
 produce byte-identical files.
+
+Exit codes: 0 every check passed, 1 a check failed, 2 a bad scenario or a
+library error (``PhasecraftError``), 3 an internal error.
 """
 
 from __future__ import annotations
@@ -90,18 +93,21 @@ def parse_scenario(path: str, subcommand: str) -> dict:
 
 
 def _resolve_algebra(spec):
-    if isinstance(spec, dict):
-        return algebra_from_json(json.dumps(spec))
     if isinstance(spec, str):
         if spec in fixture_names():
             return fixture(spec)
-        if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                return algebra_from_json(fh.read())
-        raise SchemaError(
-            f"unknown algebra {spec!r}; fixtures: {fixture_names()}"
-        )
-    raise SchemaError("algebra must be a fixture name, path or inline document")
+        if not os.path.exists(spec):
+            raise SchemaError(f"unknown algebra {spec!r}; fixtures: {fixture_names()}")
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    elif isinstance(spec, dict):
+        text = json.dumps(spec)
+    else:
+        raise SchemaError("algebra must be a fixture name, path or inline document")
+    try:
+        return algebra_from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:  # missing key, bad entry, failed checks
+        raise SchemaError(f"bad algebra document: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +242,22 @@ def _tolerances(scn: dict, subcommand: str) -> dict:
     return bounds
 
 
-# step budget of an euler or affine run, 100 times the longest shipped
-# scenario (sutherland_bound_pair: 1e5 steps)
+# step budget of an euler or affine run and of an ensemble's flow, 100 times
+# the longest shipped scenario (sutherland_bound_pair: 1e5 steps)
 _MAX_STEPS = 10_000_000
+
+
+def _within_budget(steps: float, what: str) -> None:
+    if steps > _MAX_STEPS:
+        raise SchemaError(f"{what} = {steps:.3g} steps exceeds the budget of "
+                          f"{_MAX_STEPS:.0e} steps")
 
 
 def _time_grid(scn: dict) -> tuple[float, float, int, int]:
     """(dt, t_end, steps, sample_every) of an euler or affine scenario."""
     dt = _positive(scn, "dt", 1.0e-3)
     t_end = _positive(scn, "t_end")
-    if t_end / dt > _MAX_STEPS:
-        raise SchemaError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the budget of "
-                          f"{_MAX_STEPS:.0e} steps")
+    _within_budget(t_end / dt, "t_end / dt")
     steps = max(1, int(round(t_end / dt)))
     sample_every = _integer(scn, "sample_every", 1, default=max(1, steps // 200))
     return dt, t_end, steps, sample_every
@@ -257,29 +267,29 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     dt, t_end, steps, sample_every = _time_grid(scn)
     tol = _tolerances(scn, "euler")
     method = scn.get("method", "lie_midpoint")
+    if method not in ("lie_midpoint", "rk4"):
+        raise SchemaError(f"method must be 'lie_midpoint' or 'rk4', got {method!r}")
+    chirality = scn.get("chirality", "left")
+    potential = _builtin_potential(scn.get("potential", "none"))
 
-    if scn.get("principal_moments") is not None:
-        model = rigid.so3_model(
-            scn["principal_moments"],
-            chirality=scn.get("chirality", "left"),
-            potential=_builtin_potential(scn.get("potential", "none")),
-        )
-        tag = "special-orthogonal"
-    else:
-        alg = _resolve_algebra(scn.get("algebra", "so3"))
-        if alg.basis is None:
-            raise SchemaError(
-                f"algebra {alg.label!r} has no matrix basis; reconstruction "
-                "needs one (use a fixture with matrices or supply basis)"
-            )
-        if scn.get("metric") is None:
-            raise SchemaError("euler needs either principal_moments or a metric")
-        metric = BilinearForm(np.asarray(scn["metric"], dtype=float))
-        model = rigid.InvariantModel(
-            alg, metric, scn.get("chirality", "left"),
-            potential=_builtin_potential(scn.get("potential", "none")),
-        )
-        tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
+    try:  # the model's own checks: positive moments, chirality, symmetric metric, dimension
+        if scn.get("principal_moments") is not None:
+            model = rigid.so3_model(_array(scn, "principal_moments", (3,)), chirality, potential)
+            tag = "special-orthogonal"
+        else:
+            alg = _resolve_algebra(scn.get("algebra", "so3"))
+            if alg.basis is None:
+                raise SchemaError(
+                    f"algebra {alg.label!r} has no matrix basis; reconstruction "
+                    "needs one (use a fixture with matrices or supply basis)"
+                )
+            if scn.get("metric") is None:
+                raise SchemaError("euler needs either principal_moments or a metric")
+            metric = BilinearForm(_array(scn, "metric", (None, None)))
+            model = rigid.InvariantModel(alg, metric, chirality, potential=potential)
+            tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
+    except ValueError as exc:
+        raise SchemaError(f"bad model: {exc}") from exc
 
     init = _object(scn, "initial")
     m = model.algebra.basis[0].shape[0]
@@ -405,23 +415,26 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
 
 
 def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
-    box = np.asarray(scn["box"], dtype=float)
-    region = ensembles.PhaseRegion(bounds=box, hbar=float(scn.get("hbar", 1.0)))
-    n_dof = region.n_dof
+    flow_time = scn.get("flow_time")
+    if flow_time is not None:
+        flow_time = _finite(scn, "flow_time")
+        _within_budget(abs(flow_time) / ensembles.FLOW_STEP, "|flow_time| / flow step")
 
     def build_observable(spec):
         if spec == "harmonic":
             return (lambda z: 0.5 * np.sum(z**2, axis=1)), (lambda z: z.copy())
         if isinstance(spec, dict) and "quadratic" in spec:
-            qmat = np.asarray(spec["quadratic"], dtype=float)
+            qmat = _array(spec, "quadratic", (2 * region.n_dof, 2 * region.n_dof))
             return (
                 lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, qmat, z),
                 lambda z: z @ qmat.T,
             )
         raise SchemaError("observable must be 'harmonic' or {'quadratic': matrix}")
 
-    observable, grad = build_observable(scn["observable"])
-    try:
+    try:  # the constructors' own checks: box rows and order, width, samples, seed
+        region = ensembles.PhaseRegion(bounds=_array(scn, "box", (None, 2)),
+                                       hbar=_positive(scn, "hbar", 1.0))
+        observable, grad = build_observable(scn["observable"])
         shell = ensembles.ShellEnsemble(
             observable=observable,
             center=float(scn["a"]),
@@ -436,7 +449,7 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
 
     batches = ensembles.shell_samples(shell, region)
     pts = np.concatenate(batches)
-    hist, _ = np.histogramdd(pts, bins=[8] * (2 * n_dof))
+    hist, _ = np.histogramdd(pts, bins=[8] * (2 * region.n_dof))
     weights = (hist / hist.sum()).ravel()
     cell_mu = ensembles.liouville_volume(region) / weights.size
     entropy = ensembles.entropy_continuous(weights, np.full(weights.size, cell_mu))
@@ -449,8 +462,8 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
         "accepted": int(sum(len(b) for b in batches)),
     }
     checks = []
-    if scn.get("flow_time") is not None:
-        inv = ensembles.invariance_check(shell, region, grad, float(scn["flow_time"]))
+    if flow_time is not None:
+        inv = ensembles.invariance_check(shell, region, grad, flow_time)
         out["invariance"] = inv
         checks.append(
             _check(
@@ -657,6 +670,9 @@ def main(argv=None) -> int:
     except PhasecraftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ __all__ = [
 _N_BATCHES = 16
 # Philox keys (seed << 16) + batch stay distinct only for seeds below 2^48
 _SEED_LIMIT = 2**48
+# RK4 step of the flow in invariance_check
+FLOW_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
 
 
 def _flow_rk4(points: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
-              tau: float, dt: float = 0.01) -> np.ndarray:
+              tau: float, dt: float = FLOW_STEP) -> np.ndarray:
     """Hamiltonian flow of the observable, vectorized RK4 on all points."""
     n_steps = max(1, int(np.ceil(abs(tau) / dt)))
     h = tau / n_steps

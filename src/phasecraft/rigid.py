@@ -80,15 +80,15 @@ class InvariantModel:
     def __post_init__(self):
         if self.chirality not in ("left", "right"):
             raise ValueError("chirality must be 'left' or 'right'")
-        if self.metric.dim != self.algebra.dim:
-            raise ValueError("metric dimension disagrees with the algebra")
-        if not self.metric.is_positive_definite():
-            raise SingularMetric("kinetic metric must be positive-definite")
         if self.principal_moments is not None:
             moments = tuple(float(i) for i in self.principal_moments)
             if len(moments) != 3 or any(i <= 0 for i in moments):
                 raise ValueError("principal moments must be three positive reals")
             object.__setattr__(self, "principal_moments", moments)
+        if self.metric.dim != self.algebra.dim:
+            raise ValueError("metric dimension disagrees with the algebra")
+        if not self.metric.is_positive_definite():
+            raise SingularMetric("kinetic metric must be positive-definite")
 
         ginv = self.metric.inverse  # None: legendre_inv raises SingularMetric on use
         basis = self.algebra.basis

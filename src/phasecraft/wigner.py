@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridMismatch,
@@ -96,9 +97,10 @@ class GridWavefunction:
         return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.dx))
 
     def normalized(self) -> "GridWavefunction":
-        return GridWavefunction(
-            self.psi / self.norm(), self.dx, self.q0, self.hbar, self.mass
-        )
+        norm = self.norm()
+        if not norm > 0:
+            raise GridTooCoarse("the state has no mass on the grid; move or enlarge the window")
+        return GridWavefunction(self.psi / norm, self.dx, self.q0, self.hbar, self.mass)
 
     def fourier(self) -> np.ndarray:
         """Unitary transform sampled on ``p_grid``."""
@@ -130,7 +132,9 @@ def _require_resolved(psi: GridWavefunction, who: str) -> None:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Real-valued field W[i, m] on the product (q, p) lattice."""
+    """Field W[i, m] on the product (q, p) lattice: float64, or complex128
+    when the imaginary part exceeds 1e-10 max(1, max|Re|) (star products of
+    generic symbols)."""
 
     values: np.ndarray
     dq: float
@@ -143,11 +147,9 @@ class PhaseGrid:
         vals = np.asarray(self.values)
         if np.iscomplexobj(vals):
             imag = float(np.max(np.abs(vals.imag)))
-            scale = max(1.0, float(np.max(np.abs(vals.real))))
-            if imag > 1.0e-10 * scale:
-                raise ValueError(f"field has imaginary residue {imag:.3e}")
-            vals = vals.real
-        vals = vals.astype(float).copy()
+            if imag <= 1.0e-10 * max(1.0, float(np.max(np.abs(vals.real)))):
+                vals = vals.real
+        vals = vals.astype(complex if np.iscomplexobj(vals) else float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -159,8 +161,8 @@ class PhaseGrid:
     def p_grid(self) -> np.ndarray:
         return self.p0 + self.dp * np.arange(self.values.shape[1])
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.dq * self.dp)
+    def integral(self) -> float | complex:
+        return self.values.sum().item() * self.dq * self.dp
 
     def same_grid(self, other: "PhaseGrid") -> bool:
         return (
@@ -192,24 +194,21 @@ def ho_ground(n: int, qmin: float, qmax: float, hbar: float = 1.0,
 
 def ho_excited(k: int, n: int, qmin: float, qmax: float, hbar: float = 1.0,
                mass: float = 1.0, omega: float = 1.0) -> GridWavefunction:
-    """k-th oscillator eigenstate via the Hermite recurrence."""
+    """k-th oscillator eigenstate via the normalised Hermite-function
+    recurrence psi_{j+1} = sqrt(2/(j+1)) x psi_j - sqrt(j/(j+1)) psi_{j-1}."""
     q, dx = _grid(n, qmin, qmax)
     x = q * np.sqrt(mass * omega / hbar)
-    h_prev = np.ones_like(x)
-    h_curr = 2.0 * x
-    if k == 0:
-        herm = h_prev
-    elif k == 1:
-        herm = h_curr
-    else:
-        for j in range(1, k):
-            h_prev, h_curr = h_curr, 2.0 * x * h_curr - 2.0 * j * h_prev
-        herm = h_curr
-    norm = (mass * omega / (np.pi * hbar)) ** 0.25 / np.sqrt(
-        2.0**k * math.factorial(k)
-    )
-    psi = norm * herm * np.exp(-0.5 * x**2)
-    return GridWavefunction(psi, dx, qmin, hbar, mass)
+    # psi_j = h_j exp(log_scale) with h_0 = 1; a factor 1e100 moves from h to
+    # log_scale wherever h outgrows it, so no factor over- or underflows
+    h_prev, h = np.zeros_like(x), np.ones_like(x)
+    log_scale = 0.25 * np.log(mass * omega / (np.pi * hbar)) - 0.5 * x**2
+    for j in range(k):
+        h_prev, h = h, np.sqrt(2.0 / (j + 1)) * x * h - np.sqrt(j / (j + 1)) * h_prev
+        big = np.abs(h) > 1e100
+        h[big] *= 1e-100
+        h_prev[big] *= 1e-100
+        log_scale[big] += 100.0 * np.log(10.0)
+    return GridWavefunction(h * np.exp(log_scale), dx, qmin, hbar, mass)
 
 
 def gaussian_packet(sigma: float, n: int, qmin: float, qmax: float,
@@ -228,9 +227,7 @@ def cat_state(separation: float, n: int, qmin: float, qmax: float,
               sigma: float = 1.0, hbar: float = 1.0) -> GridWavefunction:
     left = gaussian_packet(sigma, n, qmin, qmax, q_center=-separation / 2, hbar=hbar)
     right = gaussian_packet(sigma, n, qmin, qmax, q_center=+separation / 2, hbar=hbar)
-    psi = left.psi + right.psi
-    norm = np.sqrt(np.sum(np.abs(psi) ** 2) * left.dx)
-    return GridWavefunction(psi / norm, left.dx, qmin, hbar)
+    return GridWavefunction(left.psi + right.psi, left.dx, qmin, hbar).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +270,30 @@ def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
     four_n = 4 * n
 
     # correlation c[i, r] = conj(psi)(q_i - s/2) psi(q_i + s/2) at s = r dx;
-    # the half-shifts live on the upsampled (dx/2) lattice.
-    idx = np.arange(four_n)
-    corr = np.empty((n, four_n), dtype=complex)
-    for i in range(n):
-        u = 2 * (i + n // 2)
-        plus = up[(u + idx) % four_n]
-        minus = up[(u - idx) % four_n]
-        corr[i] = np.conj(minus) * plus
+    # the half-shifts live on the upsampled (dx/2) lattice, where q_i sits at
+    # u = 2 i + n.  Windows of the periodic signal read twice give
+    # up[(u + r) % 4n] (forward) and up[(u - r) % 4n] (backward) as strided
+    # views, one row per i.
+    twice = np.concatenate([up, up])
+    plus = sliding_window_view(twice, four_n)[n : 3 * n : 2]
+    minus = sliding_window_view(twice[::-1], four_n)[3 * n - 1 : n : -2]
+    corr = np.conj(minus) * plus
     corr[:, 2 * n] = 0.0  # unpaired endpoint of the symmetric s-range
 
     # W[i, k] = dx / (2 pi hbar) sum_r corr[i, r] e^{-i p_k r dx / hbar} with
     # p_k = (k - 2n) dp / 4; the r-sum is an FFT of length 4n and the
     # state's own dual lattice (spacing dp) sits at k = 4c.
-    signs = (-1.0) ** idx  # centers the p-lattice
+    signs = (-1.0) ** np.arange(four_n)  # centers the p-lattice
     table = np.fft.fft(corr * signs, axis=1)
     w_full = table * psi.dx / (2.0 * np.pi * hbar)
-    w = w_full[:, ::4]
-    imag = float(np.max(np.abs(w.imag)))
-    if imag > 1.0e-10 * max(1.0, float(np.max(np.abs(w.real)))):
-        raise GridTooCoarse(f"hermiticity residue {imag:.3e}; grid under-resolves")
     dp = psi.dp
-    return PhaseGrid(
-        values=w.real, dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar
+    w = PhaseGrid(
+        values=w_full[:, ::4], dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar
     )
+    if np.iscomplexobj(w.values):  # PhaseGrid keeps only a genuine imaginary part
+        imag = float(np.max(np.abs(w.values.imag)))
+        raise GridTooCoarse(f"hermiticity residue {imag:.3e}; grid under-resolves")
+    return w
 
 
 def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -390,28 +387,9 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     kb = _symbol_to_kernel(doubled(b.values), b.dq, dp_fine, b.p0, b.hbar)
     kern = ka @ kb * (a.dq / 2.0)
     sym = _kernel_to_symbol(kern, 2 * n, a.dq, dp_fine, a.p0, a.hbar)
-    sym = sym[n // 2 : n // 2 + n, ::2]
-    imag = float(np.max(np.abs(sym.imag)))
-    # products of real symbols need not be real; keep the complex part only
-    # when it is genuine
-    if imag <= 1.0e-10 * max(1.0, float(np.max(np.abs(sym.real)))):
-        return PhaseGrid(sym.real, a.dq, a.dp, a.q0, a.p0, a.hbar)
-    return _ComplexPhaseGrid(sym, a.dq, a.dp, a.q0, a.p0, a.hbar)
-
-
-class _ComplexPhaseGrid(PhaseGrid):
-    """Star products of generic symbols are complex; bypass the reality
-    check while keeping the PhaseGrid interface."""
-
-    def __init__(self, values, dq, dp, q0, p0, hbar):
-        vals = np.asarray(values, dtype=complex).copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "hbar", hbar)
+    # products of real symbols need not be real; PhaseGrid keeps the complex
+    # part only when it is genuine
+    return PhaseGrid(sym[n // 2 : n // 2 + n, ::2], a.dq, a.dp, a.q0, a.p0, a.hbar)
 
 
 def phase_grid_constant(value: float, like: PhaseGrid) -> PhaseGrid:

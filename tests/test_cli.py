@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasecraft import cli
-from phasecraft.errors import SchemaError
+from phasecraft.errors import GridTooCoarse, SchemaError
 
 
 def write(tmp_path, name, doc):
@@ -176,6 +176,26 @@ def test_cohomology_bad_omega_is_schema_error(tmp_path, algebra, pairs):
     assert cli.main(["cohomology", scen, "--out", str(tmp_path / "o")]) == 2
 
 
+SO3_DOC = {"dim": 3, "structure": [[2, 0, 1, 1.0], [0, 1, 2, 1.0], [1, 2, 0, 1.0]]}
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+@pytest.mark.parametrize("doc", [
+    {**SO3_DOC, "dim": "x"}, {**SO3_DOC, "structure": [[2, 0, 1]]},
+    {**SO3_DOC, "structure": [[2, 0, "b", 1.0]]}, {**SO3_DOC, "structure": [[3, 0, 1, 1.0]]},
+    # [1, -1, 0] would wrap to [1, 2, 0]: the same so(3), silently
+    {**SO3_DOC, "structure": [[2, 0, 1, 1.0], [0, 1, 2, 1.0], [1, -1, 0, 1.0]]},
+    {"structure": SO3_DOC["structure"]}, {**SO3_DOC, "basis": [[[0.0]]]},
+], ids=["dim_text", "entry_short", "entry_text", "index_too_large", "index_negative",
+        "dim_missing", "basis_wrong_length"])
+def test_cohomology_bad_algebra_document_is_schema_error(tmp_path, doc, where):
+    algebra = doc if where == "inline" else write(tmp_path, "alg.json", doc)
+    scen = write(tmp_path, "c.json", {"algebra": algebra})
+    with pytest.raises(SchemaError):
+        cli.run("cohomology", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["cohomology", scen, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_euler_torqued_top_checks_energy_only(tmp_path):
     scen = write(tmp_path, "torque.json", {
         "principal_moments": [1.0, 2.0, 3.0],
@@ -228,6 +248,29 @@ FREE_TOP = {"principal_moments": [1.0, 2.0, 3.0], "t_end": 0.01}
         "g_shape", "g_nan", "g_ragged", "not_object"])
 def test_euler_bad_initial_is_schema_error(tmp_path, initial):
     scen = write(tmp_path, "e.json", {**FREE_TOP, "initial": initial})
+    with pytest.raises(SchemaError):
+        cli.run("euler", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["euler", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+SO3_METRIC = {"algebra": "so3", "metric": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]}
+
+
+@pytest.mark.parametrize("model", [
+    {"principal_moments": "heavy"}, {"principal_moments": ["x", 2.0, 3.0]},
+    {"principal_moments": [1.0, 2.0]}, {"principal_moments": [1.0, -2.0, 3.0]},
+    {**SO3_METRIC, "metric": "round"},
+    {**SO3_METRIC, "metric": [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]},
+    {**SO3_METRIC, "metric": [[1.0, 0.0], [0.0, 2.0]]},
+    {"chirality": "up"}, {"method": "euler"},
+], ids=["moments_text", "moments_entry_text", "moments_short", "moments_negative",
+        "metric_text", "metric_not_symmetric", "metric_wrong_dimension", "chirality_up",
+        "method_euler"])
+def test_euler_bad_model_is_schema_error(tmp_path, model):
+    doc = {**FREE_TOP, "initial": {"sigma": [1.0, 0.0, 0.0]}, **model}
+    if "metric" in model:
+        del doc["principal_moments"]
+    scen = write(tmp_path, "e.json", doc)
     with pytest.raises(SchemaError):
         cli.run("euler", scen, str(tmp_path / "out"), seed=None)
     assert cli.main(["euler", scen, "--out", str(tmp_path / "o")]) == 2
@@ -311,9 +354,16 @@ def test_tolerances_override_the_default_bounds(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"seed": -1}, {"seed": 2**48}, {"seed": 1.5}, {"epsilon": 0}, {"epsilon": "wide"},
-    {"samples": 15},
+    {"samples": 15}, {"hbar": "x"}, {"hbar": -1},
+    {"box": [[-2.2, 2.2], [-2.2]]}, {"box": [[2.2, -2.2], [-2.2, 2.2]]},
+    {"box": [[-2.2, "y"], [-2.2, 2.2]]},
+    {"observable": {"quadratic": [[1.0, 0.0], [0.0]]}},
+    {"box": [[-2.2, 2.2]] * 4, "observable": {"quadratic": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"flow_time": "long"}, {"flow_time": float("inf")}, {"flow_time": 1e9},
 ], ids=["seed_negative", "seed_2_48", "seed_fraction", "epsilon_zero", "epsilon_text",
-        "samples_15"])
+        "samples_15", "hbar_text", "hbar_negative", "box_ragged", "box_reversed", "box_text",
+        "quadratic_ragged", "quadratic_wrong_size", "flow_time_text", "flow_time_inf",
+        "flow_time_over_step_budget"])
 def test_bad_ensemble_inputs_are_schema_errors(tmp_path, bad):
     scen = write(tmp_path, "s.json", {**SHELL, **bad})
     with pytest.raises(SchemaError):
@@ -371,6 +421,26 @@ def test_main_error_paths(tmp_path):
     assert cli.main(["euler"]) == 2  # missing scenario
     missing = str(tmp_path / "nope.json")
     assert cli.main(["euler", missing]) == 2
+
+
+def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    def crash(scn, art):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "wigner", crash)
+    scen = write(tmp_path, "w.json", WIGNER_64)
+    assert cli.main(["wigner", scen, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("state", [
+    {"kind": "ho-excited", "k": 400}, {"kind": "cat", "separation": 1000.0},
+], ids=["ho_excited_400", "cat_off_grid"])
+def test_wigner_state_off_the_grid_is_named_error(tmp_path, state):
+    scen = write(tmp_path, "w.json", {**WIGNER_64, "state": state})
+    with pytest.raises(GridTooCoarse):
+        cli.run("wigner", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["wigner", scen, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_euler_explicit_metric_branch(tmp_path):

@@ -126,6 +126,109 @@ def test_cat_state_marginal_positive_despite_fringes():
     assert pos[i_left] > 10.0 * pos[i_mid]
 
 
+def _row_loop_transform(psi):
+    """The transform's field with its correlation built one row at a time,
+    by an index gather per row (the reference for the strided views)."""
+    n = psi.n_points
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[n // 2 : n // 2 + n] = psi.psi
+    up = wg._upsample2(padded)
+    four_n = 4 * n
+    idx = np.arange(four_n)
+    corr = np.empty((n, four_n), dtype=complex)
+    for i in range(n):
+        u = 2 * (i + n // 2)
+        plus = up[(u + idx) % four_n]
+        minus = up[(u - idx) % four_n]
+        corr[i] = np.conj(minus) * plus
+    corr[:, 2 * n] = 0.0
+    signs = (-1.0) ** idx
+    table = np.fft.fft(corr * signs, axis=1)
+    w_full = table * psi.dx / (2.0 * np.pi * psi.hbar)
+    return w_full[:, ::4].real
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("make", [
+    lambda n: wg.ho_ground(n, -8.0, 8.0),
+    lambda n: wg.ho_excited(3, n, -8.0, 8.0),
+    lambda n: wg.gaussian_packet(0.8, n, -8.0, 8.0, q_center=0.5, p_center=0.3),
+    lambda n: wg.cat_state(4.0, n, -12.0, 12.0),
+], ids=["ho_ground", "ho_excited_3", "displaced_gaussian", "cat"])
+def test_wigner_transform_matches_row_loop(make, n):
+    psi = make(n).normalized()
+    w = wg.wigner_transform(psi)
+    assert w.values.dtype == np.float64
+    npt.assert_array_equal(w.values, _row_loop_transform(psi))
+
+
+def test_hermiticity_guard_raises(monkeypatch):
+    # the correlation is Hermitian in the separation for any upsampled
+    # signal, so only a non-finite sample leaves the field complex
+    upsample = wg._upsample2
+    rng = np.random.default_rng(5)
+
+    def corrupted(psi, axis=-1):
+        out = upsample(psi, axis) * np.exp(2j * np.pi * rng.random(4 * 64))
+        out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(wg, "_upsample2", corrupted)
+    with pytest.raises(GridTooCoarse, match="hermiticity"):
+        wg.wigner_transform(wg.ho_ground(64, -8.0, 8.0))
+
+
+def test_state_without_mass_on_the_grid():
+    with pytest.raises(GridTooCoarse, match="no mass"):
+        wg.cat_state(1000.0, 64, -8.0, 8.0)
+    with pytest.raises(GridTooCoarse, match="no mass"):
+        wg.GridWavefunction(np.zeros(64, dtype=complex), 0.25, -8.0).normalized()
+
+
+def test_ho_excited_high_k_is_finite_and_exact():
+    # turning point sqrt(2k + 1) = 44.7: the Gaussian factor alone underflows
+    # beyond |x| = 38.6 and the Hermite polynomial alone overflows
+    psi = wg.ho_excited(1000, 4096, -60.0, 60.0)
+    assert np.isfinite(psi.psi).all()
+    assert psi.norm() == pytest.approx(1.0, abs=1e-10)
+    p = psi.p_grid
+    kinetic = float(np.sum(0.5 * p**2 * np.abs(psi.fourier()) ** 2) * psi.dp)
+    potential = float(np.sum(0.5 * psi.q_grid**2 * np.abs(psi.psi) ** 2) * psi.dx)
+    assert kinetic + potential == pytest.approx(1000.5, rel=1e-10)
+
+
+# --- phase-space fields -------------------------------------------------------------
+
+
+def test_phase_grid_keeps_only_a_genuine_imaginary_part():
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=(8, 8))
+    for given in (real, real + 1e-12j * rng.normal(size=(8, 8))):
+        w = wg.PhaseGrid(given, 0.5, 0.5, 0.0, 0.0)
+        assert w.values.dtype == np.float64 and not w.values.flags.writeable
+        npt.assert_array_equal(w.values, given.real)
+    complex_field = real + 1e-3j * rng.normal(size=(8, 8))
+    w = wg.PhaseGrid(complex_field, 0.5, 0.5, 0.0, 0.0)
+    assert w.values.dtype == np.complex128 and not w.values.flags.writeable
+    npt.assert_array_equal(w.values, complex_field)
+    assert w.integral() == complex_field.sum() * 0.25
+
+
+def test_generic_star_product_is_complex_phase_grid():
+    n = 64
+    w0 = wg.wigner_transform(wg.ho_ground(n, -8.0, 8.0))
+    other = wg.wigner_transform(
+        wg.gaussian_packet(0.7, n, -8.0, 8.0, q_center=0.5, p_center=0.3)
+    )
+    prod = wg.star_product(w0, other)
+    assert type(prod) is wg.PhaseGrid
+    assert prod.values.dtype == np.complex128 and not prod.values.flags.writeable
+    tr = prod.integral()
+    assert isinstance(tr, complex)
+    rhs = float((w0.values * other.values).sum()) * w0.dq * w0.dp
+    assert abs(tr - rhs) / (2.0 * np.pi * HBAR) <= 1e-7
+
+
 # --- star product -----------------------------------------------------------------
 
 
@@ -147,7 +250,7 @@ def test_star_trace_rule(w_ground):
         wg.gaussian_packet(0.7, 512, -8.0, 8.0, q_center=0.5, p_center=0.3)
     )
     prod = wg.star_product(w_ground, other)
-    lhs = complex(prod.values.sum()) * prod.dq * prod.dp
+    lhs = prod.integral()
     rhs = float((w_ground.values * other.values).sum()) * w_ground.dq * w_ground.dp
     assert abs(lhs - rhs) / (2.0 * np.pi * HBAR) <= 1e-7
 
