@@ -31,81 +31,246 @@ _FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
-# scenario parsing
+# value rules: rule(value, key) returns the checked value or raises SchemaError
 
 
-_SCHEMAS = {
+def _real(low: float = -np.inf, strict: bool = False):
+    """A finite number >= low, or > low when strict."""
+    def rule(value, key: str) -> float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = np.nan
+        if not (np.isfinite(number) and (number > low if strict else number >= low)):
+            bound = f" {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
+            raise SchemaError(f"{key} must be a finite number{bound}, got {value!r}")
+        return number
+    return rule
+
+
+_number, _positive, _nonnegative = _real(), _real(0.0, strict=True), _real(0.0)
+
+
+def _integer(low: int):
+    def rule(value, key: str) -> int:
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or number != value or number < low:
+            raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
+        return number
+    return rule
+
+
+def _one_of(*choices: str):
+    def rule(value, key: str) -> str:
+        if value not in choices:
+            raise SchemaError(f"{key} must be one of {list(choices)}, got {value!r}")
+        return value
+    return rule
+
+
+def _array(*shape):
+    """A nonempty array of finite floats of ``shape``; a None in ``shape``
+    accepts any length along that axis."""
+    def rule(value, key: str) -> np.ndarray:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = np.empty(0)
+        if not (arr.size and arr.ndim == len(shape) and np.isfinite(arr).all()
+                and all(want in (None, got) for got, want in zip(arr.shape, shape))):
+            dims = " x ".join("n" if d is None else str(d) for d in shape)
+            raise SchemaError(f"{key} must be finite numbers of shape {dims}, got {value!r}")
+        return arr
+    return rule
+
+
+_VECTOR, _MATRIX = _array(None), _array(None, None)
+
+
+def _at_most(rule, budget, size=abs):
+    """``rule`` with the size budget ``size(value) <= budget``."""
+    def checked(value, key: str):
+        value = rule(value, key)
+        if size(value) > budget:
+            raise SchemaError(f"{key} exceeds its size budget of {budget}")
+        return value
+    return checked
+
+
+def _algebra(value, key: str):
+    """A fixture name, a path or an inline document; the runner resolves it."""
+    if not isinstance(value, (str, dict)):
+        raise SchemaError(f"{key} must be a fixture name, path or inline document, got {value!r}")
+    return value
+
+
+def _observable(value, key: str):
+    """'harmonic' or ``{"quadratic": matrix}``; the runner checks its size."""
+    if value == "harmonic":
+        return value
+    return _read({"quadratic": (_MATRIX,)}, value, key)
+
+
+def _pairs(value, key: str) -> list:
+    """``[[i, j, value], ...]``; the runner checks the indices against the algebra."""
+    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 3 for p in value)):
+        raise SchemaError(f"{key} must be a list of [i, j, value] triples, got {value!r}")
+    return [(_integer(0)(i, key), _integer(0)(j, key), _number(v, key)) for i, j, v in value]
+
+
+# ---------------------------------------------------------------------------
+# scenario tables: {key: (rule, default)}; a key without a default is required,
+# and a dict in place of a rule is the table of a nested object
+
+
+# default check bounds per runner; a scenario's "tolerances" overrides them
+_TOLERANCES = {
+    "euler": {"energy_drift": 1.0e-8, "momentum_drift": 1.0e-6, "casimir_drift": 1.0e-10},
+    "affine": {"energy_rate": 1.0e-7, "coupling_drift": 1.0e-10},
+    "wigner": {"marginal": 1.0e-8, "mass": 1.0e-8},
+}
+
+# size budgets, each from the largest shipped or benchmarked run (README lists the reasons):
+_MAX_STEPS = 10_000_000  # euler/affine steps: 100 x sutherland_bound_pair's 1e5
+_MAX_SAMPLES = 1_000_000  # 2.5 x harmonic_shell's 4e5; 250 MB if every sample is accepted
+_MAX_POINT_STEPS = 100_000_000  # samples x flow steps: 7 x harmonic_shell's 1.5e7
+_MAX_DOF = 3  # ensemble histograms have 8^(2n) and 12^(2n) cells: 24 MB at n = 3, 3.4 GB at 4
+_MAX_GRID = 1024  # wigner grid.N: 2 x the shipped and benchmarked 512; 260 MB at 1024
+
+# affine model: (its lattice variant, the constant that sets the coupling)
+_AFFINE_MODELS = {"standard": ("calogero", "J_iso"), "affine_left": ("hyperbolic", "a"),
+                  "affine_right": ("hyperbolic", "a"), "lattice_hyperbolic": ("hyperbolic", "a"),
+                  "lattice_trigonometric": ("trigonometric", "a"),
+                  "lattice_calogero": ("calogero", "I")}
+_SEED = (_integer(0), None)
+_TIME_GRID = {"t_end": (_positive,), "dt": (_positive, 1.0e-3), "sample_every": (_integer(1), None)}
+
+
+def _bounds(subcommand: str) -> tuple:
+    return ({name: (_nonnegative, bound) for name, bound in _TOLERANCES[subcommand].items()}, {})
+
+
+_SCENARIOS = {
     "euler": {
-        "required": {"initial", "t_end"},
-        "optional": {
-            "algebra", "metric", "principal_moments", "chirality",
-            "potential", "dt", "method", "sample_every", "tolerances", "seed",
-        },
+        "initial": ({"sigma": (_VECTOR,), "g": (_MATRIX, None)},),
+        **_TIME_GRID,
+        "algebra": (_algebra, "so3"),
+        "metric": (_MATRIX, None),
+        "principal_moments": (_array(3), None),
+        "chirality": (_one_of("left", "right"), "left"),
+        "potential": (_one_of("none", "trace_alignment"), "none"),
+        "method": (_one_of("lie_midpoint", "rk4"), "lie_midpoint"),
+        "tolerances": _bounds("euler"),
+        "seed": _SEED,
     },
     "affine": {
-        "required": {"model", "initial", "t_end"},
-        "optional": {"constants", "dt", "sample_every", "tolerances", "seed"},
+        "model": (_one_of(*_AFFINE_MODELS),),
+        # either (phi, sigma_hat[, x, p]) or (q, p, M, N[, L, R]); the runner picks
+        "initial": ({**{k: (_MATRIX, None) for k in ("phi", "sigma_hat", "L", "R", "M", "N")},
+                     **{k: (_VECTOR, None) for k in ("x", "p", "q")}},),
+        "constants": ({"a": (_positive, 1.0), "I": (_positive, 1.0), "J_iso": (_positive, 1.0),
+                       "inv_b": (_number, 0.0), "inv_c": (_number, 0.0)}, {}),
+        **_TIME_GRID,
+        "tolerances": _bounds("affine"),
+        "seed": _SEED,
     },
     "ensemble": {
-        "required": {"observable", "a", "epsilon", "box", "samples", "seed"},
-        "optional": {"hbar", "expectation", "flow_time"},
+        "observable": (_observable,),
+        "a": (_number,),
+        "epsilon": (_positive,),
+        "box": (_at_most(_array(None, 2), 2 * _MAX_DOF, size=len),),
+        "samples": (_at_most(_integer(16), _MAX_SAMPLES),),
+        "seed": (_integer(0),),
+        "hbar": (_positive, 1.0),
+        "expectation": (_observable, None),
+        "flow_time": (_number, None),
     },
     "wigner": {
-        "required": {"state", "grid"},
-        "optional": {"hbar", "tolerances", "seed"},
+        "state": ({"kind": (_one_of("ho-ground", "ho-excited", "gaussian", "cat"),),
+                   "k": (_integer(0), 1), "sigma": (_positive, 1.0),
+                   "separation": (_nonnegative, 4.0)},),
+        "grid": ({"N": (_at_most(_integer(4), _MAX_GRID),), "qmin": (_number,),
+                  "qmax": (_number,)},),
+        "hbar": (_positive, 1.0),
+        "tolerances": _bounds("wigner"),
+        "seed": _SEED,
     },
     "cohomology": {
-        "required": {"algebra"},
-        "optional": {"omega", "seed"},
+        "algebra": (_algebra,),
+        "omega": ({"pairs": (_pairs,)}, None),
+        "seed": _SEED,
     },
 }
 
 
-def parse_scenario(path: str, subcommand: str) -> dict:
-    """Load and validate a scenario; unknown keys are rejected by name."""
+def _read(table: dict, doc, where: str = "") -> dict:
+    """``doc`` read through ``table`` into typed values: an absent key takes
+    its default (a None default stays None), unknown keys are rejected by name."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where or 'scenario'} must be an object, got {doc!r}")
+    unknown = sorted(doc.keys() - table.keys())
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown} in {where or 'scenario'}; "
+                          f"known: {sorted(table)}")
+    typed = {}
+    for name, (rule, *default) in table.items():
+        key = f"{where}.{name}".lstrip(".")
+        if name not in doc and not default:
+            raise SchemaError(f"missing required key {key!r}")
+        value = doc[name] if name in doc else default[0]
+        if name in doc or value is not None:
+            value = _read(rule, value, key) if isinstance(rule, dict) else rule(value, key)
+        typed[name] = value
+    return typed
+
+
+def _load_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
-        raise IoError(f"cannot read scenario {path!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        raise IoError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from exc
+        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _parse(path: str, subcommand: str) -> tuple[dict, dict]:
+    """(the scenario as given, its values read through the subcommand's table)."""
+    doc = _load_json(path, "scenario")
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: scenario must be a JSON object")
-
     if subcommand == "cohomology" and "dim" in doc and "structure" in doc:
-        # bare algebra document
-        return {"algebra": doc}
+        doc = {"algebra": doc}  # bare algebra document
+    return doc, _read(_SCENARIOS[subcommand], doc)
 
-    schema = _SCHEMAS[subcommand]
-    known = schema["required"] | schema["optional"]
-    for key in doc:
-        if key not in known:
-            raise SchemaError(f"{path}: unknown key {key!r} for {subcommand}")
-    missing = schema["required"] - doc.keys()
-    if missing:
-        raise SchemaError(f"{path}: missing required keys {sorted(missing)}")
-    return doc
+
+def parse_scenario(path: str, subcommand: str) -> dict:
+    """Load and validate a scenario; unknown keys are rejected by name."""
+    return _parse(path, subcommand)[0]
+
+
+def _shape(arr, key: str, shape: tuple, default=None):
+    """A table-checked array that must have ``shape``; ``default`` if absent."""
+    if arr is None:
+        return default
+    if arr.shape != shape:
+        raise SchemaError(f"{key} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 def _resolve_algebra(spec):
-    if isinstance(spec, str):
-        if spec in fixture_names():
-            return fixture(spec)
-        if not os.path.exists(spec):
-            raise SchemaError(f"unknown algebra {spec!r}; fixtures: {fixture_names()}")
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif isinstance(spec, dict):
-        text = json.dumps(spec)
-    else:
-        raise SchemaError("algebra must be a fixture name, path or inline document")
+    if isinstance(spec, str) and spec in fixture_names():
+        return fixture(spec)
+    if isinstance(spec, str) and not os.path.exists(spec):
+        raise SchemaError(f"unknown algebra {spec!r}; fixtures: {fixture_names()}")
+    doc = spec if isinstance(spec, dict) else _load_json(spec, "algebra")
     try:
-        return algebra_from_json(text)
+        return algebra_from_json(json.dumps(doc))
     except (KeyError, TypeError, ValueError) as exc:  # missing key, bad entry, failed checks
         raise SchemaError(f"bad algebra document: {exc!r}") from exc
 
@@ -121,38 +286,26 @@ class _Artifacts:
         self.records = []
 
     def _register(self, name: str, payload: bytes):
-        path = os.path.join(self.out_dir, name)
-        with open(path, "wb") as fh:
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write(payload)
-        self.records.append(
-            {
-                "name": name,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "bytes": len(payload),
-            }
-        )
+        self.records.append({"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
+                             "bytes": len(payload)})
 
     def write_json(self, name: str, doc) -> None:
-        payload = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        self._register(name, payload)
+        self._register(name, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_FLOAT_FMT % v for v in row))
+        lines = [",".join(header)] + [",".join(_FLOAT_FMT % v for v in row) for row in rows]
         self._register(name, ("\n".join(lines) + "\n").encode())
 
     def write_array(self, name: str, arr: np.ndarray) -> None:
         self._register(name, np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
-    def finish(self, extra: dict | None = None) -> dict:
-        manifest = {"files": sorted(self.records, key=lambda r: r["name"])}
-        if extra:
-            manifest.update(extra)
-        payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "wb") as fh:
-            fh.write(payload)
+    def finish(self, extra: dict) -> dict:
+        """Write manifest.json: every registered file with its hash, plus ``extra``."""
+        manifest = {"files": sorted(self.records, key=lambda r: r["name"]), **extra}
+        with open(os.path.join(self.out_dir, "manifest.json"), "wb") as fh:
+            fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
         return manifest
 
 
@@ -166,137 +319,52 @@ def _check(name: str, value: float, bound: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each takes the values its table read
 
 
-def _finite(doc: dict, key: str, default=None) -> float:
-    value = doc.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = np.nan
-    if not np.isfinite(number):
-        raise SchemaError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _positive(doc: dict, key: str, default=None, zero_ok: bool = False) -> float:
-    number = _finite(doc, key, default)
-    if not (number > 0 or zero_ok and number == 0):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise SchemaError(f"{key} must be a finite {sign} number, got {number!r}")
-    return number
-
-
-def _array(doc: dict, key: str, shape: tuple, default=None) -> np.ndarray:
-    """``doc[key]`` as a nonempty array of finite floats of the given shape;
-    a None in ``shape`` accepts any length along that axis."""
-    value = doc.get(key, default)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = np.empty(0)
-    if not (arr.size and arr.ndim == len(shape) and np.isfinite(arr).all()
-            and all(want in (None, got) for got, want in zip(arr.shape, shape))):
-        dims = " x ".join("n" if d is None else str(d) for d in shape)
-        raise SchemaError(f"{key} must be finite numbers of shape {dims}, got {value!r}")
-    return arr
-
-
-def _object(doc: dict, key: str, default=None) -> dict:
-    value = doc.get(key, default)
-    if not isinstance(value, dict):
-        raise SchemaError(f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _integer(scn: dict, key: str, low: int, default=None) -> int:
-    value = scn.get(key, default)
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value or number < low:
-        raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
-    return number
-
-
-# default check bounds per runner; a scenario's "tolerances" overrides them
-_TOLERANCES = {
-    "euler": {"energy_drift": 1.0e-8, "momentum_drift": 1.0e-6, "casimir_drift": 1.0e-10},
-    "affine": {"energy_rate": 1.0e-7, "coupling_drift": 1.0e-10},
-    "wigner": {"marginal": 1.0e-8, "mass": 1.0e-8},
-}
-
-
-def _tolerances(scn: dict, subcommand: str) -> dict:
-    """The runner's check bounds with the scenario's overrides applied."""
-    bounds = dict(_TOLERANCES[subcommand])
-    given = scn.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise SchemaError(f"tolerances must be an object, got {given!r}")
-    for name in given:
-        if name not in bounds:
-            raise SchemaError(f"unknown tolerance {name!r}; {subcommand} has {sorted(bounds)}")
-        bounds[name] = _positive(given, name, zero_ok=True)
-    return bounds
-
-
-# step budget of an euler or affine run and of an ensemble's flow, 100 times
-# the longest shipped scenario (sutherland_bound_pair: 1e5 steps)
-_MAX_STEPS = 10_000_000
-
-
-def _within_budget(steps: float, what: str) -> None:
-    if steps > _MAX_STEPS:
-        raise SchemaError(f"{what} = {steps:.3g} steps exceeds the budget of "
-                          f"{_MAX_STEPS:.0e} steps")
+def _within_budget(steps: float, what: str, budget: int = _MAX_STEPS) -> None:
+    if steps > budget:
+        raise SchemaError(f"{what} = {steps:.3g} exceeds the budget of {budget:.0e}")
 
 
 def _time_grid(scn: dict) -> tuple[float, float, int, int]:
     """(dt, t_end, steps, sample_every) of an euler or affine scenario."""
-    dt = _positive(scn, "dt", 1.0e-3)
-    t_end = _positive(scn, "t_end")
+    dt, t_end = scn["dt"], scn["t_end"]
     _within_budget(t_end / dt, "t_end / dt")
     steps = max(1, int(round(t_end / dt)))
-    sample_every = _integer(scn, "sample_every", 1, default=max(1, steps // 200))
-    return dt, t_end, steps, sample_every
+    return dt, t_end, steps, scn.get("sample_every") or max(1, steps // 200)
 
 
 def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     dt, t_end, steps, sample_every = _time_grid(scn)
-    tol = _tolerances(scn, "euler")
-    method = scn.get("method", "lie_midpoint")
-    if method not in ("lie_midpoint", "rk4"):
-        raise SchemaError(f"method must be 'lie_midpoint' or 'rk4', got {method!r}")
-    chirality = scn.get("chirality", "left")
-    potential = _builtin_potential(scn.get("potential", "none"))
+    tol = scn["tolerances"]
+    potential = _builtin_potential(scn["potential"])
 
-    try:  # the model's own checks: positive moments, chirality, symmetric metric, dimension
-        if scn.get("principal_moments") is not None:
-            model = rigid.so3_model(_array(scn, "principal_moments", (3,)), chirality, potential)
+    try:  # the model's own checks: positive moments, symmetric metric, dimension
+        if scn["principal_moments"] is not None:
+            model = rigid.so3_model(scn["principal_moments"], scn["chirality"], potential)
             tag = "special-orthogonal"
         else:
-            alg = _resolve_algebra(scn.get("algebra", "so3"))
+            alg = _resolve_algebra(scn["algebra"])
             if alg.basis is None:
                 raise SchemaError(
                     f"algebra {alg.label!r} has no matrix basis; reconstruction "
                     "needs one (use a fixture with matrices or supply basis)"
                 )
-            if scn.get("metric") is None:
+            if scn["metric"] is None:
                 raise SchemaError("euler needs either principal_moments or a metric")
-            metric = BilinearForm(_array(scn, "metric", (None, None)))
-            model = rigid.InvariantModel(alg, metric, chirality, potential=potential)
+            model = rigid.InvariantModel(alg, BilinearForm(scn["metric"]), scn["chirality"],
+                                         potential=potential)
             tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
     except ValueError as exc:
         raise SchemaError(f"bad model: {exc}") from exc
 
-    init = _object(scn, "initial")
+    init = scn["initial"]
     m = model.algebra.basis[0].shape[0]
-    g0 = _array(init, "g", (m, m), default=np.eye(m))
-    sigma = _array(init, "sigma", (model.algebra.dim,))
+    g0 = _shape(init["g"], "initial.g", (m, m), default=np.eye(m))
+    sigma = _shape(init["sigma"], "initial.sigma", (model.algebra.dim,))
     state = rigid.BodyState(GroupElement(g0, tag=tag), sigma)
-    traj = rigid.integrate(model, state, dt, steps, method=method, sample_every=sample_every)
+    traj = rigid.integrate(model, state, dt, steps, method=scn["method"], sample_every=sample_every)
     report = rigid.conservation_report(model, traj)
 
     n = model.algebra.dim
@@ -306,10 +374,8 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
         header.append("casimir_1")
     header += ["energy_drift", "momentum_drift"]
     rows = []
-    e_series = traj.diagnostics["energy"]
-    m_series = traj.diagnostics["momentum_map"]
-    e_scale = 1.0 + abs(e_series[0])
-    m_scale = 1.0 + float(np.max(np.abs(m_series[0])))
+    e_series, m_series = traj.diagnostics["energy"], traj.diagnostics["momentum_map"]
+    e_scale, m_scale = 1.0 + abs(e_series[0]), 1.0 + float(np.max(np.abs(m_series[0])))
     for k, st in enumerate(traj.states):
         row = [st.time, *st.sigma, e_series[k]]
         if has_casimir:
@@ -330,67 +396,53 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
 
 
 def _builtin_potential(name: str):
-    if name in (None, "none"):
-        return None
     if name == "trace_alignment":
         # uniform torque toward the identity attitude
         return lambda g: -float(np.trace(g.matrix))
-    raise SchemaError(f"unknown builtin potential {name!r}")
+    return None
 
 
 def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
-    model = scn["model"]
-    constants = _object(scn, "constants", {})
+    model, constants, init = scn["model"], scn["constants"], scn["initial"]
     dt, t_end, steps, sample_every = _time_grid(scn)
-    tol = _tolerances(scn, "affine")
-    init = _object(scn, "initial")
+    tol = scn["tolerances"]
 
+    need = ("phi", "sigma_hat") if init["phi"] is not None else ("q", "p", "M", "N")
+    missing = [f"initial.{k}" for k in need if init[k] is None]
+    if missing:
+        raise SchemaError(f"missing required keys {missing}")
     try:
-        if "phi" in init:
-            phi = _array(init, "phi", (None, None))
-            n = len(phi)
+        if init["phi"] is not None:
+            n = len(init["phi"])
             state = affine.AffineState(
-                phi=phi,
-                sigma_hat=_array(init, "sigma_hat", (n, n)),
-                x=_array(init, "x", (n,)) if "x" in init else None,
-                p=_array(init, "p", (n,)) if "p" in init else None,
+                phi=_shape(init["phi"], "initial.phi", (n, n)),
+                sigma_hat=_shape(init["sigma_hat"], "initial.sigma_hat", (n, n)),
+                x=_shape(init["x"], "initial.x", (n,)),
+                p=_shape(init["p"], "initial.p", (n,)),
             )
             lat = affine.to_two_polar(state)
         else:
-            q = _array(init, "q", (None,))
-            n = len(q)
+            n = len(init["q"])
             lat = affine.TwoPolarState(
-                L=_array(init, "L", (n, n), default=np.eye(n)),
-                R=_array(init, "R", (n, n), default=np.eye(n)),
-                q=q,
-                p=_array(init, "p", (n,)),
-                M=_array(init, "M", (n, n)),
-                N=_array(init, "N", (n, n)),
+                L=_shape(init["L"], "initial.L", (n, n), default=np.eye(n)),
+                R=_shape(init["R"], "initial.R", (n, n), default=np.eye(n)),
+                q=init["q"],
+                p=_shape(init["p"], "initial.p", (n,)),
+                M=_shape(init["M"], "initial.M", (n, n)),
+                N=_shape(init["N"], "initial.N", (n, n)),
             )
     except ValueError as exc:  # the state's own checks: ordering, orthogonality, symmetry
         raise SchemaError(f"bad initial state: {exc}") from exc
 
-    if model == "standard":
-        variant, params = "calogero", {"I": _positive(constants, "J_iso", 1.0)}
-    elif model in ("affine_left", "affine_right"):
-        if _finite(constants, "inv_b", 0.0) != 0.0 or _finite(constants, "inv_c", 0.0) != 0.0:
-            raise SchemaError(
-                "dynamics is implemented for the trace-form term only; "
-                "set inv_b = inv_c = 0"
-            )
-        variant, params = "hyperbolic", {"a": _positive(constants, "a", 1.0)}
-    elif model in ("lattice_hyperbolic", "lattice_trigonometric", "lattice_calogero"):
-        variant = model.removeprefix("lattice_")
-        key = "I" if variant == "calogero" else "a"
-        params = {key: _positive(constants, key, 1.0)}
-    else:
-        raise SchemaError(f"unknown affine model {model!r}")
+    variant, strength = _AFFINE_MODELS[model]
+    if model.startswith("affine_") and (constants["inv_b"] != 0.0 or constants["inv_c"] != 0.0):
+        raise SchemaError("dynamics is implemented for the trace-form term only; "
+                          "set inv_b = inv_c = 0")
+    params = {"I" if variant == "calogero" else "a": constants[strength]}
 
     states = affine.lattice_dynamics(variant, params, lat, dt, steps, sample_every=sample_every)
     n = lat.n
-    header = (
-        ["t"] + [f"q_{i+1}" for i in range(n)] + ["energy", "m_norm", "n_norm"]
-    )
+    header = ["t"] + [f"q_{i+1}" for i in range(n)] + ["energy", "m_norm", "n_norm"]
     energies = [affine.lattice_hamiltonian(variant, params, s) for s in states]
     # states are sampled at steps 0, sample_every, 2 sample_every, ... and steps
     step_of = [sample_every * k for k in range(len(states) - 1)] + [steps]
@@ -415,43 +467,42 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
 
 
 def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
-    flow_time = scn.get("flow_time")
+    flow_time = scn["flow_time"]
     if flow_time is not None:
-        flow_time = _finite(scn, "flow_time")
-        _within_budget(abs(flow_time) / ensembles.FLOW_STEP, "|flow_time| / flow step")
+        _within_budget(scn["samples"] * abs(flow_time) / ensembles.FLOW_STEP,
+                       "samples x |flow_time| / flow step", _MAX_POINT_STEPS)
 
     def build_observable(spec):
         if spec == "harmonic":
             return (lambda z: 0.5 * np.sum(z**2, axis=1)), (lambda z: z.copy())
-        if isinstance(spec, dict) and "quadratic" in spec:
-            qmat = _array(spec, "quadratic", (2 * region.n_dof, 2 * region.n_dof))
-            return (
-                lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, qmat, z),
-                lambda z: z @ qmat.T,
-            )
-        raise SchemaError("observable must be 'harmonic' or {'quadratic': matrix}")
+        qmat = _shape(spec["quadratic"], "quadratic", (2 * region.n_dof,) * 2)
+        return (
+            lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, qmat, z),
+            lambda z: z @ qmat.T,
+        )
 
     try:  # the constructors' own checks: box rows and order, width, samples, seed
-        region = ensembles.PhaseRegion(bounds=_array(scn, "box", (None, 2)),
-                                       hbar=_positive(scn, "hbar", 1.0))
+        region = ensembles.PhaseRegion(bounds=scn["box"], hbar=scn["hbar"])
         observable, grad = build_observable(scn["observable"])
         shell = ensembles.ShellEnsemble(
             observable=observable,
-            center=float(scn["a"]),
-            epsilon=float(scn["epsilon"]),
-            samples=_integer(scn, "samples", 0),
-            seed=_integer(scn, "seed", 0),
+            center=scn["a"],
+            epsilon=scn["epsilon"],
+            samples=scn["samples"],
+            seed=scn["seed"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"bad ensemble: {exc}") from exc
-    f_fun, _ = build_observable(scn.get("expectation", scn["observable"]))
+    cell_mu = ensembles.liouville_volume(region) / 8 ** (2 * region.n_dof)  # histogram cell
+    if not 0 < cell_mu < np.inf:
+        raise SchemaError(f"box and hbar give a histogram cell of {cell_mu!r} phase-space volumes")
+    f_fun, _ = build_observable(scn["expectation"] or scn["observable"])
     result = ensembles.shell_probability(shell, region, f_fun)
 
     batches = ensembles.shell_samples(shell, region)
     pts = np.concatenate(batches)
     hist, _ = np.histogramdd(pts, bins=[8] * (2 * region.n_dof))
     weights = (hist / hist.sum()).ravel()
-    cell_mu = ensembles.liouville_volume(region) / weights.size
     entropy = ensembles.entropy_continuous(weights, np.full(weights.size, cell_mu))
 
     out = {
@@ -465,55 +516,33 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
     if flow_time is not None:
         inv = ensembles.invariance_check(shell, region, grad, flow_time)
         out["invariance"] = inv
-        checks.append(
-            _check(
-                "flow_drift",
-                inv["tv_flow"],
-                inv["tv_null_mean"] + 3.0 * inv["tv_null_std"],
-            )
-        )
+        checks.append(_check("flow_drift", inv["tv_flow"],
+                             inv["tv_null_mean"] + 3.0 * inv["tv_null_std"]))
     out["checks"] = checks
     art.write_json("ensemble.json", out)
     return checks
 
 
 def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
-    grid = _object(scn, "grid")
-    n = _integer(grid, "N", 4)
+    n, qmin, qmax = scn["grid"]["N"], scn["grid"]["qmin"], scn["grid"]["qmax"]
     if n & (n - 1):
-        raise SchemaError(f"N must be a power of two, got {n}")
-    qmin, qmax = _finite(grid, "qmin"), _finite(grid, "qmax")
+        raise SchemaError(f"grid.N must be a power of two, got {n}")
     if not qmin < qmax:
         raise SchemaError(f"qmin must be below qmax, got {qmin!r} and {qmax!r}")
-    hbar = _positive(scn, "hbar", 1.0)
-    tol = _tolerances(scn, "wigner")
-    state = scn["state"]
-    state = state if isinstance(state, dict) else {"kind": state}
-    kind = state.get("kind")
-    if kind == "ho-ground":
-        psi = wigner.ho_ground(n, qmin, qmax, hbar=hbar)
-    elif kind == "ho-excited":
-        psi = wigner.ho_excited(_integer(state, "k", 0, default=1), n, qmin, qmax, hbar=hbar)
-    elif kind == "gaussian":
-        psi = wigner.gaussian_packet(_positive(state, "sigma", 1.0), n, qmin, qmax, hbar=hbar)
-    elif kind == "cat":
-        psi = wigner.cat_state(_positive(state, "separation", 4.0, zero_ok=True),
-                               n, qmin, qmax, hbar=hbar)
-    else:
-        raise SchemaError(f"unknown state kind {kind!r}")
-    psi = psi.normalized()
+    hbar, state, tol = scn["hbar"], scn["state"], scn["tolerances"]
+    make = {"ho-ground": lambda: wigner.ho_ground(n, qmin, qmax, hbar=hbar),
+            "ho-excited": lambda: wigner.ho_excited(state["k"], n, qmin, qmax, hbar=hbar),
+            "gaussian": lambda: wigner.gaussian_packet(state["sigma"], n, qmin, qmax, hbar=hbar),
+            "cat": lambda: wigner.cat_state(state["separation"], n, qmin, qmax, hbar=hbar)}
+    psi = make[state["kind"]]().normalized()
     w = wigner.wigner_transform(psi)
     pos, mom = wigner.marginals(w)
 
     art.write_array("wigner.f64", w.values)
-    art.write_json(
-        "wigner.json",
-        {
-            "shape": list(w.values.shape),
-            "dq": w.dq, "dp": w.dp, "q0": w.q0, "p0": w.p0, "hbar": w.hbar,
-            "layout": "row-major float64 little-endian, q index first",
-        },
-    )
+    art.write_json("wigner.json", {
+        "shape": list(w.values.shape), "dq": w.dq, "dp": w.dp, "q0": w.q0, "p0": w.p0,
+        "hbar": w.hbar, "layout": "row-major float64 little-endian, q index first",
+    })
     art.write_csv(
         "marginals.csv",
         ["q", "position_density", "p", "momentum_density"],
@@ -530,18 +559,17 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
     return checks
 
 
-def _two_form(spec, dim: int) -> forms.KForm:
+def _two_form(pairs: list, dim: int) -> forms.KForm:
     """The scenario's ``omega = {"pairs": [[i, j, value], ...]}``."""
     coeffs = np.zeros((dim, dim))
+    for i, j, val in pairs:
+        if not (i < dim and j < dim):
+            raise SchemaError(f"omega pair {[i, j, val]} needs indices in [0, {dim})")
+        coeffs[i, j], coeffs[j, i] = val, -val
     try:
-        for i, j, val in spec["pairs"]:
-            i, j, val = int(i), int(j), float(val)
-            if not (0 <= i < dim and 0 <= j < dim and np.isfinite(val)):
-                raise ValueError(f"pair {[i, j, val]} needs indices in [0, {dim}) and a finite value")
-            coeffs[i, j], coeffs[j, i] = val, -val
         return forms.KForm(2, coeffs)  # rejects i == j and dim < 2
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad omega {spec!r}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"bad omega {pairs!r}: {exc}") from exc
 
 
 def _run_cohomology(scn: dict, art: _Artifacts) -> list[dict]:
@@ -551,12 +579,9 @@ def _run_cohomology(scn: dict, art: _Artifacts) -> list[dict]:
         z_dim = len(forms.cocycle_space(alg, k))
         b_dim = len(forms.coboundary_space(alg, k))
         report.update({f"Z{k}": z_dim, f"B{k}": b_dim, f"H{k}": z_dim - b_dim})
-    if scn.get("omega") is not None:
-        basis, codim = forms.radical(alg, _two_form(scn["omega"], alg.dim))
-        report["radical"] = {
-            "basis": [list(v) for v in basis],
-            "codim": codim,
-        }
+    if scn["omega"] is not None:
+        basis, codim = forms.radical(alg, _two_form(scn["omega"]["pairs"], alg.dim))
+        report["radical"] = {"basis": [list(v) for v in basis], "codim": codim}
     art.write_json("cohomology.json", report)
     return []
 
@@ -584,44 +609,31 @@ def _run_selftest(seed: int, art: _Artifacts) -> list[dict]:
 
 def report_summary(manifest_path: str) -> int:
     """Print a pass/fail table for every check recorded next to a manifest."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read manifest {manifest_path!r}: {exc}") from exc
+    manifest = _load_json(manifest_path, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
     rows = []
-    for rec in manifest.get("files", []):
-        if not rec["name"].endswith(".json"):
-            continue
-        with open(os.path.join(base, rec["name"]), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for chk in doc.get("checks", []):
-            rows.append((rec["name"], chk))
+    try:  # a manifest or run file of the wrong shape is bad input
+        for rec in manifest.get("files", []):
+            if rec["name"].endswith(".json"):
+                doc = _load_json(os.path.join(base, rec["name"]), "run file")
+                rows += [(str(c["name"]), bool(c["pass"]),
+                          f"value={c['value']:.3e} bound={c['bound']:.3e}  ({rec['name']})")
+                         for c in doc.get("checks", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed manifest {manifest_path!r}: {exc!r}") from exc
     if not rows:
         print("no runs")
         return 0
-    width = max(len(c["name"]) for _, c in rows) + 2
-    failed = 0
-    for fname, chk in rows:
-        status = "ok" if chk["pass"] else "FAIL"
-        if not chk["pass"]:
-            failed += 1
-        print(
-            f"{status:4s} {chk['name']:<{width}s} value={chk['value']:.3e} "
-            f"bound={chk['bound']:.3e}  ({fname})"
-        )
+    width = max(len(name) for name, _, _ in rows) + 2
+    failed = sum(not ok for _, ok, _ in rows)
+    for name, ok, figures in rows:
+        print(f"{'ok' if ok else 'FAIL':4s} {name:<{width}s} {figures}")
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     return 1 if failed else 0
 
 
-_RUNNERS = {
-    "euler": _run_euler,
-    "affine": _run_affine,
-    "ensemble": _run_ensemble,
-    "wigner": _run_wigner,
-    "cohomology": _run_cohomology,
-}
+_RUNNERS = {"euler": _run_euler, "affine": _run_affine, "ensemble": _run_ensemble,
+            "wigner": _run_wigner, "cohomology": _run_cohomology}
 
 
 def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | None) -> int:
@@ -632,12 +644,17 @@ def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | No
     if subcommand == "selftest":
         checks = _run_selftest(seed if seed is not None else 0, art)
     else:
-        scn = parse_scenario(scenario_path, subcommand)
+        scn, values = _parse(scenario_path, subcommand)
         if seed is not None:
             scn.setdefault("seed", seed)
         scn_text = json.dumps(scn, sort_keys=True).encode()
         extra["scenario_sha256"] = hashlib.sha256(scn_text).hexdigest()
-        checks = _RUNNERS[subcommand](scn, art)
+        try:  # values that pass their rules can still leave the float64 range
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                checks = _RUNNERS[subcommand](values, art)
+        except (FloatingPointError, OverflowError) as exc:
+            raise SchemaError(f"the run leaves the float64 range ({exc}); "
+                              "the scenario's values are too large or too small") from exc
     art.finish(extra)
     bad = [c for c in checks if not c["pass"]]
     for c in bad:
@@ -650,10 +667,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="phasecraft", description="phase-space mechanics scenario runner"
     )
-    parser.add_argument(
-        "subcommand",
-        choices=["euler", "affine", "ensemble", "wigner", "cohomology", "selftest", "report"],
-    )
+    parser.add_argument("subcommand", choices=[*_RUNNERS, "selftest", "report"])
     parser.add_argument("scenario", nargs="?", help="scenario JSON (or manifest for report)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)

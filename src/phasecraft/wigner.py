@@ -72,6 +72,8 @@ class GridWavefunction:
             raise ValueError("grid length must be a power of two (>= 4)")
         if self.dx <= 0 or self.hbar <= 0 or self.mass <= 0:
             raise ValueError("dx, hbar and mass must be positive")
+        if not np.isfinite(psi).all():
+            raise ValueError("wave-function samples must be finite")
         psi = psi.copy()
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -195,7 +197,15 @@ def ho_ground(n: int, qmin: float, qmax: float, hbar: float = 1.0,
 def ho_excited(k: int, n: int, qmin: float, qmax: float, hbar: float = 1.0,
                mass: float = 1.0, omega: float = 1.0) -> GridWavefunction:
     """k-th oscillator eigenstate via the normalised Hermite-function
-    recurrence psi_{j+1} = sqrt(2/(j+1)) x psi_j - sqrt(j/(j+1)) psi_{j-1}."""
+    recurrence psi_{j+1} = sqrt(2/(j+1)) x psi_j - sqrt(j/(j+1)) psi_{j-1}.
+
+    Raises GridTooCoarse before any work when a classical turning point
+    +-sqrt((2k+1) hbar/(m omega)) lies outside [qmin, qmax]: the state's mass
+    then reaches the window's edge."""
+    reach = min(-qmin, qmax) * math.sqrt(mass * omega / hbar)  # in units of x
+    if not (reach >= 0 and reach * reach >= 2 * k + 1):  # exact for any integer k
+        raise GridTooCoarse(f"ho_excited: the turning points of k = {k} leave "
+                            f"[{qmin:g}, {qmax:g}]; enlarge the window")
     q, dx = _grid(n, qmin, qmax)
     x = q * np.sqrt(mass * omega / hbar)
     # psi_j = h_j exp(log_scale) with h_0 = 1; a factor 1e100 moves from h to
@@ -290,9 +300,12 @@ def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
     w = PhaseGrid(
         values=w_full[:, ::4], dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar
     )
-    if np.iscomplexobj(w.values):  # PhaseGrid keeps only a genuine imaginary part
+    # the correlation is Hermitian in r, so the field is real up to rounding and
+    # PhaseGrid keeps it complex only when the transform produced non-finite values
+    if np.iscomplexobj(w.values):
         imag = float(np.max(np.abs(w.values.imag)))
-        raise GridTooCoarse(f"hermiticity residue {imag:.3e}; grid under-resolves")
+        raise GridTooCoarse(f"wigner_transform: the field has non-finite values "
+                            f"(hermiticity residue {imag:.3e})")
     return w
 
 

@@ -283,9 +283,12 @@ def test_euler_bad_model_is_schema_error(tmp_path, model):
     {"state": {"kind": "ho-excited", "k": -1}}, {"state": {"kind": "ho-excited", "k": 1.5}},
     {"state": {"kind": "gaussian", "sigma": "wide"}}, {"state": {"kind": "gaussian", "sigma": 0}},
     {"state": {"kind": "cat", "separation": -1.0}}, {"state": {}}, {"grid": "fine"},
+    {"grid": {"N": 2048}}, {"grid": {"N": 2**30}}, {"grid": {"N": 2**62}},
+    {"grid": {"qmin": -1e300}}, {"hbar": 5e-324},
 ], ids=["N_text", "N_not_power_of_two", "N_too_small", "N_fraction", "qmin_text",
         "qmax_below_qmin", "qmax_inf", "hbar_zero", "hbar_text", "k_negative", "k_fraction",
-        "sigma_text", "sigma_zero", "separation_negative", "kind_missing", "grid_not_object"])
+        "sigma_text", "sigma_zero", "separation_negative", "kind_missing", "grid_not_object",
+        "N_over_grid_budget", "N_2_30", "N_2_62", "qmin_overflows", "hbar_underflows"])
 def test_bad_wigner_values_are_schema_errors(tmp_path, change):
     doc = {**WIGNER_64, **change}
     if isinstance(change.get("grid"), dict):
@@ -360,10 +363,13 @@ def test_tolerances_override_the_default_bounds(tmp_path):
     {"observable": {"quadratic": [[1.0, 0.0], [0.0]]}},
     {"box": [[-2.2, 2.2]] * 4, "observable": {"quadratic": [[1.0, 0.0], [0.0, 1.0]]}},
     {"flow_time": "long"}, {"flow_time": float("inf")}, {"flow_time": 1e9},
+    {"samples": 1e308}, {"samples": 1_000_001}, {"hbar": 1e308}, {"hbar": 1e-300},
+    {"flow_time": 99999}, {"box": [[-2.2, 2.2]] * 8},
 ], ids=["seed_negative", "seed_2_48", "seed_fraction", "epsilon_zero", "epsilon_text",
         "samples_15", "hbar_text", "hbar_negative", "box_ragged", "box_reversed", "box_text",
         "quadratic_ragged", "quadratic_wrong_size", "flow_time_text", "flow_time_inf",
-        "flow_time_over_step_budget"])
+        "flow_time_over_step_budget", "samples_1e308", "samples_over_budget", "hbar_1e308",
+        "hbar_1e-300", "flow_time_over_point_step_budget", "box_over_dof_budget"])
 def test_bad_ensemble_inputs_are_schema_errors(tmp_path, bad):
     scen = write(tmp_path, "s.json", {**SHELL, **bad})
     with pytest.raises(SchemaError):
@@ -415,6 +421,25 @@ def test_report_summary_empty(tmp_path, capsys):
         json.dump({"files": []}, fh)
     assert cli.report_summary(mpath) == 0
     assert "no runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("manifest,files", [
+    ({"files": [{"name": "gone.json", "sha256": "x", "bytes": 1}]}, {}),
+    ("not json", {}),
+    ([1, 2], {}),
+    ({"files": [{"sha256": "x", "bytes": 1}]}, {}),
+    ({"files": [{"name": "run.json"}]}, {"run.json": {"checks": [{"name": "drift"}]}}),
+    ({"files": [{"name": "run.json"}]}, {"run.json": [1]}),
+    ("[" * 100_000 + "]" * 100_000, {}),
+], ids=["missing_file", "not_json", "not_object", "record_without_name",
+        "check_without_value", "run_file_not_object", "nested_too_deeply"])
+def test_report_on_a_bad_manifest_exits_2(tmp_path, capsys, manifest, files):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+    assert cli.main(["report", str(mpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_error_paths(tmp_path):

@@ -1,0 +1,134 @@
+"""The scenario tables against their fuzzer and their documentation.
+
+Every key of every subcommand's table, at every nesting level, receives
+JSON values of every type and boundary numbers inside a small valid
+scenario.  The CLI must answer with exit 0, 1 or 2: never an internal
+error (exit 3) and never a traceback.  A key added to ``cli._SCENARIOS``
+is fuzzed, and must be named in README, with no edit here."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from phasecraft import cli
+
+# valid scenarios that run in milliseconds
+BASE = {
+    "euler": {"principal_moments": [1.0, 2.0, 3.0], "initial": {"sigma": [1.0, 0.5, 0.0]},
+              "t_end": 0.01, "dt": 0.005},
+    "affine": {"model": "lattice_hyperbolic", "t_end": 0.01, "dt": 0.005,
+               "initial": {"q": [1.5, -1.5], "p": [0.0, 0.0],
+                           "M": [[0.0, 1.0], [-1.0, 0.0]], "N": [[0.0, 1.2], [-1.2, 0.0]]}},
+    "ensemble": {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
+                 "box": [[-2.2, 2.2], [-2.2, 2.2]], "samples": 3200, "seed": 3},
+    "wigner": {"state": {"kind": "ho-ground"}, "grid": {"N": 64, "qmin": -8.0, "qmax": 8.0}},
+    "cohomology": {"algebra": "so3"},
+}
+
+MISSING = object()
+
+
+def key_paths(table, prefix=()):
+    """Every key of a scenario table, nested tables included, as a path."""
+    for name, (rule, *_) in table.items():
+        yield prefix + (name,)
+        if isinstance(rule, dict):
+            yield from key_paths(rule, prefix + (name,))
+
+
+PATHS = [(sub, path) for sub, table in cli._SCENARIOS.items() for path in key_paths(table)]
+
+# Numbers at the edges of float64 and of the integers, and small ones.  No
+# value is valid and expensive at once: a large t_end or sample count
+# exceeds its budget, so every run stays short.
+BOUNDARY = [0, 1, -1, 2, 0.5, -0.0, 1e-300, 5e-324, -5e-324, 1e300, -1e300,
+            1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+            float("nan"), 2**31, 2**48, 2**53 + 1, 2**63, 10**400, -(10**400)]
+numbers = st.sampled_from(BOUNDARY) | st.floats(-2.0, 2.0) | st.integers(-3, 3)
+words = st.sampled_from(["", "x", "none", "harmonic", "so3", "galilei", "rk4", "cat",
+                         "ho-excited", "trace_alignment", "lattice_calogero", "right"])
+scalars = st.none() | st.booleans() | numbers | words | st.text(max_size=4)
+arrays = (st.lists(numbers, min_size=1, max_size=4)
+          | st.lists(st.lists(numbers, min_size=1, max_size=4), min_size=1, max_size=4))
+json_values = st.recursive(
+    scalars | arrays,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def place(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with ``value`` at ``path`` (MISSING deletes the key)."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    if value is MISSING:
+        node.pop(last, None)
+    else:
+        node[last] = value
+    return doc
+
+
+def assert_named_exit(sub: str, doc: dict, tmp: str) -> None:
+    scen = os.path.join(tmp, "s.json")
+    with open(scen, "w") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([sub, scen, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2), (doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+IDS = [f"{sub}:{'.'.join(path)}" for sub, path in PATHS]
+
+
+@pytest.mark.parametrize("sub,path", PATHS, ids=IDS)
+def test_boundary_values_exit_0_1_or_2(tmp_path, sub, path):
+    for value in BOUNDARY + [MISSING]:
+        assert_named_exit(sub, place(BASE[sub], path, value), str(tmp_path))
+
+
+@pytest.mark.parametrize("sub,path", PATHS, ids=IDS)
+@given(value=json_values)
+def test_fuzzed_values_exit_0_1_or_2(sub, path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_named_exit(sub, place(BASE[sub], path, value), tmp)
+
+
+def test_every_table_key_is_fuzzed():
+    assert {sub for sub, _ in PATHS} == set(cli._SCENARIOS)
+    assert ("wigner", ("state", "k")) in PATHS
+    assert ("euler", ("tolerances", "energy_drift")) in PATHS
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_tolerance_table_equals_the_defaults():
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([-+.\de]+) \|", README, re.M)
+    table = {}
+    for sub, name, bound in rows:
+        table.setdefault(sub, {})[name] = float(bound)
+    assert table == cli._TOLERANCES
+
+
+@pytest.mark.parametrize("sub", list(cli._SCENARIOS))
+def test_readme_names_every_table_key(sub):
+    start = README.index(f"#### `{sub}`")
+    section = README[start:README.index("\n#", start + 1)]
+    # tolerance names are the rows of the tolerance table
+    keys = {".".join(path) for s, path in PATHS if s == sub and path[:1] != ("tolerances",)}
+    assert {key for key in keys if f"`{key}`" not in section} == set()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -183,6 +185,27 @@ def test_state_without_mass_on_the_grid():
         wg.cat_state(1000.0, 64, -8.0, 8.0)
     with pytest.raises(GridTooCoarse, match="no mass"):
         wg.GridWavefunction(np.zeros(64, dtype=complex), 0.25, -8.0).normalized()
+
+
+def test_ho_excited_refuses_turning_points_off_the_window_before_any_work():
+    # the recurrence costs about 11 us per order at N = 64: k = 1e9 would run for hours
+    start = time.perf_counter()
+    with pytest.raises(GridTooCoarse, match="turning points"):
+        wg.ho_excited(10**9, 64, -8.0, 8.0)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(GridTooCoarse, match="turning points"):
+        wg.ho_excited(32, 64, -8.0, 8.0)  # sqrt(65) > 8
+    with pytest.raises(GridTooCoarse, match="turning points"):
+        wg.ho_excited(0, 64, 0.5, 8.0)  # the window misses the origin
+    psi = wg.ho_excited(12, 64, -8.0, 8.0)  # the largest k the tail guard accepts here
+    assert wg.wigner_transform(psi.normalized()).values.shape == (64, 64)
+
+
+def test_nonfinite_samples_are_rejected():
+    psi = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2).astype(complex)
+    psi[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        wg.GridWavefunction(psi, 0.125, -4.0)
 
 
 def test_ho_excited_high_k_is_finite_and_exact():
