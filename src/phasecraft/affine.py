@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
+from .algebra import expm
 from .errors import (
     ModelMismatch,
     OrientationReversed,
@@ -566,15 +566,16 @@ def lattice_dynamics(
 def geodesic_exponential(phi0, generator, t: float, comoving: bool = True) -> np.ndarray:
     """phi(t) = phi0 exp(Ehat t) (co-moving generator) or exp(E t) phi0.
 
-    Both forms describe the same curve when E = phi0 Ehat phi0^{-1}.
+    Both forms describe the same curve when E = phi0 Ehat phi0^{-1}; a t E
+    that ``group_exp`` refuses raises Overflow here too.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if abs(np.linalg.det(phi0)) < 1.0e-12:
         raise Singular("phi0 is numerically singular")
     gen = np.asarray(generator, dtype=float)
     if comoving:
-        return phi0 @ scipy.linalg.expm(t * gen)
-    return scipy.linalg.expm(t * gen) @ phi0
+        return phi0 @ expm(t * gen)
+    return expm(t * gen) @ phi0
 
 
 def quadratic_internal_energy(inertia4, omega_hat) -> float:

@@ -10,6 +10,7 @@ operations (exponential, adjoint action, reconstruction of motion).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "gl_basis",
     "so_basis",
     "killing_tensor",
+    "expm",
     "group_exp",
     "adjoint",
     "adjoint_matrix",
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 _EXP_NORM_BOUND = 1.0e4
+# Below this angle Rodrigues' coefficients are their Taylor polynomials; the
+# dropped terms (theta^4 / 120 and theta^4 / 720) are under 1e-18.
+_TAYLOR_THETA = 1.0e-4
 
 
 def jacobi_residual_tensor(c: np.ndarray) -> float:
@@ -73,6 +78,8 @@ class LieAlgebraSpec:
         c = np.asarray(self.structure, dtype=float)
         if c.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure tensor must have shape {(self.dim,) * 3}")
+        if not np.isfinite(c).all():  # NaN would pass every tolerance test below
+            raise ValueError("structure constants must be finite")
         anti_defect = float(np.max(np.abs(c + np.swapaxes(c, 1, 2))))
         if anti_defect > 1.0e-12 * (1.0 + float(np.max(np.abs(c)))):
             raise ValueError(
@@ -93,6 +100,8 @@ class LieAlgebraSpec:
             mats = tuple(np.asarray(m) for m in self.basis)
             if len(mats) != self.dim:
                 raise ValueError("basis must contain dim matrices")
+            if not all(np.isfinite(m).all() for m in mats):
+                raise ValueError("basis matrices must be finite")
             object.__setattr__(self, "basis", mats)
             mscale = max(1.0, max(float(np.max(np.abs(m))) for m in mats) ** 2)
             for i in range(self.dim):
@@ -333,14 +342,41 @@ def killing_tensor(alg: LieAlgebraSpec, lam: float = 1.0, mu: float = 0.0) -> Bi
     return BilinearForm(0.5 * (gamma + gamma.T))
 
 
-def group_exp(x: np.ndarray, tag: str = "general-linear", metric=None) -> GroupElement:
-    """Matrix exponential (scaling-and-squaring) wrapped as a group element."""
+def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
+    """Matrix exponential after the finite and 1-norm guard; ``skew3`` says
+    that x is a real antisymmetric 3x3 matrix, whose exponential Rodrigues'
+    formula gives.  Otherwise scaling and squaring (``scipy.linalg.expm``)."""
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise Overflow("non-finite entries in the exponent")
     if np.linalg.norm(x, 1) > _EXP_NORM_BOUND:
         raise Overflow(f"1-norm of the exponent exceeds {_EXP_NORM_BOUND:g}")
-    return GroupElement(scipy.linalg.expm(x), tag=tag, metric=metric)
+    return _rodrigues(x) if skew3 else scipy.linalg.expm(x)
+
+
+def _rodrigues(x: np.ndarray) -> np.ndarray:
+    """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
+    theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2."""
+    (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
+    t2 = w1 * w1 + w2 * w2 + w3 * w3
+    if t2 < _TAYLOR_THETA * _TAYLOR_THETA:
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    else:
+        theta = math.sqrt(t2)
+        a = math.sin(theta) / theta
+        half = math.sin(0.5 * theta) / theta
+        b = 2.0 * half * half  # 1 - cos(theta) = 2 sin^2(theta / 2), no cancellation
+    # K^2 = w w^T - theta^2 I
+    return np.array([
+        [1.0 - b * (w2 * w2 + w3 * w3), b * w1 * w2 - a * w3, b * w1 * w3 + a * w2],
+        [b * w1 * w2 + a * w3, 1.0 - b * (w1 * w1 + w3 * w3), b * w2 * w3 - a * w1],
+        [b * w1 * w3 - a * w2, b * w2 * w3 + a * w1, 1.0 - b * (w1 * w1 + w2 * w2)],
+    ])
+
+
+def group_exp(x: np.ndarray, tag: str = "general-linear", metric=None) -> GroupElement:
+    """Matrix exponential (scaling-and-squaring) wrapped as a group element."""
+    return GroupElement(expm(x), tag=tag, metric=metric)
 
 
 def adjoint(g: GroupElement, x: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import affine, ensembles, forms, rigid, wigner
 from .algebra import BilinearForm, GroupElement, algebra_from_json
+from .checks import CRITERIA, check
 from .errors import IoError, PhasecraftError, SchemaError
 from .fixtures import fixture, fixture_names
 
@@ -239,13 +240,16 @@ def _load_json(path: str, what: str):
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _parse(path: str, subcommand: str) -> tuple[dict, dict]:
-    """(the scenario as given, its values read through the subcommand's table)."""
+def _parse(path: str, subcommand: str, seed: int | None = None) -> tuple[dict, dict]:
+    """(the scenario as given, its values read through the subcommand's table);
+    ``seed`` fills in a missing ``seed`` key and is checked by its rule."""
     doc = _load_json(path, "scenario")
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: scenario must be a JSON object")
     if subcommand == "cohomology" and "dim" in doc and "structure" in doc:
         doc = {"algebra": doc}  # bare algebra document
+    if seed is not None:
+        doc.setdefault("seed", seed)
     return doc, _read(_SCENARIOS[subcommand], doc)
 
 
@@ -307,15 +311,6 @@ class _Artifacts:
         with open(os.path.join(self.out_dir, "manifest.json"), "wb") as fh:
             fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
         return manifest
-
-
-def _check(name: str, value: float, bound: float) -> dict:
-    return {
-        "name": name,
-        "value": value,
-        "bound": bound,
-        "pass": bool(value <= bound),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +380,12 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
         rows.append(row)
     art.write_csv("euler.csv", header, rows)
 
-    checks = [_check("energy_drift", report["energy_drift"], tol["energy_drift"])]
+    checks = [check("energy_drift", report["energy_drift"], tol["energy_drift"])]
     # a torque breaks both symmetries: their drifts stay in the report only
     if model.potential is None:
-        checks.append(_check("momentum_drift", report["momentum_map_drift"], tol["momentum_drift"]))
+        checks.append(check("momentum_drift", report["momentum_map_drift"], tol["momentum_drift"]))
         if has_casimir:
-            checks.append(_check("casimir_drift", report["casimir_drift"], tol["casimir_drift"]))
+            checks.append(check("casimir_drift", report["casimir_drift"], tol["casimir_drift"]))
     art.write_json("conservation.json", {"report": report, "checks": checks})
     return checks
 
@@ -453,12 +448,12 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     art.write_csv("affine.csv", header, rows)
 
     e_drift = max(abs(e - energies[0]) for e in energies) / (1.0 + abs(energies[0]))
-    checks = [_check("energy_drift", e_drift / max(t_end, 1.0), tol["energy_rate"])]
+    checks = [check("energy_drift", e_drift / max(t_end, 1.0), tol["energy_rate"])]
     if n == 2:
         m_drift = max(abs(s.M[0, 1] - lat.M[0, 1]) for s in states)
         n_drift = max(abs(s.N[0, 1] - lat.N[0, 1]) for s in states)
-        checks.append(_check("m_drift", m_drift, tol["coupling_drift"]))
-        checks.append(_check("n_drift", n_drift, tol["coupling_drift"]))
+        checks.append(check("m_drift", m_drift, tol["coupling_drift"]))
+        checks.append(check("n_drift", n_drift, tol["coupling_drift"]))
     art.write_json(
         "conservation.json",
         {"energy_initial": energies[0], "energy_drift": e_drift, "checks": checks},
@@ -501,7 +496,7 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
 
     batches = ensembles.shell_samples(shell, region)
     pts = np.concatenate(batches)
-    hist, _ = np.histogramdd(pts, bins=[8] * (2 * region.n_dof))
+    hist, _ = np.histogramdd(pts, bins=[8] * (2 * region.n_dof), range=region.bounds)
     weights = (hist / hist.sum()).ravel()
     entropy = ensembles.entropy_continuous(weights, np.full(weights.size, cell_mu))
 
@@ -516,8 +511,8 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
     if flow_time is not None:
         inv = ensembles.invariance_check(shell, region, grad, flow_time)
         out["invariance"] = inv
-        checks.append(_check("flow_drift", inv["tv_flow"],
-                             inv["tv_null_mean"] + 3.0 * inv["tv_null_std"]))
+        checks.append(check("flow_drift", inv["tv_flow"],
+                            inv["tv_null_mean"] + 3.0 * inv["tv_null_std"]))
     out["checks"] = checks
     art.write_json("ensemble.json", out)
     return checks
@@ -551,9 +546,9 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
     pos_err = float(np.max(np.abs(pos - np.abs(psi.psi) ** 2)))
     mom_err = float(np.max(np.abs(mom - np.abs(psi.fourier()) ** 2)))
     checks = [
-        _check("position_marginal", pos_err, tol["marginal"]),
-        _check("momentum_marginal", mom_err, tol["marginal"]),
-        _check("mass_defect", abs(w.integral() - 1.0), tol["mass"]),
+        check("position_marginal", pos_err, tol["marginal"]),
+        check("momentum_marginal", mom_err, tol["marginal"]),
+        check("mass_defect", abs(w.integral() - 1.0), tol["mass"]),
     ]
     art.write_json("wigner_checks.json", {"checks": checks})
     return checks
@@ -591,8 +586,6 @@ def _run_cohomology(scn: dict, art: _Artifacts) -> list[dict]:
 
 
 def _run_selftest(seed: int, art: _Artifacts) -> list[dict]:
-    from .checks import CRITERIA
-
     if seed < 0:
         raise SchemaError(f"selftest seed must be nonnegative, got {seed}")
     checks = []
@@ -639,14 +632,14 @@ _RUNNERS = {"euler": _run_euler, "affine": _run_affine, "ensemble": _run_ensembl
 def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | None) -> int:
     art = _Artifacts(out_dir)
     extra = {"subcommand": subcommand}
-    if seed is not None:
-        extra["seed"] = seed
     if subcommand == "selftest":
+        if seed is not None:
+            extra["seed"] = seed
         checks = _run_selftest(seed if seed is not None else 0, art)
     else:
-        scn, values = _parse(scenario_path, subcommand)
-        if seed is not None:
-            scn.setdefault("seed", seed)
+        scn, values = _parse(scenario_path, subcommand, seed)
+        if values["seed"] is not None:  # the seed the run used: the scenario's wins
+            extra["seed"] = values["seed"]
         scn_text = json.dumps(scn, sort_keys=True).encode()
         extra["scenario_sha256"] = hashlib.sha256(scn_text).hexdigest()
         try:  # values that pass their rules can still leave the float64 range

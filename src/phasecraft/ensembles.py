@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 _N_BATCHES = 16
-# Philox keys (seed << 16) + batch stay distinct only for seeds below 2^48
+# Philox keys (seed << 16) + stream stay distinct only for seeds below 2^48
 _SEED_LIMIT = 2**48
 # RK4 step of the flow in invariance_check
 FLOW_STEP = 0.01
@@ -87,9 +87,15 @@ class ShellEnsemble:
             raise ValueError(f"seed must lie in [0, 2^48), got {self.seed}")
 
 
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    """Philox stream ``stream`` of ``seed``, keyed (seed << 16) + stream: streams
+    0-15 draw the sample batches, 16 the split-half reference."""
+    return np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(16)) + np.uint64(stream)))
+
+
 def _batch_points(region: PhaseRegion, seed: int, batch: int, count: int) -> np.ndarray:
-    """Uniform box points from a Philox stream keyed by (seed, batch)."""
-    gen = np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(16)) + np.uint64(batch)))
+    """Uniform box points from the Philox stream of (seed, batch)."""
+    gen = _stream(seed, batch)
     lo, hi = region.bounds[:, 0], region.bounds[:, 1]
     return lo + (hi - lo) * gen.random((count, region.bounds.shape[0]))
 
@@ -182,7 +188,7 @@ def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
     tv_flow = tv(before, after)
 
     # split-half references at the same per-side sample size
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(shell.seed) + np.uint64(0xD1F)))
+    gen = _stream(shell.seed, _N_BATCHES)
     null = []
     for _ in range(12):
         perm = gen.permutation(len(before))

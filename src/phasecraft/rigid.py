@@ -15,20 +15,20 @@ conserves quadratic invariants of the momentum equation exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     BilinearForm,
     GroupElement,
     LieAlgebraSpec,
     adjoint_matrix,
+    coadjoint,
+    expm,
 )
-from .errors import NoConvergence, NoPotential, Overflow, SingularMetric
+from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
 
 __all__ = [
@@ -53,9 +53,6 @@ __all__ = [
 _TORQUE_STEP = 1.0e-6
 _MIDPOINT_TOL = 1.0e-12
 _MIDPOINT_MAX_ITER = 50
-# Below this angle Rodrigues' coefficients are their Taylor polynomials; the
-# dropped terms (theta^4 / 120 and theta^4 / 720) are under 1e-18.
-_TAYLOR_THETA = 1.0e-4
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class InvariantModel:
                            and np.array_equal(stacked, -stacked.transpose(0, 2, 1)))
         if self.potential is not None:
             object.__setattr__(self, "_torque_exps", tuple(
-                (scipy.linalg.expm(_TORQUE_STEP * e), scipy.linalg.expm(-(_TORQUE_STEP * e)))
+                (expm(_TORQUE_STEP * e), expm(-(_TORQUE_STEP * e)))
                 for e in basis
             ))
 
@@ -188,43 +185,34 @@ def euler_rhs(model: InvariantModel, state: BodyState) -> np.ndarray:
     return rhs
 
 
-def _torque(model: InvariantModel, g: GroupElement) -> np.ndarray:
-    """The torque in the model's momentum frame: co-moving (left) or spatial."""
-    spatial, comoving = torque_from_potential(model, g)
-    return comoving if model.chirality == "left" else spatial
+def _torque(model: InvariantModel, g: GroupElement, comoving: bool | None = None) -> np.ndarray:
+    """The torque N_a = -d/de V(exp(e E_a) g) (spatial) or
+    Nhat_a = -d/de V(g exp(e E_a)) (co-moving), by central differences with
+    step 1e-6; by default in the model's momentum frame (co-moving for left)."""
+    if not model._torque_exps:
+        raise ValueError("torques need a matrix basis for the algebra")
+    if comoving is None:
+        comoving = model.chirality == "left"
+    pot = model.potential
+    g_mat, tag, metric = g.matrix, g.tag, g.metric
+    out = np.empty(model.algebra.dim)
+    for a, (exp_p, exp_m) in enumerate(model._torque_exps):
+        plus, minus = (g_mat @ exp_p, g_mat @ exp_m) if comoving else (exp_p @ g_mat, exp_m @ g_mat)
+        out[a] = -(pot(GroupElement(plus, tag=tag, metric=metric))
+                   - pot(GroupElement(minus, tag=tag, metric=metric))) / (2.0 * _TORQUE_STEP)
+    return out
 
 
 def torque_from_potential(model: InvariantModel, g: GroupElement):
-    """Generalized torques (spatial N_a, co-moving Nhat_a) from the potential.
-
-    N_a = -d/de V(exp(e E_a) g) and Nhat_a = -d/de V(g exp(e E_a)), both by
-    central differences with step 1e-6; they satisfy
-    Nhat_a = N_b (Ad_g)^b_a.
-    """
+    """Generalized torques (spatial N_a, co-moving Nhat_a) from the potential;
+    they satisfy Nhat_a = N_b (Ad_g)^b_a."""
     if model.potential is None:
         raise NoPotential("model has no potential energy")
-    if model.algebra.basis is None:
-        raise ValueError("torques need a matrix basis for the algebra")
-    pot = model.potential
-    g_mat, tag, metric = g.matrix, g.tag, g.metric
-    n = model.algebra.dim
-    spatial = np.empty(n)
-    comoving = np.empty(n)
-    for a, (exp_p, exp_m) in enumerate(model._torque_exps):
-        left_p = GroupElement(exp_p @ g_mat, tag=tag, metric=metric)
-        left_m = GroupElement(exp_m @ g_mat, tag=tag, metric=metric)
-        spatial[a] = -(pot(left_p) - pot(left_m)) / (2.0 * _TORQUE_STEP)
-        right_p = GroupElement(g_mat @ exp_p, tag=tag, metric=metric)
-        right_m = GroupElement(g_mat @ exp_m, tag=tag, metric=metric)
-        comoving[a] = -(pot(right_p) - pot(right_m)) / (2.0 * _TORQUE_STEP)
-    return spatial, comoving
+    return _torque(model, g, comoving=False), _torque(model, g, comoving=True)
 
 
 # ---------------------------------------------------------------------------
 # integrators
-
-
-_FLOW_NORM_BOUND = 1.0e4
 
 
 def _velocity_matrix(model: InvariantModel, sigma: np.ndarray) -> np.ndarray:
@@ -233,34 +221,6 @@ def _velocity_matrix(model: InvariantModel, sigma: np.ndarray) -> np.ndarray:
         return model.algebra.matrix_of(legendre_inv(model, sigma))
     m = model.algebra.basis[0].shape[0]
     return (sigma @ model._velocity).reshape(m, m)
-
-
-def _guarded_expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
-    """exp(x) after the finite and 1-norm guard; ``skew3`` says that x is a
-    real antisymmetric 3x3 matrix, whose exponential Rodrigues' formula gives."""
-    if not np.all(np.isfinite(x)) or np.linalg.norm(x, 1) > _FLOW_NORM_BOUND:
-        raise Overflow("flow generator too large for a trustworthy exponential")
-    return _rodrigues(x) if skew3 else scipy.linalg.expm(x)
-
-
-def _rodrigues(x: np.ndarray) -> np.ndarray:
-    """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
-    theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2."""
-    (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
-    t2 = w1 * w1 + w2 * w2 + w3 * w3
-    if t2 < _TAYLOR_THETA * _TAYLOR_THETA:
-        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
-    else:
-        theta = math.sqrt(t2)
-        a = math.sin(theta) / theta
-        half = math.sin(0.5 * theta) / theta
-        b = 2.0 * half * half  # 1 - cos(theta) = 2 sin^2(theta / 2), no cancellation
-    # K^2 = w w^T - theta^2 I
-    return np.array([
-        [1.0 - b * (w2 * w2 + w3 * w3), b * w1 * w2 - a * w3, b * w1 * w3 + a * w2],
-        [b * w1 * w2 + a * w3, 1.0 - b * (w1 * w1 + w3 * w3), b * w2 * w3 - a * w1],
-        [b * w1 * w3 - a * w2, b * w2 * w3 + a * w1, 1.0 - b * (w1 * w1 + w2 * w2)],
-    ])
 
 
 def _configuration_rate(model: InvariantModel, g_mat, sigma) -> np.ndarray:
@@ -320,7 +280,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
         for _ in range(_MIDPOINT_MAX_ITER):
             rhs = _bracket_term(model, s_mid)
             if model.potential is not None:
-                half = _guarded_expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
+                half = expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
                 g_mid = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
                 rhs = rhs + _torque(model, GroupElement(g_mid, tag=g0.tag, metric=g0.metric))
             s_next = s0 + half_dt * rhs
@@ -332,7 +292,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
             raise NoConvergence("implicit midpoint iteration did not converge")
 
     s1 = 2.0 * s_mid - s0
-    flow = _guarded_expm(dt * _velocity_matrix(model, s_mid), model._skew3)
+    flow = expm(dt * _velocity_matrix(model, s_mid), model._skew3)
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
     return BodyState(
         GroupElement(g1_mat, tag=g0.tag, metric=g0.metric), s1, state.time + dt
@@ -382,11 +342,9 @@ def conserved_momentum(model: InvariantModel, state: BodyState) -> np.ndarray:
     S_a = Shat_b (Ad_{g^-1})^b_a; right-invariant ones conserve the
     co-moving momentum Shat_a = S_b (Ad_g)^b_a.  (Exact for geodetic flow.)
     """
-    g = state.g
     if model.chirality == "left":
-        ginv = GroupElement(g.inv(), tag=g.tag, metric=g.metric)
-        return state.sigma @ adjoint_matrix(ginv, model.algebra)
-    return state.sigma @ adjoint_matrix(g, model.algebra)
+        return coadjoint(state.g, state.sigma, model.algebra)
+    return state.sigma @ adjoint_matrix(state.g, model.algebra)
 
 
 def equilibria_residual(algebra: LieAlgebraSpec, gamma, f_coords) -> np.ndarray:

@@ -573,6 +573,14 @@ def test_geodesic_exponential_forms_agree():
     npt.assert_array_equal(geodesic_exponential(phi0, np.zeros((3, 3)), 5.0), phi0)
 
 
+@pytest.mark.parametrize("comoving", [True, False])
+def test_geodesic_exponential_keeps_the_group_exp_guard(comoving):
+    phi0 = np.eye(2)
+    for gen, t in ((np.eye(2), 2.0e4), (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)):
+        with pytest.raises(Overflow):  # group_exp refuses the same exponent
+            geodesic_exponential(phi0, gen, t, comoving=comoving)
+
+
 def test_exponential_residual_detects_non_invariant_metric():
     # with the trace-form metric every generator is admissible; a generic
     # left-invariant-only metric restricts the admissible generators

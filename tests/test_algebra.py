@@ -188,6 +188,17 @@ def test_killing_invariance():
             assert abs(lhs + rhs) <= 1e-10 * (1 + abs(lhs))
 
 
+@pytest.mark.parametrize("structure,basis", [
+    ([[[0.0, np.nan], [-np.nan, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], None),
+    (np.zeros((2, 2, 2)), (np.array([[np.nan, 0.0], [0.0, 0.0]]), np.eye(2))),
+    (np.zeros((2, 2, 2)), (np.array([[np.inf, 0.0], [0.0, 0.0]]), np.eye(2))),
+], ids=["nan_structure", "nan_basis", "inf_basis"])
+def test_non_finite_algebra_is_rejected(structure, basis):
+    # NaN passes the antisymmetry, Jacobi and basis tolerance tests unseen
+    with pytest.raises(ValueError, match="finite"):
+        alg.LieAlgebraSpec(2, np.asarray(structure), basis=basis)
+
+
 def test_group_exp_identity():
     g = group_exp(np.zeros((3, 3)), tag="special-orthogonal")
     npt.assert_allclose(g.matrix, np.eye(3), atol=1e-15)

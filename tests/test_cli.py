@@ -122,6 +122,24 @@ def test_ensemble_run(tmp_path):
     assert doc["invariance"]["stationary"]
 
 
+def test_ensemble_entropy_is_taken_on_box_cells(tmp_path):
+    from phasecraft import ensembles
+
+    scn = {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
+           "box": [[-2.0, 2.6], [-2.2, 2.2]], "samples": 3200, "seed": 3}
+    out = str(tmp_path / "out")
+    assert cli.run("ensemble", write(tmp_path, "s.json", scn), out, seed=None) == 0
+    region = ensembles.PhaseRegion(bounds=np.array(scn["box"]))
+    shell = ensembles.ShellEnsemble(observable=lambda z: 0.5 * np.sum(z**2, axis=1),
+                                    center=1.0, epsilon=0.3, samples=3200, seed=3)
+    pts = np.concatenate(ensembles.shell_samples(shell, region))
+    edges = [np.linspace(lo, hi, 9) for lo, hi in scn["box"]]  # the cells of cell_mu
+    hist, _ = np.histogramdd(pts, bins=edges)
+    cells = np.full(hist.size, ensembles.liouville_volume(region) / hist.size)
+    want = ensembles.entropy_continuous((hist / hist.sum()).ravel(), cells)
+    assert read_json(out, "ensemble.json")["entropy"] == pytest.approx(want, rel=1e-12)
+
+
 def test_wigner_run_binary_sidecar(tmp_path):
     scen = write(tmp_path, "w.json", {
         "state": {"kind": "ho-ground"},
@@ -186,8 +204,12 @@ SO3_DOC = {"dim": 3, "structure": [[2, 0, 1, 1.0], [0, 1, 2, 1.0], [1, 2, 0, 1.0
     # [1, -1, 0] would wrap to [1, 2, 0]: the same so(3), silently
     {**SO3_DOC, "structure": [[2, 0, 1, 1.0], [0, 1, 2, 1.0], [1, -1, 0, 1.0]]},
     {"structure": SO3_DOC["structure"]}, {**SO3_DOC, "basis": [[[0.0]]]},
+    # NaN passed every tolerance test of the algebra's own checks
+    {**SO3_DOC, "structure": [[2, 0, 1, float("nan")]]},
+    {"dim": 2, "structure": [], "basis": [[[float("nan"), 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+    {**SO3_DOC, "structure": [[2, 0, 1, float("inf")]]},
 ], ids=["dim_text", "entry_short", "entry_text", "index_too_large", "index_negative",
-        "dim_missing", "basis_wrong_length"])
+        "dim_missing", "basis_wrong_length", "entry_nan", "basis_nan", "entry_inf"])
 def test_cohomology_bad_algebra_document_is_schema_error(tmp_path, doc, where):
     algebra = doc if where == "inline" else write(tmp_path, "alg.json", doc)
     scen = write(tmp_path, "c.json", {"algebra": algebra})
@@ -382,6 +404,30 @@ def test_selftest_deterministic(tmp_path):
     assert cli.run("selftest", None, out1, seed=7) == 0
     assert cli.run("selftest", None, out2, seed=7) == 0
     assert Path(out1, "manifest.json").read_bytes() == Path(out2, "manifest.json").read_bytes()
+
+
+SHELL = {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
+         "box": [[-2.2, 2.2], [-2.2, 2.2]], "samples": 3200}
+
+
+@pytest.mark.parametrize("sub,scenario,seed,used", [
+    ("wigner", {"state": {"kind": "ho-ground"}, "grid": {"N": 64, "qmin": -8.0, "qmax": 8.0}},
+     -5, None),
+    ("ensemble", SHELL, 3, 3),
+    ("ensemble", {**SHELL, "seed": 11}, 3, 11),
+], ids=["negative_seed_refused", "fills_a_missing_seed", "scenario_seed_wins"])
+def test_seed_option_is_read_through_the_table(tmp_path, sub, scenario, seed, used):
+    """``--seed`` fills in a missing scenario seed and is checked by the seed
+    rule; the manifest records the seed the run used (None: refused)."""
+    out = str(tmp_path / "out")
+    rc = cli.main([sub, write(tmp_path, "s.json", scenario), "--out", out, f"--seed={seed}"])
+    if used is None:
+        assert rc == 2
+        return
+    assert rc == 0 and read_json(out, "manifest.json")["seed"] == used
+    ref = str(tmp_path / "ref")
+    assert cli.run(sub, write(tmp_path, "r.json", {**scenario, "seed": used}), ref, seed=None) == 0
+    assert Path(out, f"{sub}.json").read_bytes() == Path(ref, f"{sub}.json").read_bytes()
 
 
 def test_rerun_byte_identical(tmp_path):

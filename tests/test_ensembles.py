@@ -121,6 +121,19 @@ def test_invariance_harmonic_generic_time():
     assert out["stationary"]
 
 
+def test_every_stream_of_a_seed_lies_in_its_own_key_block(monkeypatch):
+    # the split-half reference was keyed seed + 0xD1F: seed 62177's reference
+    # permutations were drawn from seed 1's batch-0 point stream
+    keys = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda key: keys.append(int(key)) or philox(key=key))
+    seed = 62177
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3, samples=3200,
+                              seed=seed)
+    ens.invariance_check(shell, box(2.2), lambda z: z.copy(), tau=0.1)
+    assert sorted(set(keys)) == [(seed << 16) + stream for stream in range(17)]
+
+
 def test_invariance_free_on_torus():
     # free streaming with periodic wrap in q preserves the uniform shell
     region = ens.PhaseRegion(bounds=np.array([[0.0, 1.0], [0.5, 1.5]]), hbar=1.0)
