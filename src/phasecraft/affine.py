@@ -20,6 +20,7 @@ Q = exp(q).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -386,45 +387,53 @@ def lattice_hamiltonian(
     stabilizes the free dilatational mode.  Double sums run over all (a, b),
     a != b, matching the printed normalization.
     """
-    q = lat.q
-    p = lat.p if lat.p is not None else np.zeros_like(q)
-    m_mat = lat.M if lat.M is not None else np.zeros((lat.n, lat.n))
-    n_mat = lat.N if lat.N is not None else np.zeros((lat.n, lat.n))
-    coef, _ = _pair_terms(variant, params, q)
-    energy = _one_body_terms(variant, params, q, p, dilatation_k, dilatation_center)[0]
-    # coef holds each pair twice, at (a, b) and (b, a)
-    pairs = (coef * np.array((m_mat, n_mat), dtype=float) ** 2).sum(axis=0)
-    return energy + 0.5 * float(np.sum(pairs))
+    n = lat.n
+    q = lat.q.tolist()
+    p = lat.p.tolist() if lat.p is not None else [0.0] * n
+    zeros = [0.0] * (n * (n - 1) // 2)
+    m_up = _upper(lat.M) if lat.M is not None else zeros
+    n_up = _upper(lat.N) if lat.N is not None else zeros
+    terms = _pair_terms(variant, params, q)
+    well, _, dt_dp = _one_body_terms(variant, params, q, p, dilatation_k, dilatation_center)
+    # T is quadratic in p, so T = p . dT/dp / 2
+    energy = 0.5 * float(np.dot(p, dt_dp)) + well
+    pairs = 0.0
+    for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
+        pairs += c_m * (m * m) + c_n * (nv * nv)
+    return energy + pairs
 
 
 def _one_body_terms(variant, params, q, p, dil_k, dil_c):
-    """Kinetic term plus the dilatation well: (T, dT/dq, dT/dp)."""
+    """The dilatation well's energy and the one-body gradients (dH/dq, dH/dp)
+    of the kinetic term plus the well, on lists of floats."""
     if variant == "calogero":
         # T = sum_a exp(-2 q_a) p_a^2 / 2I
-        weight = np.exp(-2.0 * q) / float(params["I"])
-        dt_dp = weight * p
-        dt_dq = -dt_dp * p
+        inertia = float(params["I"])
+        try:
+            dt_dp = [math.exp(-2.0 * x) / inertia * y for x, y in zip(q, p)]
+        except OverflowError as exc:
+            raise Overflow("kinetic weight exp(-2 q) leaves the float64 range") from exc
+        dt_dq = [-d * y for d, y in zip(dt_dp, p)]
     elif variant in ("hyperbolic", "trigonometric"):
-        dt_dp = p / float(params["a"])
-        dt_dq = np.zeros(len(q))
+        a = float(params["a"])
+        dt_dp = [y / a for y in p]
+        dt_dq = [0.0] * len(q)
     else:
         raise ValueError(f"unknown lattice variant {variant!r}")
-    energy = 0.5 * float(p @ dt_dp)
-    if dil_k != 0.0:
-        shift = float(np.mean(q)) - dil_c
-        energy += 0.5 * dil_k * shift**2
-        dt_dq = dt_dq + dil_k * shift / len(q)
-    return energy, dt_dq, dt_dp
+    if dil_k == 0.0:
+        return 0.0, dt_dq, dt_dp
+    shift = sum(q) / len(q) - dil_c
+    pull = dil_k * shift / len(q)
+    return 0.5 * dil_k * shift**2, [d + pull for d in dt_dq], dt_dp
 
 
 def _pair_terms(variant, params, q):
     """Pair coefficients of the lattice Hamiltonian and their q-derivatives.
 
     The pair part of H is sum_{a<b} c_M M_ab^2 + c_N N_ab^2, both orderings
-    of the printed double sum counted.  Returns 2 x n x n arrays (coef,
-    dcoef), stacked as (M, N) is: coef[0, a, b] = coef[0, b, a] = c_M of the
-    pair, dcoef[0, a, b] = dc_M/dq_a and dcoef[0, b, a] = dc_M/dq_b, and
-    likewise for N at index 1.
+    of the printed double sum counted.  ``q`` is a list of floats.  Returns
+    one tuple (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a, dc_N/dq_b) per
+    pair a < b, in row-major order.
     """
     hyper, calogero = variant == "hyperbolic", variant == "calogero"
     if hyper or variant == "trigonometric":
@@ -435,10 +444,9 @@ def _pair_terms(variant, params, q):
     else:
         raise ValueError(f"unknown lattice variant {variant!r}")
     n = len(q)
-    terms = np.zeros((4, n, n))
-    c_m, c_n, d_m, d_n = terms
+    terms = []
     try:
-        qs = [math.exp(x) for x in q.tolist()] if calogero else q.tolist()
+        qs = [math.exp(x) for x in q] if calogero else q
         for a in range(n):
             for b in range(a + 1, n):
                 # repulsive and attractive denominators, c_M = scale / rep^2 and
@@ -455,32 +463,110 @@ def _pair_terms(variant, params, q):
                 if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
                     raise SingularConfiguration("lattice denominator underflow")
                 cm, cn = scale / rep**2, sign * scale / att**2
-                c_m[a, b] = c_m[b, a] = cm
-                c_n[a, b] = c_n[b, a] = cn
-                d_m[a, b], d_m[b, a] = -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep
-                d_n[a, b], d_n[b, a] = -2.0 * cn * att_a / att, -2.0 * cn * att_b / att
-    except OverflowError as exc:
+                terms.append((cm, cn, -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep,
+                              -2.0 * cn * att_a / att, -2.0 * cn * att_b / att))
+    except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf
         raise Overflow("deformation invariants too far apart for the lattice terms") from exc
-    return terms[:2], terms[2:]
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # lattice dynamics
 
 
-def _lattice_rhs_raw(variant, params, q, p, mn, dil_k, dil_c):
-    """(dq, dp, d(M, N)) with M and N stacked in one 2 x n x n array."""
-    coef, dcoef = _pair_terms(variant, params, q)
-    _, dq_h, dp_h = _one_body_terms(variant, params, q, p, dil_k, dil_c)
-    dq_h = dq_h + (dcoef * mn**2).sum(axis=(0, 2))
-    # dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew (c_M, c_N are symmetric).
-    # The rotor brackets drho/dt = [rho, dH/drho] and dtau/dt = [tau, dH/dtau]
-    # of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
-    #   dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N]
-    grad = 2.0 * coef * mn
-    # paired[0] = (dH/dM, dH/dN) and paired[1] = (dH/dN, dH/dM), against (M, N)
-    paired = np.concatenate((grad, grad[::-1])).reshape(2, *mn.shape)
-    return dp_h, -dq_h, (paired @ mn - mn @ paired).sum(axis=1)
+@functools.lru_cache(maxsize=None)
+def _skew_tables(n):
+    """The pairs a < b in row-major order, their (rows, cols) index arrays,
+    and per pair the legs of
+
+        [A, B]_ab = sum_{k not in {a, b}} (A_ak B_kb - B_ak A_kb)
+
+    on skew storage (A_ab kept for a < b only): one (sign, i, j) per k, with
+    A_ak B_kb - B_ak A_kb = sign (A[i] B[j] - B[i] A[j]).  The diagonal of a
+    skew matrix is zero, so k = a and k = b drop out; at n = 2 no leg is left.
+    """
+    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
+    index = {pair: i for i, pair in enumerate(pairs)}
+
+    def entry(a, b):  # (sign, storage index) of X_ab
+        return (1.0, index[a, b]) if a < b else (-1.0, index[b, a])
+
+    legs = []
+    for a, b in pairs:
+        row = []
+        for k in range(n):
+            if k not in (a, b):
+                (s_ak, i), (s_kb, j) = entry(a, k), entry(k, b)
+                row.append((s_ak * s_kb, i, j))
+        legs.append(tuple(row))
+    upper = np.triu_indices(n, 1)  # the same pairs, as index arrays
+    for axis in upper:
+        axis.flags.writeable = False  # cached: shared by every caller
+    return pairs, upper, tuple(legs)
+
+
+def _upper(mat) -> list:
+    """Entries X_ab, a < b, of a square array as a list of floats."""
+    return mat[_skew_tables(len(mat))[1]].tolist()
+
+
+def _unflatten(n, y) -> tuple:
+    """(q, p, M, N) as arrays, M and N antisymmetric, from a flat state or its derivative."""
+    n_start = (len(y) + 2 * n) // 2
+    m_mat, n_mat, upper = *np.zeros((2, n, n)), _skew_tables(n)[1]
+    m_mat[upper], n_mat[upper] = y[2 * n : n_start], y[n_start:]
+    return np.array(y[:n]), np.array(y[n : 2 * n]), m_mat - m_mat.T, n_mat - n_mat.T
+
+
+def _flat_state(lat: TwoPolarState) -> list:
+    """(q, p, M_ab, N_ab for a < b) as one list of floats."""
+    if lat.p is None or lat.M is None or lat.N is None:
+        raise ValueError("the lattice flow needs p, M and N")
+    y = [*lat.q.tolist(), *lat.p.tolist(), *_upper(lat.M), *_upper(lat.N)]
+    if not all(map(math.isfinite, y)):
+        raise ValueError("q, p, M and N must be finite")
+    return y
+
+
+def _lattice_flow(variant, params, n, dil_k, dil_c):
+    """The lattice vector field on flat states (see ``_flat_state``).
+
+    (q, p) are canonical.  dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew;
+    the rotor brackets drho/dt = [rho, dH/drho] and dtau/dt = [tau, dH/dtau]
+    of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
+        dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N].
+    """
+    pairs, _, legs = _skew_tables(n)
+    n_start = 2 * n + len(pairs)
+
+    def flow(y):
+        q, p, m, nn = y[:n], y[n : 2 * n], y[2 * n : n_start], y[n_start:]
+        try:
+            terms = _pair_terms(variant, params, q)
+        except SingularConfiguration:
+            if all(map(math.isfinite, q)):
+                raise
+            # an RK4 stage built from an overflowing derivative, not a collision
+            raise Overflow("the lattice state left the float64 range") from None
+        _, dh_dq, dh_dp = _one_body_terms(variant, params, q, p, dil_k, dil_c)
+        dp, g_m, g_n = [-d for d in dh_dq], [], []
+        for (a, b), (c_m, c_n, dm_a, dm_b, dn_a, dn_b), mv, nv in zip(pairs, terms, m, nn):
+            m2, n2 = mv * mv, nv * nv
+            dp[a] -= dm_a * m2 + dn_a * n2
+            dp[b] -= dm_b * m2 + dn_b * n2
+            g_m.append(2.0 * c_m * mv)
+            g_n.append(2.0 * c_n * nv)
+        d_m, d_n = [], []
+        for row in legs:
+            sum_m = sum_n = 0.0
+            for s, i, j in row:
+                sum_m += s * (g_m[i] * m[j] - m[i] * g_m[j] + g_n[i] * nn[j] - nn[i] * g_n[j])
+                sum_n += s * (g_n[i] * m[j] - m[i] * g_n[j] + g_m[i] * nn[j] - nn[i] * g_m[j])
+            d_m.append(sum_m)
+            d_n.append(sum_n)
+        return dh_dp + dp + d_m + d_n
+
+    return flow
 
 
 def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
@@ -491,12 +577,11 @@ def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
     skew gradients G_rho = dH/drho, G_tau = dH/dtau the momenta evolve by
     commutators drho/dt = [rho, G_rho], dtau/dt = [tau, G_tau] (orientation
     fixed against the exponential-solution flow of the doubly invariant
-    model), pushed through the linear change to (M, N).
+    model), pushed through the linear change to (M, N).  dM and dN are
+    returned as full antisymmetric matrices.
     """
-    dq, dp, dmn = _lattice_rhs_raw(
-        variant, params, lat.q, lat.p, np.array((lat.M, lat.N), dtype=float), dilatation_k, dilatation_center
-    )
-    return dq, dp, dmn[0], dmn[1]
+    flow = _lattice_flow(variant, params, lat.n, dilatation_k, dilatation_center)
+    return _unflatten(lat.n, flow(_flat_state(lat)))
 
 
 def lattice_dynamics(
@@ -513,49 +598,33 @@ def lattice_dynamics(
 
     The rotor configurations L, R are carried along unchanged (the chart
     closes on the momenta alone).  Raises SingularConfiguration when two
-    invariants collide or cross, and ValueError for a ``dt`` that is not
-    finite and positive, a ``sample_every`` below 1 or a non-finite state.
+    invariants collide or cross, Overflow when the state leaves the float64
+    range, and ValueError for a ``dt`` that is not finite and positive, a
+    ``sample_every`` below 1 or a non-finite state.
     """
-    if lat.p is None or lat.M is None or lat.N is None:
-        raise ValueError("lattice dynamics needs p, M and N")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
         raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
-    out = [lat]
+    y = _flat_state(lat)
     n = lat.n
-    # RK4 acts elementwise, so one flat (q, p, M, N) vector gives the same
-    # bits as stepping the four parts apart, with a quarter of the array ops
-
-    def unpack(y):
-        return y[:n], y[n : 2 * n], y[2 * n :].reshape(2, n, n)
-
-    def rhs(y):
-        dq, dp, dmn = _lattice_rhs_raw(
-            variant, params, *unpack(y), dilatation_k, dilatation_center
-        )
-        return np.concatenate((dq, dp, dmn.ravel()))
-
-    y = np.concatenate([lat.q, lat.p, lat.M.ravel(), lat.N.ravel()])
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial q, p, M and N must be finite")
+    flow = _lattice_flow(variant, params, n, dilatation_k, dilatation_center)
+    half, sixth = 0.5 * dt, dt / 6.0
+    out = [lat]
     for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(y[1:n] > y[: n - 1]):
+        k1 = flow(y)
+        k2 = flow([u + half * v for u, v in zip(y, k1)])
+        k3 = flow([u + half * v for u, v in zip(y, k2)])
+        k4 = flow([u + dt * v for u, v in zip(y, k3)])
+        y = [u + sixth * (a + 2 * b + 2 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
+            raise Overflow("the lattice state left the float64 range")
+        if any(y[a + 1] > y[a] for a in range(n - 1)):
             raise SingularConfiguration("deformation invariants crossed")
         if (k + 1) % sample_every == 0 or k == steps - 1:
-            q, p, (m_mat, n_mat) = unpack(y)
-            out.append(
-                TwoPolarState(
-                    L=lat.L, R=lat.R, q=q, p=p,
-                    M=0.5 * (m_mat - m_mat.T), N=0.5 * (n_mat - n_mat.T),
-                    degenerate=lat.degenerate,
-                )
-            )
+            q, p, m_mat, n_mat = _unflatten(n, y)
+            out.append(TwoPolarState(L=lat.L, R=lat.R, q=q, p=p, M=m_mat, N=n_mat,
+                                     degenerate=lat.degenerate))
     return out
 
 

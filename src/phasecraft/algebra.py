@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import Degenerate, NotClosed, Overflow, Singular, SingularMetric
 
@@ -345,13 +344,18 @@ def killing_tensor(alg: LieAlgebraSpec, lam: float = 1.0, mu: float = 0.0) -> Bi
 def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
     """Matrix exponential after the finite and 1-norm guard; ``skew3`` says
     that x is a real antisymmetric 3x3 matrix, whose exponential Rodrigues'
-    formula gives.  Otherwise scaling and squaring (``scipy.linalg.expm``)."""
+    formula gives.  Otherwise scaling and squaring (``scipy.linalg.expm``,
+    imported on first use: a free so(3) top and most runs never load scipy)."""
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise Overflow("non-finite entries in the exponent")
     if np.linalg.norm(x, 1) > _EXP_NORM_BOUND:
         raise Overflow(f"1-norm of the exponent exceeds {_EXP_NORM_BOUND:g}")
-    return _rodrigues(x) if skew3 else scipy.linalg.expm(x)
+    if skew3:
+        return _rodrigues(x)
+    import scipy.linalg
+
+    return scipy.linalg.expm(x)
 
 
 def _rodrigues(x: np.ndarray) -> np.ndarray:

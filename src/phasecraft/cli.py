@@ -140,6 +140,7 @@ _MAX_SAMPLES = 1_000_000  # 2.5 x harmonic_shell's 4e5; 250 MB if every sample i
 _MAX_POINT_STEPS = 100_000_000  # samples x flow steps: 7 x harmonic_shell's 1.5e7
 _MAX_DOF = 3  # ensemble histograms have 8^(2n) and 12^(2n) cells: 24 MB at n = 3, 3.4 GB at 4
 _MAX_GRID = 1024  # wigner grid.N: 2 x the shipped and benchmarked 512; 260 MB at 1024
+_MAX_DIM = 24  # algebra dim: 2.4 x the largest fixture's 10; cohomology peaks near 140 MB at 24
 
 # affine model: (its lattice variant, the constant that sets the coupling)
 _AFFINE_MODELS = {"standard": ("calogero", "J_iso"), "affine_left": ("hyperbolic", "a"),
@@ -273,6 +274,8 @@ def _resolve_algebra(spec):
     if isinstance(spec, str) and not os.path.exists(spec):
         raise SchemaError(f"unknown algebra {spec!r}; fixtures: {fixture_names()}")
     doc = spec if isinstance(spec, dict) else _load_json(spec, "algebra")
+    if isinstance(doc, dict) and "dim" in doc:  # before the (dim, dim, dim) structure array
+        _at_most(_integer(1), _MAX_DIM)(doc["dim"], "algebra.dim")
     try:
         return algebra_from_json(json.dumps(doc))
     except (KeyError, TypeError, ValueError) as exc:  # missing key, bad entry, failed checks
@@ -402,6 +405,11 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     dt, t_end, steps, sample_every = _time_grid(scn)
     tol = scn["tolerances"]
 
+    # the (phi, sigma_hat[, x]) chart or the lattice chart (q, M, N[, L, R]); p belongs to both
+    charts = [[f"initial.{k}" for k in keys if init[k] is not None]
+              for keys in (("phi", "sigma_hat", "x"), ("q", "M", "N", "L", "R"))]
+    if all(charts):
+        raise SchemaError(f"initial mixes the two charts: {charts[0]} and {charts[1]}")
     need = ("phi", "sigma_hat") if init["phi"] is not None else ("q", "p", "M", "N")
     missing = [f"initial.{k}" for k in need if init[k] is None]
     if missing:

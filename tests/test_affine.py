@@ -418,8 +418,8 @@ def test_lattice_flow_matches_exponential_solution():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lattice_flow_equals_rk4_on_separate_parts(n):
-    # reference: RK4 on q, p, M and N as four arrays; stepping one flat state
-    # vector must reproduce it bit for bit
+    # reference: RK4 on q, p, M and N as four arrays, stepped with the public
+    # lattice_rhs; the flat state of lattice_dynamics must reproduce it bit for bit
     rng = np.random.default_rng(n)
     skew = [a - a.T for a in rng.normal(size=(2, n, n))]
     lat0 = TwoPolarState(L=np.eye(n), R=np.eye(n), q=np.linspace(1.0, -1.0, n),
@@ -427,9 +427,8 @@ def test_lattice_flow_equals_rk4_on_separate_parts(n):
 
     def rhs(y):
         q, p, m_mat, n_mat = y
-        dq, dp, dmn = affine._lattice_rhs_raw(
-            "hyperbolic", {"a": 1.0}, q, p, np.stack((m_mat, n_mat)), 0.0, 0.0)
-        return dq, dp, dmn[0], dmn[1]
+        lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q, p=p, M=m_mat, N=n_mat)
+        return affine.lattice_rhs("hyperbolic", {"a": 1.0}, lat)
 
     dt, parts = 1e-3, [lat0.q, lat0.p, lat0.M, lat0.N]
     for _ in range(20):
@@ -444,6 +443,48 @@ def test_lattice_flow_equals_rk4_on_separate_parts(n):
     npt.assert_array_equal(got.p, parts[1])
     npt.assert_array_equal(got.M, 0.5 * (parts[2] - parts[2].T))
     npt.assert_array_equal(got.N, 0.5 * (parts[3] - parts[3].T))
+
+
+def _pair_coefficients(variant, params, q):
+    """Symmetric n x n matrices c_M, c_N of H's pair part sum_{a<b} c_M M^2 + c_N N^2."""
+    if variant == "calogero":
+        big_q = np.exp(q)
+        rep, att = np.subtract.outer(big_q, big_q), np.add.outer(big_q, big_q)
+        scale, sign = 0.25 / params["I"], 1.0
+    else:
+        half = 0.5 * np.subtract.outer(q, q)
+        hyper = variant == "hyperbolic"
+        rep, att = (np.sinh(half), np.cosh(half)) if hyper else (np.sin(half), np.cos(half))
+        scale, sign = 1.0 / (16.0 * params["a"]), -1.0 if hyper else 1.0
+    off = ~np.eye(len(q), dtype=bool)
+    rep, att = np.where(off, rep, np.inf), np.where(off, att, np.inf)  # no self-pairs
+    return scale / rep**2, sign * scale / att**2
+
+
+@pytest.mark.parametrize("dilatation_k", [0.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant,params", [
+    ("hyperbolic", {"a": 1.3}), ("trigonometric", {"a": 0.8}), ("calogero", {"I": 0.6}),
+], ids=["hyperbolic", "trigonometric", "calogero"])
+def test_lattice_rhs_matches_full_matrix_commutators(variant, params, n, dilatation_k):
+    # the full-matrix form of the rotor flow: with G_M = dH/dM = 2 c_M M and
+    # G_N = 2 c_N N, dM = [G_M, M] + [G_N, N] and dN = [G_N, M] + [G_M, N]
+    rng = np.random.default_rng(11 * n)
+    skew = [a - a.T for a in rng.normal(size=(2, n, n))]
+    q = np.linspace(1.2, -1.2, n) + 0.02 * rng.normal(size=n)
+    lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q, p=rng.normal(size=n), M=skew[0], N=skew[1])
+    c_m, c_n = _pair_coefficients(variant, params, q)
+    g_m, g_n = 2.0 * c_m * lat.M, 2.0 * c_n * lat.N
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    _, _, d_m, d_n = affine.lattice_rhs(variant, params, lat, dilatation_k=dilatation_k,
+                                        dilatation_center=0.2)
+    npt.assert_allclose(d_m, comm(g_m, lat.M) + comm(g_n, lat.N), rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(d_n, comm(g_n, lat.M) + comm(g_m, lat.N), rtol=1e-12, atol=1e-12)
+    if n == 2:  # so(2) is abelian: the couplings of a pair are constants of motion
+        assert not d_m.any() and not d_n.any()
 
 
 @pytest.mark.parametrize("dilatation_k", [0.0, 3.0])
@@ -491,6 +532,19 @@ def test_lattice_dynamics_rejects_bad_steps_and_states(dt, steps, sample_every, 
     )
     with pytest.raises(ValueError):
         lattice_dynamics("hyperbolic", {"a": 1.0}, lat, dt, steps, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("p,m12,n12", [
+    ([0.0, 0.0], 1e160, 1.2), ([0.0, 0.0], 1e160, 1e160), ([1e300, -1e300], 1.0, 1.2),
+], ids=["coupling_squared_overflows", "infinite_forces_cancel_to_nan", "sinh_overflows"])
+def test_lattice_dynamics_names_an_overflowing_state(p, m12, n12):
+    # a NaN stage of an overflowing step must not read as an invariant collision
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array([1.5, -1.5]), p=np.array(p),
+        M=np.array([[0.0, m12], [-m12, 0.0]]), N=np.array([[0.0, n12], [-n12, 0.0]]),
+    )
+    with pytest.raises(Overflow):
+        lattice_dynamics("hyperbolic", {"a": 1.0}, lat, 1e-3, 10)
 
 
 @pytest.mark.parametrize("seed", [9, 21, 33])

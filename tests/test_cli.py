@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,14 +210,31 @@ SO3_DOC = {"dim": 3, "structure": [[2, 0, 1, 1.0], [0, 1, 2, 1.0], [1, 2, 0, 1.0
     {**SO3_DOC, "structure": [[2, 0, 1, float("nan")]]},
     {"dim": 2, "structure": [], "basis": [[[float("nan"), 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
     {**SO3_DOC, "structure": [[2, 0, 1, float("inf")]]},
+    # int() would truncate 3.5 and run an so(3) of dim 3
+    {**SO3_DOC, "dim": 3.5},
+    # over the size budget: refused before the (dim, dim, dim) structure array is allocated
+    {"dim": 1000000, "structure": []},
 ], ids=["dim_text", "entry_short", "entry_text", "index_too_large", "index_negative",
-        "dim_missing", "basis_wrong_length", "entry_nan", "basis_nan", "entry_inf"])
+        "dim_missing", "basis_wrong_length", "entry_nan", "basis_nan", "entry_inf",
+        "dim_fraction", "dim_over_budget"])
 def test_cohomology_bad_algebra_document_is_schema_error(tmp_path, doc, where):
     algebra = doc if where == "inline" else write(tmp_path, "alg.json", doc)
     scen = write(tmp_path, "c.json", {"algebra": algebra})
     with pytest.raises(SchemaError):
         cli.run("cohomology", scen, str(tmp_path / "out"), seed=None)
     assert cli.main(["cohomology", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_and_free_top_leave_scipy_unloaded(tmp_path):
+    # scipy.linalg is imported by the first non-Rodrigues exponential only
+    scen = write(tmp_path, "top.json", {**FREE_TOP, "initial": {"sigma": [1.0, 1.0, 1.0]}})
+    code = ("import sys; from phasecraft import cli; "
+            "assert 'scipy.linalg' not in sys.modules; "
+            f"assert cli.main(['euler', {scen!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "assert 'scipy.linalg' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_euler_torqued_top_checks_energy_only(tmp_path):
@@ -345,6 +364,31 @@ def test_bad_affine_values_are_schema_errors(tmp_path, change):
     scen = write(tmp_path, "a.json", doc)
     with pytest.raises(SchemaError):
         cli.run("affine", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"q": [9.0, -9.0], "M": [[0.0, 5.0], [-5.0, 0.0]]}, {"N": [[0.0, 1.0], [-1.0, 0.0]]},
+    {"L": [[1.0, 0.0], [0.0, 1.0]]}, {"R": [[1.0, 0.0], [0.0, 1.0]]},
+], ids=["q_and_M", "N", "L", "R"])
+def test_affine_initial_mixing_the_two_charts_is_schema_error(tmp_path, extra):
+    initial = {"phi": [[2.0, 0.0], [0.0, 0.5]], "sigma_hat": [[0.0, 1.0], [0.0, 0.0]], **extra}
+    scen = write(tmp_path, "a.json", {**LATTICE, "model": "affine_left", "initial": initial})
+    with pytest.raises(SchemaError) as err:
+        cli.run("affine", scen, str(tmp_path / "out"), seed=None)
+    assert all(f"initial.{key}" in str(err.value) for key in extra)
+    assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
+    # p belongs to both charts
+    initial = {"phi": initial["phi"], "sigma_hat": initial["sigma_hat"], "p": [0.0, 0.0]}
+    scen = write(tmp_path, "b.json", {**LATTICE, "model": "affine_left", "initial": initial})
+    assert cli.run("affine", scen, str(tmp_path / "ok"), seed=None) == 0
+
+
+@pytest.mark.parametrize("initial", [
+    {"M": [[0.0, 1e160], [-1e160, 0.0]]}, {"p": [1e300, -1e300]},
+], ids=["coupling_squared_overflows", "sinh_overflows"])
+def test_affine_overflowing_state_exits_2(tmp_path, initial):
+    scen = write(tmp_path, "a.json", {**LATTICE, "initial": {**LATTICE["initial"], **initial}})
     assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
 
 
