@@ -35,11 +35,18 @@ _FLOAT_FMT = "%.17g"
 # value rules: rule(value, key) returns the checked value or raises SchemaError
 
 
+def _has_bool(value) -> bool:
+    """True for a JSON boolean, also one nested in lists: ``true`` is no number."""
+    if isinstance(value, list):
+        return any(_has_bool(item) for item in value)
+    return isinstance(value, bool)
+
+
 def _real(low: float = -np.inf, strict: bool = False):
     """A finite number >= low, or > low when strict."""
     def rule(value, key: str) -> float:
         try:
-            number = float(value)
+            number = np.nan if _has_bool(value) else float(value)
         except (TypeError, ValueError, OverflowError):
             number = np.nan
         if not (np.isfinite(number) and (number > low if strict else number >= low)):
@@ -58,7 +65,7 @@ def _integer(low: int):
             number = int(value)
         except (TypeError, ValueError, OverflowError):
             number = None
-        if number is None or number != value or number < low:
+        if number is None or number != value or number < low or _has_bool(value):
             raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
         return number
     return rule
@@ -77,7 +84,7 @@ def _array(*shape):
     accepts any length along that axis."""
     def rule(value, key: str) -> np.ndarray:
         try:
-            arr = np.asarray(value, dtype=float)
+            arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
         except (TypeError, ValueError, OverflowError):
             arr = np.empty(0)
         if not (arr.size and arr.ndim == len(shape) and np.isfinite(arr).all()

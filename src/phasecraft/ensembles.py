@@ -126,13 +126,12 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
     per_batch = shell.samples // _N_BATCHES
     mu_total = liouville_volume(region)
     z_parts = np.array([len(b) / per_batch * mu_total for b in batches])
-    f_parts = np.array(
-        [np.mean(np.asarray(f(b))) if len(b) else np.nan for b in batches]
-    )
+    values = [np.asarray(f(b)) for b in batches if len(b)]  # f once per accepted point
+    f_parts = np.array([np.mean(v) for v in values])
     good = ~np.isnan(f_parts)
     if not np.any(good):
         raise EmptyShell("no sample hit the shell")
-    mean_f = float(np.concatenate([np.asarray(f(b)) for b in batches if len(b)]).mean())
+    mean_f = float(np.concatenate(values).mean())
     z_val = float(z_parts.mean())
     stderr_f = float(np.std(f_parts[good], ddof=1) / np.sqrt(good.sum())) if good.sum() > 1 else float("inf")
     stderr_z = float(np.std(z_parts, ddof=1) / np.sqrt(len(z_parts)))

@@ -1,5 +1,9 @@
 """Bundled algebra fixtures.
 
+Each fixture is defined by one JSON document, ``fixtures/<name>.json`` in
+this package, read and checked by :func:`phasecraft.algebra.algebra_from_json`
+like every user algebra document.
+
 Matrix bases are supplied where a faithful low-dimensional realization is
 standard (rotation, Lorentz, linear and Heisenberg algebras); the Galilei
 and extended-Heisenberg algebras are given by structure constants alone.
@@ -7,203 +11,52 @@ and extended-Heisenberg algebras are given by structure constants alone.
 Conventions:
 
 * so3 -- generators ``eps_a`` with ``[eps_a, eps_b] = eps_abc eps_c``.
+* sl2 -- basis (h, e, f) with ``[h, e] = 2e``, ``[h, f] = -2f``, ``[e, f] = h``.
 * so13 -- basis (M1, M2, M3, N1, N2, N3) in signature (+---), satisfying
   ``[M_i, M_j] = -eps_ij^k M_k``, ``[M_i, N_j] = -eps_ij^k N_k``,
-  ``[N_i, N_j] = -eps_ij^k M_k``.
+  ``[N_i, N_j] = +eps_ij^k M_k``; the generators ``eps^{ab}`` of
+  :func:`phasecraft.algebra.so_basis`, reordered and signed.
+* gl2, gl3 -- the units ``E_a^b`` of :func:`phasecraft.algebra.gl_basis`,
+  index ``a n + b``.
 * heisenberg -- basis (Z, Q1..Q3, P1..P3) with ``[Q_j, P_k] = delta_jk Z``.
-* heisenberg_rot -- basis (Z, Q1..3, P1..3, J1..3); rotations act on Q and P.
+* heisenberg_rot -- basis (Z, Q1..3, P1..3, J1..3); rotations act on Q and
+  P: ``[J_i, Q_j] = eps_ijk Q_k``, ``[J_i, P_j] = eps_ijk P_k``.
 * galilei -- basis (H, P1..3, K1..3, J1..3) with ``[K_i, H] = P_i`` and
   ``[K_i, P_j] = 0``; the classical algebra, whose one-dimensional second
   cohomology is the mass extension.
-* euclidean3 -- basis (P1..3, J1..3) of isometries of flat 3-space.
+* euclidean3 -- basis (P1..3, J1..3) of isometries of flat 3-space, with
+  ``[J_i, P_j] = eps_ijk P_k``.
+* abelian1, abelian2 -- zero brackets.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from .algebra import LieAlgebraSpec, gl_basis, so_basis, structure_from_basis
+from .algebra import LieAlgebraSpec, algebra_from_json
 
 __all__ = ["fixture", "fixture_names", "eps3"]
 
-
-def eps3() -> list[np.ndarray]:
-    """Standard rotation generators eps_1, eps_2, eps_3."""
-    e1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    e2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    e3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return [e1, e2, e3]
-
-
-def _so3() -> LieAlgebraSpec:
-    c = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                c[k, i, j] = _levi_civita()[i, j, k]
-    return LieAlgebraSpec(dim=3, structure=c, basis=tuple(eps3()), label="so3")
-
-
-def _sl2() -> LieAlgebraSpec:
-    h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    c = np.zeros((3, 3, 3))
-    _set(c, 1, 0, 1, 2.0)   # [h, e] = 2e
-    _set(c, 2, 0, 2, -2.0)  # [h, f] = -2f
-    _set(c, 0, 1, 2, 1.0)   # [e, f] = h
-    return LieAlgebraSpec(dim=3, structure=c, basis=(h, e, f), label="sl2")
-
-
-def _so13() -> LieAlgebraSpec:
-    # so_basis on (+---) yields eps^{ab}, a<b, ordered
-    # (01),(02),(03),(12),(13),(23); rearrange to (M1,M2,M3,N1,N2,N3) with
-    # the rotation generators oriented so that [M_i, M_j] = -eps_ij^k M_k
-    # (then [M_i, N_j] = -eps_ij^k N_k and [N_i, N_j] = +eps_ij^k M_k).
-    eps = so_basis(np.diag([1.0, -1.0, -1.0, -1.0]))
-    n1, n2, n3, m3, m2m, m1 = eps
-    basis = [-m1, m2m, -m3, n1, n2, n3]
-    return structure_from_basis(basis, label="so13")
-
-
-def _gl(n: int) -> LieAlgebraSpec:
-    # index layout (a, b) -> a n + b; [E_a^b, E_c^d] = d^b_c E_a^d - d^d_a E_c^b
-    dim = n * n
-    c = np.zeros((dim, dim, dim))
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                for d in range(n):
-                    i, j = a * n + b, cc * n + d
-                    if i >= j:
-                        continue
-                    if b == cc:
-                        c[a * n + d, i, j] += 1.0
-                        c[a * n + d, j, i] -= 1.0
-                    if d == a:
-                        c[cc * n + b, i, j] -= 1.0
-                        c[cc * n + b, j, i] += 1.0
-    return LieAlgebraSpec(
-        dim=dim, structure=c, basis=tuple(gl_basis(n)), label=f"gl{n}"
-    )
-
-
-def _heisenberg_matrices(n: int = 3) -> list[np.ndarray]:
-    # (n+2)x(n+2) strictly upper triangular realization:
-    # Q_j -> E[0, j], P_j -> E[j, n+1], Z -> E[0, n+1].
-    d = n + 2
-    z = np.zeros((d, d))
-    z[0, d - 1] = 1.0
-    mats = [z]
-    for j in range(1, n + 1):
-        q = np.zeros((d, d))
-        q[0, j] = 1.0
-        mats.append(q)
-    for j in range(1, n + 1):
-        p = np.zeros((d, d))
-        p[j, d - 1] = 1.0
-        mats.append(p)
-    return mats
-
-
-def _heisenberg() -> LieAlgebraSpec:
-    c = np.zeros((7, 7, 7))
-    for j in range(3):
-        _set(c, 0, 1 + j, 4 + j, 1.0)  # [Q_j, P_j] = Z
-    return LieAlgebraSpec(
-        dim=7, structure=c, basis=tuple(_heisenberg_matrices(3)), label="heisenberg"
-    )
-
-
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    return eps
-
-
-
-def _set(c: np.ndarray, k: int, i: int, j: int, v: float) -> None:
-    c[k, i, j] = v
-    c[k, j, i] = -v
-
-def _heisenberg_rot() -> LieAlgebraSpec:
-    # index layout: 0 = Z, 1..3 = Q, 4..6 = P, 7..9 = J
-    n = 10
-    eps = _levi_civita()
-    c = np.zeros((n, n, n))
-    for j in range(3):
-        _set(c, 0, 1 + j, 4 + j, 1.0)  # [Q_j, P_j] = Z
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if eps[i, j, k] != 0.0:
-                    _set(c, 7 + k, 7 + i, 7 + j, eps[i, j, k])  # [J_i, J_j]
-                    _set(c, 1 + k, 7 + i, 1 + j, eps[i, j, k])  # [J_i, Q_j]
-                    _set(c, 4 + k, 7 + i, 4 + j, eps[i, j, k])  # [J_i, P_j]
-    return LieAlgebraSpec(dim=n, structure=c, label="heisenberg_rot")
-
-
-def _galilei() -> LieAlgebraSpec:
-    # index layout: 0 = H, 1..3 = P, 4..6 = K, 7..9 = J
-    n = 10
-    eps = _levi_civita()
-    c = np.zeros((n, n, n))
-    for i in range(3):
-        _set(c, 1 + i, 4 + i, 0, 1.0)  # [K_i, H] = P_i
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if eps[i, j, k] != 0.0:
-                    _set(c, 7 + k, 7 + i, 7 + j, eps[i, j, k])
-                    _set(c, 1 + k, 7 + i, 1 + j, eps[i, j, k])
-                    _set(c, 4 + k, 7 + i, 4 + j, eps[i, j, k])
-    return LieAlgebraSpec(dim=n, structure=c, label="galilei")
-
-
-def _euclidean3() -> LieAlgebraSpec:
-    # index layout: 0..2 = P, 3..5 = J
-    n = 6
-    eps = _levi_civita()
-    c = np.zeros((n, n, n))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if eps[i, j, k] != 0.0:
-                    _set(c, 3 + k, 3 + i, 3 + j, eps[i, j, k])
-                    _set(c, k, 3 + i, j, eps[i, j, k])
-    return LieAlgebraSpec(dim=n, structure=c, label="euclidean3")
-
-
-def _abelian(n: int) -> LieAlgebraSpec:
-    return LieAlgebraSpec(dim=n, structure=np.zeros((n, n, n)), label=f"abelian{n}")
-
-
-_BUILDERS = {
-    "so3": _so3,
-    "sl2": _sl2,
-    "so13": _so13,
-    "gl2": lambda: _gl(2),
-    "gl3": lambda: _gl(3),
-    "heisenberg": _heisenberg,
-    "heisenberg_rot": _heisenberg_rot,
-    "galilei": _galilei,
-    "euclidean3": _euclidean3,
-    "abelian1": lambda: _abelian(1),
-    "abelian2": lambda: _abelian(2),
-}
-
+_DIR = Path(__file__).with_name("fixtures")
+_NAMES = tuple(sorted(path.stem for path in _DIR.glob("*.json")))
 _CACHE: dict[str, LieAlgebraSpec] = {}
 
 
 def fixture_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return list(_NAMES)
 
 
 def fixture(name: str) -> LieAlgebraSpec:
     """Return a bundled algebra by name (cached, immutable)."""
-    if name not in _BUILDERS:
+    if name not in _NAMES:
         raise KeyError(f"unknown algebra fixture {name!r}; have {fixture_names()}")
     if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
+        _CACHE[name] = algebra_from_json((_DIR / f"{name}.json").read_text(encoding="utf-8"))
     return _CACHE[name]
+
+
+def eps3() -> list[np.ndarray]:
+    """Standard rotation generators eps_1, eps_2, eps_3 (copies of so3's basis)."""
+    return [m.copy() for m in fixture("so3").basis]

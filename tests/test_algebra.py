@@ -278,16 +278,58 @@ def test_group_membership_orthogonal_tag():
     assert g.membership_residual() > 1e-9
 
 
-def test_bundled_json_files_match_builders():
-    import importlib.resources as resources
+def test_fixture_names_are_the_shipped_documents():
+    # a document missing from a checkout would shrink every test over fixture_names()
+    assert fixture_names() == [
+        "abelian1", "abelian2", "euclidean3", "galilei", "gl2", "gl3",
+        "heisenberg", "heisenberg_rot", "sl2", "so13", "so3",
+    ]
 
-    from phasecraft.algebra import algebra_from_json
 
-    for name in fixture_names():
-        text = (
-            resources.files("phasecraft") / "fixtures" / f"{name}.json"
-        ).read_text()
-        loaded = algebra_from_json(text)
-        built = fixture(name)
-        npt.assert_array_equal(loaded.structure, built.structure)
-        assert loaded.label == built.label
+def _rotation_rules(name, i0, j0, k0, symbol):
+    """``[X_i, Y_j] = eps_ijk Z_k`` for the index offsets of X, Y and Z."""
+    eps = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+           (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
+    return [pytest.param(name, i0 + i, j0 + j, {k0 + k: eps.get((i, j, k), 0.0) for k in range(3)},
+                         id=f"{name}:{symbol}{i + 1}{j + 1}")
+            for i in range(3) for j in range(3)]
+
+
+# (fixture, a, b, coordinates of [e_a, e_b]): the rules that the docstring of
+# phasecraft.fixtures states and no other test checks
+@pytest.mark.parametrize("name,a,b,coords", [
+    pytest.param("sl2", 0, 1, {1: 2.0}, id="sl2:[h,e]=2e"),
+    pytest.param("sl2", 0, 2, {2: -2.0}, id="sl2:[h,f]=-2f"),
+    pytest.param("sl2", 1, 2, {0: 1.0}, id="sl2:[e,f]=h"),
+    *[pytest.param("heisenberg", 1 + j, 4 + k, {0: float(j == k)},
+                   id=f"heisenberg:[Q{j + 1},P{k + 1}]") for j in range(3) for k in range(3)],
+    *_rotation_rules("heisenberg_rot", 7, 1, 1, "[J,Q]"),
+    *_rotation_rules("heisenberg_rot", 7, 4, 4, "[J,P]"),
+    *[pytest.param("galilei", 4 + i, 0, {1 + i: 1.0}, id=f"galilei:[K{i + 1},H]")
+      for i in range(3)],
+    *[pytest.param("galilei", 4 + i, 1 + j, {}, id=f"galilei:[K{i + 1},P{j + 1}]")
+      for i in range(3) for j in range(3)],
+    *_rotation_rules("euclidean3", 3, 0, 0, "[J,P]"),
+])
+def test_fixture_bracket_rules(name, a, b, coords):
+    spec = fixture(name)
+    unit = np.eye(spec.dim)
+    want = np.zeros(spec.dim)
+    for k, value in coords.items():
+        want[k] = value
+    npt.assert_array_equal(spec.bracket_coords(unit[a], unit[b]), want)
+
+
+def test_fixture_bases_are_the_library_bases():
+    for n in (2, 3):
+        npt.assert_array_equal(fixture(f"gl{n}").basis, gl_basis(n))
+    # so_basis on (+---) orders eps^{ab}, a < b, as (01),(02),(03),(12),(13),(23)
+    n1, n2, n3, m3, m2, m1 = so_basis(np.diag([1.0, -1.0, -1.0, -1.0]))
+    npt.assert_array_equal(fixture("so13").basis, [-m1, m2, -m3, n1, n2, n3])
+
+
+def test_eps3_returns_copies_of_the_so3_basis():
+    first = eps3()
+    npt.assert_array_equal(first, fixture("so3").basis)
+    first[0][0, 0] = 5.0
+    assert fixture("so3").basis[0][0, 0] == 0.0

@@ -67,6 +67,14 @@ def test_harmonic_partition_function_area_law():
     assert abs(res["Z"] - want) / want <= 0.05
 
 
+def test_shell_observable_evaluated_once_per_accepted_point():
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=3)
+    seen = []
+    ens.shell_probability(shell, box(2.2), lambda z: seen.append(len(z)) or harmonic(z))
+    assert sum(seen) == sum(len(b) for b in ens.shell_samples(shell, box(2.2)))
+
+
 def test_shell_determinism_under_seed():
     shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
                               samples=30_000, seed=7)

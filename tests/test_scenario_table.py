@@ -81,15 +81,21 @@ def place(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
-def assert_named_exit(sub: str, doc: dict, tmp: str) -> None:
+def run_cli(sub: str, doc: dict, tmp: str) -> tuple[int, str]:
+    """(exit code, standard error) of ``phasecraft sub`` on ``doc``."""
     scen = os.path.join(tmp, "s.json")
     with open(scen, "w") as fh:
         json.dump(doc, fh)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([sub, scen, "--out", os.path.join(tmp, "out")])
-    assert code in (0, 1, 2), (doc, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def assert_named_exit(sub: str, doc: dict, tmp: str) -> None:
+    code, err = run_cli(sub, doc, tmp)
+    assert code in (0, 1, 2), (doc, err)
+    assert "Traceback" not in err
 
 
 IDS = [f"{sub}:{'.'.join(path)}" for sub, path in PATHS]
@@ -132,3 +138,18 @@ def test_readme_names_every_table_key(sub):
     # tolerance names are the rows of the tolerance table
     keys = {".".join(path) for s, path in PATHS if s == sub and path[:1] != ("tolerances",)}
     assert {key for key in keys if f"`{key}`" not in section} == set()
+
+
+# JSON true must not pass for the number 1; each case names the refused key
+@pytest.mark.parametrize("sub,path,value,key", [
+    ("affine", ("constants", "a"), True, "constants.a"),
+    ("affine", ("sample_every",), True, "sample_every"),
+    ("affine", ("initial", "q"), [True, False], "initial.q"),
+    ("wigner", ("hbar",), True, "hbar"),
+    ("cohomology", ("algebra",), {"dim": True, "structure": []}, "algebra.dim"),
+], ids=["affine:constants.a", "affine:sample_every", "affine:initial.q", "wigner:hbar",
+        "cohomology:algebra.dim"])
+def test_json_booleans_are_not_numbers(tmp_path, sub, path, value, key):
+    code, err = run_cli(sub, place(BASE[sub], path, value), str(tmp_path))
+    assert code == 2, err
+    assert f"error: {key} " in err
