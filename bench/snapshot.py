@@ -1,0 +1,73 @@
+"""Write ``BENCH_<K>.json``: the benchmark's result lines for one checkout.
+
+    python3 bench/snapshot.py K [--checkout DIR]
+
+Runs ``perfbench/run.py`` of the checkout (default: this repository) as a
+subprocess for every workload that its ``BENCHMARK.json`` declares, once at
+``--trace 0`` (the end-to-end metrics) and once at ``--trace 1`` (the
+per-layer and kernel metrics), at seed 1 for ``SECONDS`` seconds.  It writes
+``BENCH_<K>.json`` at the root of this repository with each run's result
+line, the environment line that run.py prints, the checkout's git SHA and
+whether tracked files differed from it.
+Standard library only; the file is meant to be committed, one per change
+that touches a hot path, so that the rows a change moves can be named.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+SECONDS = 10
+TIMEOUT_S = 900
+
+
+def git(checkout: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run(checkout: Path, workload: str, trace: int) -> dict:
+    """One run.py process: its environment line and its result line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    env = next(line for line in lines if line.startswith("environment: "))
+    return {"workload": workload, "trace": trace, "seed": SEED, "seconds": SECONDS,
+            "environment": json.loads(env[len("environment: "):]),
+            "result": json.loads(lines[-1])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("k", type=int, help="the number in BENCH_<K>.json")
+    parser.add_argument("--checkout", type=Path, default=ROOT,
+                        help="root of the checkout to measure (default: this repository)")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = []
+    for trace in (0, 1):
+        for workload in (w["name"] for w in spec["workloads"]):
+            print(f"{workload} --trace {trace}", file=sys.stderr, flush=True)
+            runs.append(run(checkout, workload, trace))
+    out = ROOT / f"BENCH_{args.k}.json"
+    # a SHA names the measured code only when no tracked file differs from it
+    doc = {"git_sha": git(checkout, "rev-parse", "HEAD"),
+           "tracked_changes": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+           "runs": runs}
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -96,11 +96,13 @@ class LieAlgebraSpec:
             raise ValueError(f"Jacobi identity violated, residual {resid:.3e}")
 
         if self.basis is not None:
-            mats = tuple(np.asarray(m) for m in self.basis)
+            mats = tuple(np.array(m) for m in self.basis)  # own copies, read-only like structure
             if len(mats) != self.dim:
                 raise ValueError("basis must contain dim matrices")
             if not all(np.isfinite(m).all() for m in mats):
                 raise ValueError("basis matrices must be finite")
+            for m in mats:
+                m.setflags(write=False)
             object.__setattr__(self, "basis", mats)
             mscale = max(1.0, max(float(np.max(np.abs(m))) for m in mats) ** 2)
             for i in range(self.dim):

@@ -309,7 +309,8 @@ class _Artifacts:
         self._register(name, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = [",".join(header)] + [",".join(_FLOAT_FMT % v for v in row) for row in rows]
+        row_fmt = ",".join([_FLOAT_FMT] * len(header))
+        lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows]
         self._register(name, ("\n".join(lines) + "\n").encode())
 
     def write_array(self, name: str, arr: np.ndarray) -> None:
@@ -556,7 +557,7 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
     art.write_csv(
         "marginals.csv",
         ["q", "position_density", "p", "momentum_density"],
-        [[q, pd, p, md] for q, pd, p, md in zip(w.q_grid, pos, w.p_grid, mom)],
+        np.column_stack([w.q_grid, pos, w.p_grid, mom]).tolist(),
     )
     pos_err = float(np.max(np.abs(pos - np.abs(psi.psi) ** 2)))
     mom_err = float(np.max(np.abs(mom - np.abs(psi.fourier()) ** 2)))

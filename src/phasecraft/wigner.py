@@ -290,16 +290,16 @@ def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
     corr = np.conj(minus) * plus
     corr[:, 2 * n] = 0.0  # unpaired endpoint of the symmetric s-range
 
-    # W[i, k] = dx / (2 pi hbar) sum_r corr[i, r] e^{-i p_k r dx / hbar} with
-    # p_k = (k - 2n) dp / 4; the r-sum is an FFT of length 4n and the
-    # state's own dual lattice (spacing dp) sits at k = 4c.
-    signs = (-1.0) ** np.arange(four_n)  # centers the p-lattice
-    table = np.fft.fft(corr * signs, axis=1)
-    w_full = table * psi.dx / (2.0 * np.pi * hbar)
+    # W[i, c] = dx / (2 pi hbar) sum_r corr[i, r] e^{-i p_c r dx / hbar} over the 4n
+    # separations, p_c = (c - n/2) dp, i.e. the phase (-1)^r e^{-2 pi i c r / n}.
+    # It has period n in r, so the sum folds onto n bins, y[m] = sum_t corr[i, m + t n],
+    # before a length-n FFT; n is a power of two >= 4, hence even, and the
+    # centring sign (-1)^(m + t n) is (-1)^m.
+    signs = (-1.0) ** np.arange(n)  # centers the p-lattice
+    table = np.fft.fft(corr.reshape(n, 4, n).sum(axis=1) * signs, axis=1)
+    table *= psi.dx / (2.0 * np.pi * hbar)
     dp = psi.dp
-    w = PhaseGrid(
-        values=w_full[:, ::4], dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar
-    )
+    w = PhaseGrid(values=table, dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar)
     # the correlation is Hermitian in r, so the field is real up to rounding and
     # PhaseGrid keeps it complex only when the transform produced non-finite values
     if np.iscomplexobj(w.values):

@@ -333,3 +333,17 @@ def test_eps3_returns_copies_of_the_so3_basis():
     npt.assert_array_equal(first, fixture("so3").basis)
     first[0][0, 0] = 5.0
     assert fixture("so3").basis[0][0, 0] == 0.0
+
+
+def test_cached_fixture_bases_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        fixture("so3").basis[0][0, 0] = 5.0
+    assert fixture("so3").basis[0][0, 0] == 0.0
+    assert all(not m.flags.writeable for m in fixture("so13").basis)
+    assert eps3()[0].flags.writeable
+
+
+def test_user_basis_is_copied_before_it_is_frozen():
+    mats = [m.copy() for m in eps3()]
+    spec = alg.LieAlgebraSpec(3, fixture("so3").structure, basis=tuple(mats))
+    assert not spec.basis[0].flags.writeable and mats[0].flags.writeable

@@ -128,9 +128,9 @@ def test_cat_state_marginal_positive_despite_fringes():
     assert pos[i_left] > 10.0 * pos[i_mid]
 
 
-def _row_loop_transform(psi):
-    """The transform's field with its correlation built one row at a time,
-    by an index gather per row (the reference for the strided views)."""
+def _row_loop_correlation(psi):
+    """The transform's correlation built one row at a time, by an index
+    gather per row (the reference for the strided views)."""
     n = psi.n_points
     padded = np.zeros(2 * n, dtype=complex)
     padded[n // 2 : n // 2 + n] = psi.psi
@@ -144,24 +144,48 @@ def _row_loop_transform(psi):
         minus = up[(u - idx) % four_n]
         corr[i] = np.conj(minus) * plus
     corr[:, 2 * n] = 0.0
-    signs = (-1.0) ** idx
-    table = np.fft.fft(corr * signs, axis=1)
-    w_full = table * psi.dx / (2.0 * np.pi * psi.hbar)
-    return w_full[:, ::4].real
+    return corr
 
 
-@pytest.mark.parametrize("n", [64, 256, 512])
-@pytest.mark.parametrize("make", [
+def _row_loop_transform(psi):
+    """The field from the row-loop correlation, folded onto n bins and
+    transformed as the library does."""
+    n = psi.n_points
+    folded = _row_loop_correlation(psi).reshape(n, 4, n).sum(axis=1)
+    table = np.fft.fft(folded * (-1.0) ** np.arange(n), axis=1)
+    table *= psi.dx / (2.0 * np.pi * psi.hbar)
+    return table.real
+
+
+_transform_sizes = pytest.mark.parametrize("n", [64, 256, 512])
+_transform_states = pytest.mark.parametrize("make", [
     lambda n: wg.ho_ground(n, -8.0, 8.0),
     lambda n: wg.ho_excited(3, n, -8.0, 8.0),
     lambda n: wg.gaussian_packet(0.8, n, -8.0, 8.0, q_center=0.5, p_center=0.3),
     lambda n: wg.cat_state(4.0, n, -12.0, 12.0),
 ], ids=["ho_ground", "ho_excited_3", "displaced_gaussian", "cat"])
+
+
+@_transform_sizes
+@_transform_states
 def test_wigner_transform_matches_row_loop(make, n):
     psi = make(n).normalized()
     w = wg.wigner_transform(psi)
     assert w.values.dtype == np.float64
     npt.assert_array_equal(w.values, _row_loop_transform(psi))
+
+
+@_transform_sizes
+@_transform_states
+def test_wigner_fold_matches_full_length_transform(make, n):
+    # bin 4c of the length-4n DFT is bin c of the length-n DFT of the folded rows
+    psi = make(n).normalized()
+    w = wg.wigner_transform(psi).values
+    signs = (-1.0) ** np.arange(4 * n)
+    full = np.fft.fft(_row_loop_correlation(psi) * signs, axis=1)[:, ::4]
+    full *= psi.dx / (2.0 * np.pi * psi.hbar)
+    scale = float(np.max(np.abs(w)))
+    assert float(np.max(np.abs(w - full))) <= 4 * np.finfo(float).eps * scale
 
 
 def test_hermiticity_guard_raises(monkeypatch):
