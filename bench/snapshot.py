@@ -3,12 +3,13 @@
     python3 bench/snapshot.py K [--checkout DIR]
 
 Runs ``perfbench/run.py`` of the checkout (default: this repository) as a
-subprocess for every workload that its ``BENCHMARK.json`` declares, once at
-``--trace 0`` (the end-to-end metrics) and once at ``--trace 1`` (the
-per-layer and kernel metrics), at seed 1 for ``SECONDS`` seconds.  It writes
-``BENCH_<K>.json`` at the root of this repository with each run's result
-line, the environment line that run.py prints, the checkout's git SHA and
-whether tracked files differed from it.
+subprocess for every workload that its ``BENCHMARK.json`` declares, at
+``--trace 0`` (the end-to-end metrics) once per seed in ``SEEDS`` and at
+``--trace 1`` (the per-layer and kernel metrics) once at the first seed,
+each for ``SECONDS`` seconds.  It writes ``BENCH_<K>.json`` at the root of
+this repository with each run's result line, the environment line that
+run.py prints, per workload the median over ``SEEDS`` of each end-to-end
+metric, the checkout's git SHA and whether tracked files differed from it.
 Standard library only; the file is meant to be committed, one per change
 that touches a hot path, so that the rows a change moves can be named.
 """
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
+SEEDS = (1, 2, 3)  # one --trace 0 run each: a single run moves untouched rows by up to 38%
 SECONDS = 10
 TIMEOUT_S = 900
 
@@ -32,16 +34,16 @@ def git(checkout: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run(checkout: Path, workload: str, trace: int) -> dict:
+def run(checkout: Path, workload: str, trace: int, seed: int) -> dict:
     """One run.py process: its environment line and its result line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith("environment: "))
-    return {"workload": workload, "trace": trace, "seed": SEED, "seconds": SECONDS,
+    return {"workload": workload, "trace": trace, "seed": seed, "seconds": SECONDS,
             "environment": json.loads(env[len("environment: "):]),
             "result": json.loads(lines[-1])}
 
@@ -54,16 +56,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
     runs = []
-    for trace in (0, 1):
-        for workload in (w["name"] for w in spec["workloads"]):
-            print(f"{workload} --trace {trace}", file=sys.stderr, flush=True)
-            runs.append(run(checkout, workload, trace))
+    for trace, seeds in ((0, SEEDS), (1, SEEDS[:1])):
+        for workload in workloads:
+            for seed in seeds:
+                print(f"{workload} --trace {trace} --seed {seed}", file=sys.stderr, flush=True)
+                runs.append(run(checkout, workload, trace, seed))
+    medians = {workload: {metric["name"]: statistics.median(
+        r["result"]["metrics"][metric["name"]]["value"]
+        for r in runs if r["workload"] == workload and r["trace"] == 0)
+        for metric in spec["end_to_end"]} for workload in workloads}
     out = ROOT / f"BENCH_{args.k}.json"
     # a SHA names the measured code only when no tracked file differs from it
     doc = {"git_sha": git(checkout, "rev-parse", "HEAD"),
            "tracked_changes": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
-           "runs": runs}
+           "medians": medians, "runs": runs}
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0

@@ -277,21 +277,10 @@ def to_two_polar(state: AffineState) -> TwoPolarState:
     """Full point transformation (phi, sigma_hat) -> (L, q, R; p, M, N)."""
     kin = two_polar(state.phi)
     sigma = kin.R.T @ state.sigma_hat @ kin.R
-    q = kin.q
-    p = np.diag(sigma).copy()
-    n = len(q)
-    rho = np.zeros((n, n))
-    tau = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            rho[a, b] = sigma[b, a] * np.exp(q[b] - q[a]) - sigma[a, b] * np.exp(
-                q[a] - q[b]
-            )
-            tau[a, b] = sigma[a, b] - sigma[b, a]
-            rho[b, a] = -rho[a, b]
-            tau[b, a] = -tau[a, b]
-    m_mat, n_mat = mn_from_rho_tau(rho, tau)
-    return replace(kin, p=p, M=m_mat, N=n_mat)
+    # rho_ab = sigma_ba e^(q_b - q_a) - sigma_ab e^(q_a - q_b), tau_ab = sigma_ab - sigma_ba
+    weighted = sigma * np.exp(np.subtract.outer(kin.q, kin.q))
+    m_mat, n_mat = mn_from_rho_tau(weighted.T - weighted, sigma - sigma.T)
+    return replace(kin, p=np.diag(sigma).copy(), M=m_mat, N=n_mat)
 
 
 def mn_from_rho_tau(rho_hat, tau_hat) -> tuple[np.ndarray, np.ndarray]:

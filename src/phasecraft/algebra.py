@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, NotClosed, Overflow, Singular, SingularMetric
+from .schema import array, at_most, integer, number, read, rows, string
 
 __all__ = [
     "LieAlgebraSpec",
@@ -409,6 +410,15 @@ def coadjoint(g: GroupElement, z: np.ndarray, alg: LieAlgebraSpec) -> np.ndarray
 # JSON round-trip (sparse structure entries, exact float text)
 
 
+_MAX_DIM = 24  # algebra dim: 2.4 x the largest fixture's 10; cohomology peaks near 140 MB at 24
+_DOCUMENT = {  # the loader checks the indices against dim
+    "dim": (at_most(integer(1), _MAX_DIM),),
+    "structure": (rows(integer(0), integer(0), integer(0), number),),
+    "basis": (array(None, None, None), None),
+    "label": (string, ""),
+}
+
+
 def algebra_to_json(alg: LieAlgebraSpec) -> str:
     entries = []
     n = alg.dim
@@ -425,16 +435,11 @@ def algebra_to_json(alg: LieAlgebraSpec) -> str:
 
 
 def algebra_from_json(text: str) -> LieAlgebraSpec:
-    doc = json.loads(text)
-    n = int(doc["dim"])
+    doc = read(_DOCUMENT, json.loads(text), "algebra")
+    n = doc["dim"]
     c = np.zeros((n, n, n))
     for k, i, j, v in doc["structure"]:
-        k, i, j = int(k), int(i), int(j)
-        if not (0 <= k < n and 0 <= i < n and 0 <= j < n):
+        if max(k, i, j) >= n:
             raise ValueError(f"structure entry {[k, i, j, v]} has an index outside [0, {n})")
-        c[k, i, j] = v
-        c[k, j, i] = -v
-    basis = None
-    if doc.get("basis") is not None:
-        basis = tuple(np.asarray(m) for m in doc["basis"])
-    return LieAlgebraSpec(dim=n, structure=c, basis=basis, label=doc.get("label", ""))
+        c[k, i, j], c[k, j, i] = v, -v
+    return LieAlgebraSpec(dim=n, structure=c, basis=doc["basis"], label=doc["label"])

@@ -27,111 +27,37 @@ from .algebra import BilinearForm, GroupElement, algebra_from_json
 from .checks import CRITERIA, check
 from .errors import IoError, PhasecraftError, SchemaError
 from .fixtures import fixture, fixture_names
+from .schema import (MATRIX, VECTOR, array, at_most, integer, nonnegative, number, one_of,
+                     positive, read, rows, variants)
 
 _FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
-# value rules: rule(value, key) returns the checked value or raises SchemaError
-
-
-def _has_bool(value) -> bool:
-    """True for a JSON boolean, also one nested in lists: ``true`` is no number."""
-    if isinstance(value, list):
-        return any(_has_bool(item) for item in value)
-    return isinstance(value, bool)
-
-
-def _real(low: float = -np.inf, strict: bool = False):
-    """A finite number >= low, or > low when strict."""
-    def rule(value, key: str) -> float:
-        try:
-            number = np.nan if _has_bool(value) else float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = np.nan
-        if not (np.isfinite(number) and (number > low if strict else number >= low)):
-            bound = f" {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
-            raise SchemaError(f"{key} must be a finite number{bound}, got {value!r}")
-        return number
-    return rule
-
-
-_number, _positive, _nonnegative = _real(), _real(0.0, strict=True), _real(0.0)
-
-
-def _integer(low: int):
-    def rule(value, key: str) -> int:
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is None or number != value or number < low or _has_bool(value):
-            raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
-        return number
-    return rule
-
-
-def _one_of(*choices: str):
-    def rule(value, key: str) -> str:
-        if value not in choices:
-            raise SchemaError(f"{key} must be one of {list(choices)}, got {value!r}")
-        return value
-    return rule
-
-
-def _array(*shape):
-    """A nonempty array of finite floats of ``shape``; a None in ``shape``
-    accepts any length along that axis."""
-    def rule(value, key: str) -> np.ndarray:
-        try:
-            arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            arr = np.empty(0)
-        if not (arr.size and arr.ndim == len(shape) and np.isfinite(arr).all()
-                and all(want in (None, got) for got, want in zip(arr.shape, shape))):
-            dims = " x ".join("n" if d is None else str(d) for d in shape)
-            raise SchemaError(f"{key} must be finite numbers of shape {dims}, got {value!r}")
-        return arr
-    return rule
-
-
-_VECTOR, _MATRIX = _array(None), _array(None, None)
-
-
-def _at_most(rule, budget, size=abs):
-    """``rule`` with the size budget ``size(value) <= budget``."""
-    def checked(value, key: str):
-        value = rule(value, key)
-        if size(value) > budget:
-            raise SchemaError(f"{key} exceeds its size budget of {budget}")
-        return value
-    return checked
+# scenario tables (see schema): one table per variant, so each lists only the
+# keys its variant reads; cross-key checks stay with the runners
 
 
 def _algebra(value, key: str):
-    """A fixture name, a path or an inline document; the runner resolves it."""
-    if not isinstance(value, (str, dict)):
-        raise SchemaError(f"{key} must be a fixture name, path or inline document, got {value!r}")
-    return value
+    """A fixture name, a path or an inline document, resolved to its algebra."""
+    if isinstance(value, str) and value in fixture_names():
+        return fixture(value)
+    if isinstance(value, str) and os.path.exists(value):
+        value = _load_json(value, "algebra")
+    elif not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a fixture name, a path or an inline document, "
+                          f"got {value!r}; fixtures: {fixture_names()}")
+    try:
+        return algebra_from_json(json.dumps(value))
+    except ValueError as exc:  # the algebra's own checks: indices, Jacobi identity, basis
+        raise SchemaError(f"bad algebra document: {exc}") from exc
 
 
 def _observable(value, key: str):
     """'harmonic' or ``{"quadratic": matrix}``; the runner checks its size."""
     if value == "harmonic":
         return value
-    return _read({"quadratic": (_MATRIX,)}, value, key)
-
-
-def _pairs(value, key: str) -> list:
-    """``[[i, j, value], ...]``; the runner checks the indices against the algebra."""
-    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 3 for p in value)):
-        raise SchemaError(f"{key} must be a list of [i, j, value] triples, got {value!r}")
-    return [(_integer(0)(i, key), _integer(0)(j, key), _number(v, key)) for i, j, v in value]
-
-
-# ---------------------------------------------------------------------------
-# scenario tables: {key: (rule, default)}; a key without a default is required,
-# and a dict in place of a rule is the table of a nested object
+    return read({"quadratic": (MATRIX,)}, value, key)
 
 
 # default check bounds per runner; a scenario's "tolerances" overrides them
@@ -147,93 +73,76 @@ _MAX_SAMPLES = 1_000_000  # 2.5 x harmonic_shell's 4e5; 250 MB if every sample i
 _MAX_POINT_STEPS = 100_000_000  # samples x flow steps: 7 x harmonic_shell's 1.5e7
 _MAX_DOF = 3  # ensemble histograms have 8^(2n) and 12^(2n) cells: 24 MB at n = 3, 3.4 GB at 4
 _MAX_GRID = 1024  # wigner grid.N: 2 x the shipped and benchmarked 512; 260 MB at 1024
-_MAX_DIM = 24  # algebra dim: 2.4 x the largest fixture's 10; cohomology peaks near 140 MB at 24
 
 # affine model: (its lattice variant, the constant that sets the coupling)
 _AFFINE_MODELS = {"standard": ("calogero", "J_iso"), "affine_left": ("hyperbolic", "a"),
                   "affine_right": ("hyperbolic", "a"), "lattice_hyperbolic": ("hyperbolic", "a"),
                   "lattice_trigonometric": ("trigonometric", "a"),
                   "lattice_calogero": ("calogero", "I")}
-_SEED = (_integer(0), None)
-_TIME_GRID = {"t_end": (_positive,), "dt": (_positive, 1.0e-3), "sample_every": (_integer(1), None)}
+_SEED = (integer(0), None)
+_TIME_GRID = {"t_end": (positive,), "dt": (positive, 1.0e-3), "sample_every": (integer(1), None)}
 
 
 def _bounds(subcommand: str) -> tuple:
-    return ({name: (_nonnegative, bound) for name, bound in _TOLERANCES[subcommand].items()}, {})
+    return ({name: (nonnegative, bound) for name, bound in _TOLERANCES[subcommand].items()}, {})
+
+
+def _euler(model: dict) -> dict:
+    return {"initial": ({"sigma": (VECTOR,), "g": (MATRIX, None)},), **_TIME_GRID, **model,
+            "chirality": (one_of("left", "right"), "left"),
+            "potential": (one_of("none", "trace_alignment"), "none"),
+            "method": (one_of("lie_midpoint", "rk4"), "lie_midpoint"),
+            "tolerances": _bounds("euler"), "seed": _SEED}
+
+
+# the (phi, sigma_hat[, x]) chart or the lattice chart (q, M, N[, L, R]); p belongs to both
+_CHARTS = variants(lambda init: "configuration" if "phi" in init else "lattice", {
+    "configuration": {"phi": (MATRIX,), "sigma_hat": (MATRIX,), "x": (VECTOR, None),
+                      "p": (VECTOR, None)},
+    "lattice": {"q": (VECTOR,), "p": (VECTOR,), "M": (MATRIX,), "N": (MATRIX,),
+                "L": (MATRIX, None), "R": (MATRIX, None)},
+})
+
+
+def _affine(model: str, strength: str) -> dict:
+    invariants = {"inv_b": (number, 0.0), "inv_c": (number, 0.0)} if "affine_" in model else {}
+    return {"model": (one_of(model),), "initial": (_CHARTS,),
+            "constants": ({strength: (positive, 1.0), **invariants}, {}), **_TIME_GRID,
+            "tolerances": _bounds("affine"), "seed": _SEED}
 
 
 _SCENARIOS = {
-    "euler": {
-        "initial": ({"sigma": (_VECTOR,), "g": (_MATRIX, None)},),
-        **_TIME_GRID,
-        "algebra": (_algebra, "so3"),
-        "metric": (_MATRIX, None),
-        "principal_moments": (_array(3), None),
-        "chirality": (_one_of("left", "right"), "left"),
-        "potential": (_one_of("none", "trace_alignment"), "none"),
-        "method": (_one_of("lie_midpoint", "rk4"), "lie_midpoint"),
-        "tolerances": _bounds("euler"),
-        "seed": _SEED,
-    },
-    "affine": {
-        "model": (_one_of(*_AFFINE_MODELS),),
-        # either (phi, sigma_hat[, x, p]) or (q, p, M, N[, L, R]); the runner picks
-        "initial": ({**{k: (_MATRIX, None) for k in ("phi", "sigma_hat", "L", "R", "M", "N")},
-                     **{k: (_VECTOR, None) for k in ("x", "p", "q")}},),
-        "constants": ({"a": (_positive, 1.0), "I": (_positive, 1.0), "J_iso": (_positive, 1.0),
-                       "inv_b": (_number, 0.0), "inv_c": (_number, 0.0)}, {}),
-        **_TIME_GRID,
-        "tolerances": _bounds("affine"),
-        "seed": _SEED,
-    },
+    "euler": variants(lambda doc: "moments" if "principal_moments" in doc else "metric", {
+        "moments": _euler({"principal_moments": (array(3),)}),
+        "metric": _euler({"algebra": (_algebra, "so3"), "metric": (MATRIX,)}),
+    }),
+    "affine": variants(lambda doc: doc.get("model"), {
+        model: _affine(model, strength) for model, (_, strength) in _AFFINE_MODELS.items()}),
     "ensemble": {
-        "observable": (_observable,),
-        "a": (_number,),
-        "epsilon": (_positive,),
-        "box": (_at_most(_array(None, 2), 2 * _MAX_DOF, size=len),),
-        "samples": (_at_most(_integer(16), _MAX_SAMPLES),),
-        "seed": (_integer(0),),
-        "hbar": (_positive, 1.0),
-        "expectation": (_observable, None),
-        "flow_time": (_number, None),
+        "observable": (_observable,), "a": (number,), "epsilon": (positive,),
+        "box": (at_most(array(None, 2), 2 * _MAX_DOF, size=len),),
+        "samples": (at_most(integer(16), _MAX_SAMPLES),), "seed": (integer(0),),
+        "hbar": (positive, 1.0), "expectation": (_observable, None), "flow_time": (number, None),
     },
     "wigner": {
-        "state": ({"kind": (_one_of("ho-ground", "ho-excited", "gaussian", "cat"),),
-                   "k": (_integer(0), 1), "sigma": (_positive, 1.0),
-                   "separation": (_nonnegative, 4.0)},),
-        "grid": ({"N": (_at_most(_integer(4), _MAX_GRID),), "qmin": (_number,),
-                  "qmax": (_number,)},),
-        "hbar": (_positive, 1.0),
+        "state": (variants(lambda state: state.get("kind"), {
+            kind: {"kind": (one_of(kind),), **parameter} for kind, parameter in (
+                ("ho-ground", {}), ("ho-excited", {"k": (integer(0), 1)}),
+                ("gaussian", {"sigma": (positive, 1.0)}),
+                ("cat", {"separation": (nonnegative, 4.0)}))}),),
+        "grid": ({"N": (at_most(integer(4), _MAX_GRID),), "qmin": (number,),
+                  "qmax": (number,)},),
+        "hbar": (positive, 1.0),
         "tolerances": _bounds("wigner"),
         "seed": _SEED,
     },
     "cohomology": {
         "algebra": (_algebra,),
-        "omega": ({"pairs": (_pairs,)}, None),
+        # the runner checks the indices against the algebra
+        "omega": ({"pairs": (rows(integer(0), integer(0), number),)}, None),
         "seed": _SEED,
     },
 }
-
-
-def _read(table: dict, doc, where: str = "") -> dict:
-    """``doc`` read through ``table`` into typed values: an absent key takes
-    its default (a None default stays None), unknown keys are rejected by name."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where or 'scenario'} must be an object, got {doc!r}")
-    unknown = sorted(doc.keys() - table.keys())
-    if unknown:
-        raise SchemaError(f"unknown keys {unknown} in {where or 'scenario'}; "
-                          f"known: {sorted(table)}")
-    typed = {}
-    for name, (rule, *default) in table.items():
-        key = f"{where}.{name}".lstrip(".")
-        if name not in doc and not default:
-            raise SchemaError(f"missing required key {key!r}")
-        value = doc[name] if name in doc else default[0]
-        if name in doc or value is not None:
-            value = _read(rule, value, key) if isinstance(rule, dict) else rule(value, key)
-        typed[name] = value
-    return typed
 
 
 def _load_json(path: str, what: str):
@@ -258,12 +167,7 @@ def _parse(path: str, subcommand: str, seed: int | None = None) -> tuple[dict, d
         doc = {"algebra": doc}  # bare algebra document
     if seed is not None:
         doc.setdefault("seed", seed)
-    return doc, _read(_SCENARIOS[subcommand], doc)
-
-
-def parse_scenario(path: str, subcommand: str) -> dict:
-    """Load and validate a scenario; unknown keys are rejected by name."""
-    return _parse(path, subcommand)[0]
+    return doc, read(_SCENARIOS[subcommand], doc)
 
 
 def _shape(arr, key: str, shape: tuple, default=None):
@@ -273,20 +177,6 @@ def _shape(arr, key: str, shape: tuple, default=None):
     if arr.shape != shape:
         raise SchemaError(f"{key} must have shape {shape}, got {arr.shape}")
     return arr
-
-
-def _resolve_algebra(spec):
-    if isinstance(spec, str) and spec in fixture_names():
-        return fixture(spec)
-    if isinstance(spec, str) and not os.path.exists(spec):
-        raise SchemaError(f"unknown algebra {spec!r}; fixtures: {fixture_names()}")
-    doc = spec if isinstance(spec, dict) else _load_json(spec, "algebra")
-    if isinstance(doc, dict) and "dim" in doc:  # before the (dim, dim, dim) structure array
-        _at_most(_integer(1), _MAX_DIM)(doc["dim"], "algebra.dim")
-    try:
-        return algebra_from_json(json.dumps(doc))
-    except (KeyError, TypeError, ValueError) as exc:  # missing key, bad entry, failed checks
-        raise SchemaError(f"bad algebra document: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +237,14 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     potential = _builtin_potential(scn["potential"])
 
     try:  # the model's own checks: positive moments, symmetric metric, dimension
-        if scn["principal_moments"] is not None:
+        if "principal_moments" in scn:
             model = rigid.so3_model(scn["principal_moments"], scn["chirality"], potential)
             tag = "special-orthogonal"
         else:
-            alg = _resolve_algebra(scn["algebra"])
+            alg = scn["algebra"]
             if alg.basis is None:
-                raise SchemaError(
-                    f"algebra {alg.label!r} has no matrix basis; reconstruction "
-                    "needs one (use a fixture with matrices or supply basis)"
-                )
-            if scn["metric"] is None:
-                raise SchemaError("euler needs either principal_moments or a metric")
+                raise SchemaError(f"algebra {alg.label!r} has no matrix basis; reconstruction "
+                                  "needs one (use a fixture with matrices or supply basis)")
             model = rigid.InvariantModel(alg, BilinearForm(scn["metric"]), scn["chirality"],
                                          potential=potential)
             tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
@@ -413,17 +299,8 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     dt, t_end, steps, sample_every = _time_grid(scn)
     tol = scn["tolerances"]
 
-    # the (phi, sigma_hat[, x]) chart or the lattice chart (q, M, N[, L, R]); p belongs to both
-    charts = [[f"initial.{k}" for k in keys if init[k] is not None]
-              for keys in (("phi", "sigma_hat", "x"), ("q", "M", "N", "L", "R"))]
-    if all(charts):
-        raise SchemaError(f"initial mixes the two charts: {charts[0]} and {charts[1]}")
-    need = ("phi", "sigma_hat") if init["phi"] is not None else ("q", "p", "M", "N")
-    missing = [f"initial.{k}" for k in need if init[k] is None]
-    if missing:
-        raise SchemaError(f"missing required keys {missing}")
     try:
-        if init["phi"] is not None:
+        if "phi" in init:
             n = len(init["phi"])
             state = affine.AffineState(
                 phi=_shape(init["phi"], "initial.phi", (n, n)),
@@ -446,7 +323,7 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
         raise SchemaError(f"bad initial state: {exc}") from exc
 
     variant, strength = _AFFINE_MODELS[model]
-    if model.startswith("affine_") and (constants["inv_b"] != 0.0 or constants["inv_c"] != 0.0):
+    if constants.get("inv_b", 0.0) != 0.0 or constants.get("inv_c", 0.0) != 0.0:
         raise SchemaError("dynamics is implemented for the trace-form term only; "
                           "set inv_b = inv_c = 0")
     params = {"I" if variant == "calogero" else "a": constants[strength]}
@@ -584,7 +461,7 @@ def _two_form(pairs: list, dim: int) -> forms.KForm:
 
 
 def _run_cohomology(scn: dict, art: _Artifacts) -> list[dict]:
-    alg = _resolve_algebra(scn["algebra"])
+    alg = scn["algebra"]
     report = {"label": alg.label, "dim": alg.dim}
     for k in (1, 2):
         z_dim = len(forms.cocycle_space(alg, k))
@@ -653,15 +530,15 @@ def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | No
             extra["seed"] = seed
         checks = _run_selftest(seed if seed is not None else 0, art)
     else:
-        scn, values = _parse(scenario_path, subcommand, seed)
-        if values["seed"] is not None:  # the seed the run used: the scenario's wins
-            extra["seed"] = values["seed"]
-        scn_text = json.dumps(scn, sort_keys=True).encode()
-        extra["scenario_sha256"] = hashlib.sha256(scn_text).hexdigest()
         try:  # values that pass their rules can still leave the float64 range
             with np.errstate(over="raise", invalid="raise", divide="raise"):
+                scn, values = _parse(scenario_path, subcommand, seed)
+                if values["seed"] is not None:  # the seed the run used: the scenario's wins
+                    extra["seed"] = values["seed"]
+                scn_text = json.dumps(scn, sort_keys=True).encode()
+                extra["scenario_sha256"] = hashlib.sha256(scn_text).hexdigest()
                 checks = _RUNNERS[subcommand](values, art)
-        except (FloatingPointError, OverflowError) as exc:
+        except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
             raise SchemaError(f"the run leaves the float64 range ({exc}); "
                               "the scenario's values are too large or too small") from exc
     art.finish(extra)

@@ -338,6 +338,32 @@ def test_trigonometric_both_terms_repulsive_signed():
     assert val == pytest.approx(want)
 
 
+def _to_two_polar_by_entries(state):
+    """``to_two_polar`` filling rho and tau one pair (a, b) at a time."""
+    kin = two_polar(state.phi)
+    sigma = kin.R.T @ state.sigma_hat @ kin.R
+    q, n = kin.q, len(kin.q)
+    rho, tau = np.zeros((n, n)), np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            rho[a, b] = sigma[b, a] * np.exp(q[b] - q[a]) - sigma[a, b] * np.exp(q[a] - q[b])
+            tau[a, b] = sigma[a, b] - sigma[b, a]
+            rho[b, a], tau[b, a] = -rho[a, b], -tau[a, b]
+    return np.diag(sigma), *mn_from_rho_tau(rho, tau)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_to_two_polar_equals_the_entrywise_reference(n):
+    rng = np.random.default_rng(70 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(25):
+            state = AffineState(phi=random_phi(rng, n, min_gap=0.0),
+                                sigma_hat=scale * rng.normal(size=(n, n)))
+            lat, (p, m_mat, n_mat) = to_two_polar(state), _to_two_polar_by_entries(state)
+            assert np.array_equal(lat.p, p)
+            assert np.array_equal(lat.M, m_mat) and np.array_equal(lat.N, n_mat)
+
+
 # --- the central equivalences ---------------------------------------------------
 
 

@@ -30,7 +30,7 @@ def test_parse_fills_nothing_and_rejects_unknown_keys(tmp_path):
         "integrater": "rk4",
     })
     with pytest.raises(SchemaError) as err:
-        cli.parse_scenario(path, "euler")
+        cli._parse(path, "euler")[0]
     assert "integrater" in str(err.value)
 
 
@@ -38,14 +38,14 @@ def test_parse_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "model": lattice\n}')
     with pytest.raises(SchemaError) as err:
-        cli.parse_scenario(str(path), "affine")
+        cli._parse(str(path), "affine")[0]
     assert ":2:" in str(err.value)
 
 
 def test_parse_missing_keys(tmp_path):
     path = write(tmp_path, "e.json", {"t_end": 1.0})
     with pytest.raises(SchemaError) as err:
-        cli.parse_scenario(path, "euler")
+        cli._parse(path, "euler")[0]
     assert "initial" in str(err.value)
 
 
@@ -67,14 +67,14 @@ def test_euler_run_artifacts(tmp_path):
 
 
 def test_euler_defaults_applied(tmp_path):
-    scen = cli.parse_scenario(
+    scen = cli._parse(
         write(tmp_path, "e.json", {
             "principal_moments": [1.0, 2.0, 3.0],
             "initial": {"sigma": [0.5, 0.0, 0.0]},
             "t_end": 0.5,
         }),
         "euler",
-    )
+    )[0]
     assert "dt" not in scen  # defaults are applied inside the runner
     out = str(tmp_path / "out2")
     assert cli.run("euler", write(tmp_path, "e2.json", {
@@ -418,7 +418,7 @@ def test_tolerances_override_the_default_bounds(tmp_path):
     for sub, doc in (("ensemble", SHELL), ("cohomology", {"algebra": "so3"})):
         scen = write(tmp_path, f"{sub}.json", {**doc, "tolerances": {}})
         with pytest.raises(SchemaError):  # no check there reads a bound
-            cli.parse_scenario(scen, sub)
+            cli._parse(scen, sub)[0]
 
 
 @pytest.mark.parametrize("bad", [
