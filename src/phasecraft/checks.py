@@ -292,7 +292,8 @@ def criterion_10_entropy(seed, quick):
     shell = ensembles.ShellEnsemble(
         observable=energy, center=1.0, epsilon=0.3, samples=60_000, seed=seed,
     )
-    pts = np.concatenate(ensembles.shell_samples(shell, region))
+    batches = ensembles.shell_samples(shell, region)
+    pts = np.concatenate(batches)
     hist, _ = np.histogramdd(pts, bins=[16, 16])
     occupied = hist.ravel() > 0
     n_cells = int(occupied.sum())
@@ -306,7 +307,7 @@ def criterion_10_entropy(seed, quick):
         margin = max(margin, ensembles.entropy_continuous(w, mu_cells) - uniform)
     records.append(check("uniform shell weighting maximizes entropy", margin, 0.0))
 
-    res = ensembles.shell_probability(shell, region, energy)
+    res = ensembles.shell_probability(shell, region, energy, batches=batches)
     records.append(check("shell_mean_offset", abs(res["mean"] - 1.0),
                          3.0 * res["stderr_mean"] + 1.0e-3))
     return records

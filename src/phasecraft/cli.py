@@ -186,12 +186,20 @@ def _shape(arr, key: str, shape: tuple, default=None):
 class _Artifacts:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        self.made = False
         self.records = []
 
-    def _register(self, name: str, payload: bytes):
+    def _write(self, name: str, payload: bytes) -> None:
+        """Write one file; the directory is made at the first write, so a
+        refused scenario leaves none behind."""
+        if not self.made:
+            os.makedirs(self.out_dir, exist_ok=True)
+            self.made = True
         with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write(payload)
+
+    def _register(self, name: str, payload: bytes):
+        self._write(name, payload)
         self.records.append({"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
                              "bytes": len(payload)})
 
@@ -209,8 +217,8 @@ class _Artifacts:
     def finish(self, extra: dict) -> dict:
         """Write manifest.json: every registered file with its hash, plus ``extra``."""
         manifest = {"files": sorted(self.records, key=lambda r: r["name"]), **extra}
-        with open(os.path.join(self.out_dir, "manifest.json"), "wb") as fh:
-            fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        self._write("manifest.json", text.encode())
         return manifest
 
 
@@ -385,9 +393,8 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
     if not 0 < cell_mu < np.inf:
         raise SchemaError(f"box and hbar give a histogram cell of {cell_mu!r} phase-space volumes")
     f_fun, _ = build_observable(scn["expectation"] or scn["observable"])
-    result = ensembles.shell_probability(shell, region, f_fun)
-
-    batches = ensembles.shell_samples(shell, region)
+    batches = ensembles.shell_samples(shell, region)  # drawn once, read three times
+    result = ensembles.shell_probability(shell, region, f_fun, batches=batches)
     pts = np.concatenate(batches)
     hist, _ = np.histogramdd(pts, bins=[8] * (2 * region.n_dof), range=region.bounds)
     weights = (hist / hist.sum()).ravel()
@@ -402,7 +409,7 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
     }
     checks = []
     if flow_time is not None:
-        inv = ensembles.invariance_check(shell, region, grad, flow_time)
+        inv = ensembles.invariance_check(shell, region, grad, flow_time, batches=batches)
         out["invariance"] = inv
         checks.append(check("flow_drift", inv["tv_flow"],
                             inv["tv_null_mean"] + 3.0 * inv["tv_null_std"]))

@@ -116,13 +116,15 @@ def shell_samples(shell: ShellEnsemble, region: PhaseRegion):
 
 
 def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
-                      f: Callable[[np.ndarray], np.ndarray]):
+                      f: Callable[[np.ndarray], np.ndarray], *, batches=None):
     """Monte Carlo (<f>, Z) over the shell with batch-means standard errors.
 
     Z estimates the dimensionless shell volume, int chi d mu; <f> is the
-    shell average int f chi d mu / Z.
+    shell average int f chi d mu / Z.  ``batches`` are the accepted points
+    per batch that ``shell_samples(shell, region)`` returns; None draws them.
     """
-    batches = shell_samples(shell, region)
+    if batches is None:
+        batches = shell_samples(shell, region)
     per_batch = shell.samples // _N_BATCHES
     mu_total = liouville_volume(region)
     z_parts = np.array([len(b) / per_batch * mu_total for b in batches])
@@ -161,30 +163,47 @@ def _flow_rk4(points: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
 
 def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
                      grad: Callable[[np.ndarray], np.ndarray],
-                     tau: float, bins: int = 12) -> dict:
+                     tau: float, bins: int = 12, *, batches=None) -> dict:
     """Stationarity statistic of the shell under its own generator's flow.
 
     Pushes the shell samples through the Hamiltonian flow of the observable
     for time tau and reports the total-variation distance between binned
     densities before and after, together with a same-size split-half noise
     reference.  A stationary ensemble satisfies
-    tv_flow <= tv_null_mean + 3 tv_null_std.
+    tv_flow <= tv_null_mean + 3 tv_null_std.  ``batches`` are the accepted
+    points per batch that ``shell_samples(shell, region)`` returns; None
+    draws them.
     """
-    batches = shell_samples(shell, region)
+    if batches is None:
+        batches = shell_samples(shell, region)
     before = np.concatenate(batches)
     after = _flow_rk4(before, grad, tau)
 
     edges = [np.linspace(region.bounds[i, 0], region.bounds[i, 1], bins + 1)
              for i in range(region.bounds.shape[0])]
+    shape = (bins + 2,) * len(edges)  # a padding cell for the outliers at each end
+    core = (slice(1, -1),) * len(edges)
 
-    def tv(a, b):
-        ha, _ = np.histogramdd(a, bins=edges)
-        hb, _ = np.histogramdd(b, bins=edges)
-        ha = ha / max(1, len(a))
-        hb = hb / max(1, len(b))
-        return 0.5 * float(np.sum(np.abs(ha - hb)))
+    def cells(points):
+        """Flat cell index of each point by np.histogramdd's rule: a point on
+        the last edge falls in the last bin, an outlier in a padding cell."""
+        index = []
+        for i, e in enumerate(edges):
+            k = np.searchsorted(e, points[:, i], side="right")
+            k[points[:, i] == e[-1]] -= 1
+            index.append(k)
+        return np.ravel_multi_index(index, shape)
 
-    tv_flow = tv(before, after)
+    def density(index):
+        h = np.bincount(index, minlength=np.prod(shape)).reshape(shape).astype(float)[core]
+        return h / max(1, len(index))
+
+    def tv(ia, ib):
+        return 0.5 * float(np.sum(np.abs(density(ia) - density(ib))))
+
+    # each point set is binned once; every histogram counts a subset of its cells
+    cells_before = cells(before)
+    tv_flow = tv(cells_before, cells(after))
 
     # split-half references at the same per-side sample size
     gen = _stream(shell.seed, _N_BATCHES)
@@ -192,7 +211,7 @@ def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
     for _ in range(12):
         perm = gen.permutation(len(before))
         half = len(before) // 2
-        null.append(tv(before[perm[:half]], before[perm[half:2 * half]]))
+        null.append(tv(cells_before[perm[:half]], cells_before[perm[half:2 * half]]))
     null = np.array(null)
     return {
         "tv_flow": tv_flow,

@@ -142,6 +142,19 @@ def test_ensemble_entropy_is_taken_on_box_cells(tmp_path):
     assert read_json(out, "ensemble.json")["entropy"] == pytest.approx(want, rel=1e-12)
 
 
+def test_ensemble_run_draws_each_batch_once(tmp_path, monkeypatch):
+    # the probability, the entropy histogram and the flow check share one draw
+    from phasecraft import ensembles
+
+    calls = []
+    draw = ensembles._batch_points
+    monkeypatch.setattr(ensembles, "_batch_points",
+                        lambda *args: calls.append(args[2]) or draw(*args))
+    scen = write(tmp_path, "s.json", {**SHELL, "seed": 3, "flow_time": 0.3})
+    assert cli.run("ensemble", scen, str(tmp_path / "out"), seed=None) == 0
+    assert sorted(calls) == list(range(16))
+
+
 def test_wigner_run_binary_sidecar(tmp_path):
     scen = write(tmp_path, "w.json", {
         "state": {"kind": "ho-ground"},
@@ -536,6 +549,15 @@ def test_main_error_paths(tmp_path):
     assert cli.main(["euler"]) == 2  # missing scenario
     missing = str(tmp_path / "nope.json")
     assert cli.main(["euler", missing]) == 2
+
+
+@pytest.mark.parametrize("change", [{"unknown": 1}, {"grid": {"N": 48, "qmin": -8.0, "qmax": 8.0}}],
+                         ids=["unknown_key", "runner_refuses_grid"])
+def test_refused_scenario_leaves_no_output_directory(tmp_path, change):
+    fresh = tmp_path / "fresh"
+    scen = write(tmp_path, "bad.json", {**WIGNER_64, **change})
+    assert cli.main(["wigner", scen, "--out", str(fresh)]) == 2
+    assert not fresh.exists()
 
 
 def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):

@@ -142,6 +142,54 @@ def test_every_stream_of_a_seed_lies_in_its_own_key_block(monkeypatch):
     assert sorted(set(keys)) == [(seed << 16) + stream for stream in range(17)]
 
 
+def test_given_batches_equal_the_default_draw():
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=9)
+    region = box(2.2)
+    batches = ens.shell_samples(shell, region)
+    assert (ens.shell_probability(shell, region, harmonic, batches=batches)
+            == ens.shell_probability(shell, region, harmonic))
+    grad = lambda z: z.copy()
+    assert (ens.invariance_check(shell, region, grad, 0.3, batches=batches)
+            == ens.invariance_check(shell, region, grad, 0.3))
+
+
+def test_invariance_bins_as_histogramdd():
+    # points on the right edges and outside the box, before and after the
+    # flow; np.histogramdd is the reference for every TV the check reports
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=4)
+    region = box(2.2)
+    batches = ens.shell_samples(shell, region)
+    extra = np.array([[2.2, 0.0], [0.5, 2.2], [2.2, 2.2], [-2.2, 2.2], [3.0, 0.1],
+                      [-1.0, -2.5], [np.nextafter(2.2, 3.0), 1.0], [-0.3, 2.2]])
+    batches[0] = np.vstack([batches[0], extra])
+    # q < 0 streams right by 3 tau, across the right edge for most; q >= 0 stays put
+    grad = lambda z: np.where(z[:, :1] < 0.0, 1.0, 0.0) * np.array([0.0, 3.0])
+    tau = 0.7
+    out = ens.invariance_check(shell, region, grad, tau, batches=batches)
+
+    before = np.concatenate(batches)
+    after = ens._flow_rk4(before, grad, tau)
+    assert np.any(after[:, 0] > 2.2) and np.any(after[:, 0] == 2.2)
+    edges = [np.linspace(-2.2, 2.2, 13)] * 2
+
+    def tv(a, b):
+        ha = np.histogramdd(a, bins=edges)[0] / max(1, len(a))
+        hb = np.histogramdd(b, bins=edges)[0] / max(1, len(b))
+        return 0.5 * float(np.sum(np.abs(ha - hb)))
+
+    gen = ens._stream(shell.seed, 16)
+    half = len(before) // 2
+    null = []
+    for _ in range(12):
+        perm = gen.permutation(len(before))
+        null.append(tv(before[perm[:half]], before[perm[half:2 * half]]))
+    assert out["tv_flow"] == tv(before, after) > 0.0
+    assert out["tv_null_mean"] == float(np.mean(null))
+    assert out["tv_null_std"] == float(np.std(null, ddof=1))
+
+
 def test_invariance_free_on_torus():
     # free streaming with periodic wrap in q preserves the uniform shell
     region = ens.PhaseRegion(bounds=np.array([[0.0, 1.0], [0.5, 1.5]]), hbar=1.0)
