@@ -551,8 +551,9 @@ def test_main_error_paths(tmp_path):
     assert cli.main(["euler", missing]) == 2
 
 
-@pytest.mark.parametrize("change", [{"unknown": 1}, {"grid": {"N": 48, "qmin": -8.0, "qmax": 8.0}}],
-                         ids=["unknown_key", "runner_refuses_grid"])
+@pytest.mark.parametrize("change", [
+    {"unknown": 1}, {"grid": {"N": 48, "qmin": -8.0, "qmax": 8.0}},
+], ids=["unknown_key", "runner_refuses_grid"])
 def test_refused_scenario_leaves_no_output_directory(tmp_path, change):
     fresh = tmp_path / "fresh"
     scen = write(tmp_path, "bad.json", {**WIGNER_64, **change})
