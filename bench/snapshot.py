@@ -4,12 +4,13 @@
 
 Runs ``perfbench/run.py`` of the checkout (default: this repository) as a
 subprocess for every workload that its ``BENCHMARK.json`` declares, at
-``--trace 0`` (the end-to-end metrics) once per seed in ``SEEDS`` and at
-``--trace 1`` (the per-layer and kernel metrics) once at the first seed,
-each for ``SECONDS`` seconds.  It writes ``BENCH_<K>.json`` at the root of
-this repository with each run's result line, the environment line that
-run.py prints, per workload the median over ``SEEDS`` of each end-to-end
-metric, the checkout's git SHA and whether tracked files differed from it.
+``--trace 0`` (the end-to-end metrics) and at ``--trace 1`` (the per-layer
+and kernel metrics) once per seed in ``SEEDS``, each for ``SECONDS``
+seconds.  It writes ``BENCH_<K>.json`` at the root of this repository with
+each run's result line, the environment line that run.py prints, per
+workload the median over ``SEEDS`` of each end-to-end metric (``medians``)
+and of each per-layer metric (``layer_medians``), the checkout's git SHA
+and whether tracked files differed from it.
 Standard library only; the file is meant to be committed, one per change
 that touches a hot path, so that the rows a change moves can be named.
 """
@@ -24,7 +25,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)  # one --trace 0 run each: a single run moves untouched rows by up to 38%
+# one run per seed at each trace level: a single run moves untouched rows by up to
+# 38% (end-to-end metrics) and 55% (kernel metrics)
+SEEDS = (1, 2, 3)
 SECONDS = 10
 TIMEOUT_S = 900
 
@@ -58,20 +61,24 @@ def main(argv=None) -> int:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     runs = []
-    for trace, seeds in ((0, SEEDS), (1, SEEDS[:1])):
+    for trace in (0, 1):
         for workload in workloads:
-            for seed in seeds:
+            for seed in SEEDS:
                 print(f"{workload} --trace {trace} --seed {seed}", file=sys.stderr, flush=True)
                 runs.append(run(checkout, workload, trace, seed))
-    medians = {workload: {metric["name"]: statistics.median(
-        r["result"]["metrics"][metric["name"]]["value"]
-        for r in runs if r["workload"] == workload and r["trace"] == 0)
-        for metric in spec["end_to_end"]} for workload in workloads}
+
+    def medians(trace: int, metrics: list) -> dict:
+        return {workload: {metric["name"]: statistics.median(
+            r["result"]["metrics"][metric["name"]]["value"]
+            for r in runs if r["workload"] == workload and r["trace"] == trace)
+            for metric in metrics} for workload in workloads}
+
     out = ROOT / f"BENCH_{args.k}.json"
     # a SHA names the measured code only when no tracked file differs from it
     doc = {"git_sha": git(checkout, "rev-parse", "HEAD"),
            "tracked_changes": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
-           "medians": medians, "runs": runs}
+           "medians": medians(0, spec["end_to_end"]),
+           "layer_medians": medians(1, spec["per_layer"]), "runs": runs}
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0

@@ -66,17 +66,14 @@ _DENOM_FLOOR = 1.0e-14
 
 @dataclass(frozen=True)
 class AffineState:
-    """Center of mass, internal configuration and their momenta.
-
-    ``sigma_hat`` is the co-moving internal momentum (material indices);
-    the spatial view is ``sigma = phi sigma_hat phi^{-1}``.
-    """
+    """Internal configuration phi, its co-moving momentum ``sigma_hat``
+    (material indices) and an optional center-of-mass momentum ``p``, which
+    ``hamiltonian_standard`` reads; the spatial view of the internal
+    momentum is ``phi sigma_hat phi^{-1}``."""
 
     phi: np.ndarray
     sigma_hat: np.ndarray
-    x: np.ndarray | None = None
     p: np.ndarray | None = None
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -90,24 +87,14 @@ class AffineState:
             raise ValueError("sigma_hat must match phi in shape")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma_hat", sh)
-        if self.x is not None:
-            object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.p is not None:
             object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if self.sigma is not None:
-            sig = np.asarray(self.sigma, dtype=float)
-            expected = phi @ sh @ np.linalg.inv(phi)
-            if np.max(np.abs(sig - expected)) > 1.0e-10 * (1.0 + np.max(np.abs(sig))):
-                raise ValueError("sigma and sigma_hat are inconsistent")
-            object.__setattr__(self, "sigma", sig)
 
     @property
     def n(self) -> int:
         return self.phi.shape[0]
 
     def spatial_momentum(self) -> np.ndarray:
-        if self.sigma is not None:
-            return self.sigma
         return self.phi @ self.sigma_hat @ np.linalg.inv(self.phi)
 
 

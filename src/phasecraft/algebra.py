@@ -64,7 +64,7 @@ class LieAlgebraSpec:
     basis:
         Optional list of ``n`` matrices realizing the brackets.
     label:
-        Free-form tag used by fixtures and the CLI.
+        A name for messages and reports; no computation reads it.
     """
 
     dim: int
@@ -194,20 +194,16 @@ class BilinearForm:
             return False
 
 
-_GROUP_TAGS = ("general-linear", "special-orthogonal", "unitary")
+_GROUP_TAGS = ("general-linear", "special-orthogonal")
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Matrix group element with a membership tag.
-
-    ``metric`` carries the (p, q) signature matrix for the orthogonal tag;
-    it defaults to the identity (compact case).
-    """
+    """Matrix group element with a membership tag: ``general-linear``
+    (invertible) or ``special-orthogonal`` (g^T g = I, det g = +1)."""
 
     matrix: np.ndarray
     tag: str = "general-linear"
-    metric: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -220,10 +216,6 @@ class GroupElement:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.metric is not None:
-            eta = np.asarray(self.metric, dtype=float)
-            eta.setflags(write=False)
-            object.__setattr__(self, "metric", eta)
 
     @property
     def dim(self) -> int:
@@ -233,21 +225,16 @@ class GroupElement:
         """Max-norm defect of the defining relation of the tagged group."""
         g = self.matrix
         if self.tag == "special-orthogonal":
-            eta = self.metric if self.metric is not None else np.eye(self.dim)
-            resid = float(np.max(np.abs(g.T @ eta @ g - eta)))
+            resid = float(np.max(np.abs(g.T @ g - np.eye(self.dim))))
             if np.linalg.det(g).real < 0:
                 resid = max(resid, 1.0)
             return resid
-        if self.tag == "unitary":
-            return float(np.max(np.abs(g.conj().T @ g - np.eye(self.dim))))
         if abs(np.linalg.det(g)) < 1.0e-12:
             raise Singular("general-linear element is numerically singular")
         return 0.0
 
     def inv(self) -> np.ndarray:
-        if self.tag == "unitary":
-            return self.matrix.conj().T
-        if self.tag == "special-orthogonal" and self.metric is None:
+        if self.tag == "special-orthogonal":
             return self.matrix.T
         try:
             return np.linalg.inv(self.matrix)
@@ -381,9 +368,9 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
     ])
 
 
-def group_exp(x: np.ndarray, tag: str = "general-linear", metric=None) -> GroupElement:
+def group_exp(x: np.ndarray, tag: str = "general-linear") -> GroupElement:
     """Matrix exponential (scaling-and-squaring) wrapped as a group element."""
-    return GroupElement(expm(x), tag=tag, metric=metric)
+    return GroupElement(expm(x), tag=tag)
 
 
 def adjoint(g: GroupElement, x: np.ndarray) -> np.ndarray:
@@ -401,7 +388,7 @@ def adjoint_matrix(g: GroupElement, alg: LieAlgebraSpec) -> np.ndarray:
 
 def coadjoint(g: GroupElement, z: np.ndarray, alg: LieAlgebraSpec) -> np.ndarray:
     """Coadjoint action on a covector: ``(coAd_g z)_a = z_b (Ad_{g^{-1}})^b_a``."""
-    ginv = GroupElement(g.inv(), tag=g.tag, metric=g.metric)
+    ginv = GroupElement(g.inv(), tag=g.tag)
     ad_inv = adjoint_matrix(ginv, alg)
     return np.asarray(z) @ ad_inv
 

@@ -89,7 +89,6 @@ class PoissonStructure:
 
     dim: int
     matrix_at: Callable[[np.ndarray], np.ndarray]
-    variant: str = "bivector"
 
     @staticmethod
     def canonical(n_dof: int) -> "PoissonStructure":
@@ -97,7 +96,7 @@ class PoissonStructure:
         gamma = np.block(
             [[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]
         )
-        return PoissonStructure(2 * n, lambda z: gamma, variant="canonical")
+        return PoissonStructure(2 * n, lambda z: gamma)
 
     @staticmethod
     def lie_poisson(alg: LieAlgebraSpec, sign: float = 1.0) -> "PoissonStructure":
@@ -111,11 +110,7 @@ class PoissonStructure:
         def mat(z):
             return sign * np.einsum("c,cab->ab", z, c)
 
-        return PoissonStructure(alg.dim, mat, variant="lie_poisson")
-
-    @staticmethod
-    def from_bivector(dim: int, matrix_at) -> "PoissonStructure":
-        return PoissonStructure(dim, matrix_at, variant="bivector")
+        return PoissonStructure(alg.dim, mat)
 
     def matrix(self, z) -> np.ndarray:
         m = np.asarray(self.matrix_at(np.asarray(z, dtype=float)), dtype=float)

@@ -25,7 +25,7 @@ import numpy as np
 from . import affine, ensembles, forms, rigid, wigner
 from .algebra import BilinearForm, GroupElement, algebra_from_json
 from .checks import CRITERIA, check
-from .errors import IoError, PhasecraftError, SchemaError
+from .errors import IoError, PhasecraftError, SchemaError, Singular
 from .fixtures import fixture, fixture_names
 from .schema import (MATRIX, VECTOR, array, at_most, integer, nonnegative, number, one_of,
                      positive, read, rows, variants)
@@ -95,19 +95,17 @@ def _euler(model: dict) -> dict:
             "tolerances": _bounds("euler"), "seed": _SEED}
 
 
-# the (phi, sigma_hat[, x]) chart or the lattice chart (q, M, N[, L, R]); p belongs to both
+# the configuration chart (phi, sigma_hat) or the lattice chart (q, p, M, N[, L, R])
 _CHARTS = variants(lambda init: "configuration" if "phi" in init else "lattice", {
-    "configuration": {"phi": (MATRIX,), "sigma_hat": (MATRIX,), "x": (VECTOR, None),
-                      "p": (VECTOR, None)},
+    "configuration": {"phi": (MATRIX,), "sigma_hat": (MATRIX,)},
     "lattice": {"q": (VECTOR,), "p": (VECTOR,), "M": (MATRIX,), "N": (MATRIX,),
                 "L": (MATRIX, None), "R": (MATRIX, None)},
 })
 
 
 def _affine(model: str, strength: str) -> dict:
-    invariants = {"inv_b": (number, 0.0), "inv_c": (number, 0.0)} if "affine_" in model else {}
     return {"model": (one_of(model),), "initial": (_CHARTS,),
-            "constants": ({strength: (positive, 1.0), **invariants}, {}), **_TIME_GRID,
+            "constants": ({strength: (positive, 1.0)}, {}), **_TIME_GRID,
             "tolerances": _bounds("affine"), "seed": _SEED}
 
 
@@ -247,7 +245,6 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     try:  # the model's own checks: positive moments, symmetric metric, dimension
         if "principal_moments" in scn:
             model = rigid.so3_model(scn["principal_moments"], scn["chirality"], potential)
-            tag = "special-orthogonal"
         else:
             alg = scn["algebra"]
             if alg.basis is None:
@@ -255,15 +252,22 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
                                   "needs one (use a fixture with matrices or supply basis)")
             model = rigid.InvariantModel(alg, BilinearForm(scn["metric"]), scn["chirality"],
                                          potential=potential)
-            tag = "special-orthogonal" if alg.label == "so3" else "general-linear"
     except ValueError as exc:
         raise SchemaError(f"bad model: {exc}") from exc
 
     init = scn["initial"]
     m = model.algebra.basis[0].shape[0]
-    g0 = _shape(init["g"], "initial.g", (m, m), default=np.eye(m))
+    # a basis of real antisymmetric 3x3 matrices generates SO(3), whatever its label
+    g0 = GroupElement(_shape(init["g"], "initial.g", (m, m), default=np.eye(m)),
+                      tag="special-orthogonal" if model._skew3 else "general-linear")
+    try:  # 1e-10: the rotor tolerance of the affine lattice chart
+        outside = g0.membership_residual() > 1.0e-10
+    except Singular:
+        outside = True
+    if outside:
+        raise SchemaError(f"initial.g must lie in the {g0.tag} group of the algebra's basis")
     sigma = _shape(init["sigma"], "initial.sigma", (model.algebra.dim,))
-    state = rigid.BodyState(GroupElement(g0, tag=tag), sigma)
+    state = rigid.BodyState(g0, sigma)
     traj = rigid.integrate(model, state, dt, steps, method=scn["method"], sample_every=sample_every)
     report = rigid.conservation_report(model, traj)
 
@@ -313,8 +317,6 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
             state = affine.AffineState(
                 phi=_shape(init["phi"], "initial.phi", (n, n)),
                 sigma_hat=_shape(init["sigma_hat"], "initial.sigma_hat", (n, n)),
-                x=_shape(init["x"], "initial.x", (n,)),
-                p=_shape(init["p"], "initial.p", (n,)),
             )
             lat = affine.to_two_polar(state)
         else:
@@ -331,9 +333,6 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
         raise SchemaError(f"bad initial state: {exc}") from exc
 
     variant, strength = _AFFINE_MODELS[model]
-    if constants.get("inv_b", 0.0) != 0.0 or constants.get("inv_c", 0.0) != 0.0:
-        raise SchemaError("dynamics is implemented for the trace-form term only; "
-                          "set inv_b = inv_c = 0")
     params = {"I" if variant == "calogero" else "a": constants[strength]}
 
     states = affine.lattice_dynamics(variant, params, lat, dt, steps, sample_every=sample_every)

@@ -31,8 +31,9 @@ __all__ = [
 _N_BATCHES = 16
 # Philox keys (seed << 16) + stream stay distinct only for seeds below 2^48
 _SEED_LIMIT = 2**48
-# RK4 step of the flow in invariance_check
+# RK4 step of the flow in invariance_check, and its bins per phase-space axis
 FLOW_STEP = 0.01
+_INVARIANCE_BINS = 12
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,13 @@ def _flow_rk4(points: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
 
 def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
                      grad: Callable[[np.ndarray], np.ndarray],
-                     tau: float, bins: int = 12, *, batches=None) -> dict:
+                     tau: float, *, batches=None) -> dict:
     """Stationarity statistic of the shell under its own generator's flow.
 
     Pushes the shell samples through the Hamiltonian flow of the observable
-    for time tau and reports the total-variation distance between binned
-    densities before and after, together with a same-size split-half noise
+    for time tau and reports the total-variation distance between densities
+    before and after, binned on 12 cells per axis of the region
+    (``_INVARIANCE_BINS``), together with a same-size split-half noise
     reference.  A stationary ensemble satisfies
     tv_flow <= tv_null_mean + 3 tv_null_std.  ``batches`` are the accepted
     points per batch that ``shell_samples(shell, region)`` returns; None
@@ -179,9 +181,9 @@ def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
     before = np.concatenate(batches)
     after = _flow_rk4(before, grad, tau)
 
-    edges = [np.linspace(region.bounds[i, 0], region.bounds[i, 1], bins + 1)
+    edges = [np.linspace(region.bounds[i, 0], region.bounds[i, 1], _INVARIANCE_BINS + 1)
              for i in range(region.bounds.shape[0])]
-    shape = (bins + 2,) * len(edges)  # a padding cell for the outliers at each end
+    shape = (_INVARIANCE_BINS + 2,) * len(edges)  # a padding cell for the outliers at each end
     core = (slice(1, -1),) * len(edges)
 
     def cells(points):

@@ -63,7 +63,6 @@ class InvariantModel:
     metric: BilinearForm
     chirality: str = "left"
     potential: Callable[[GroupElement], float] | None = None
-    principal_moments: tuple[float, float, float] | None = None
     # Tables built once from the fields above, so that a step is a few matmuls.
     # _bracket[a, d, c] = -/+ C^d_ab gamma^bc: the bracket term is (A @ S) @ S.
     # _velocity[c] = gamma^ca E_a, flattened: the velocity matrix is S @ B.
@@ -77,11 +76,6 @@ class InvariantModel:
     def __post_init__(self):
         if self.chirality not in ("left", "right"):
             raise ValueError("chirality must be 'left' or 'right'")
-        if self.principal_moments is not None:
-            moments = tuple(float(i) for i in self.principal_moments)
-            if len(moments) != 3 or any(i <= 0 for i in moments):
-                raise ValueError("principal moments must be three positive reals")
-            object.__setattr__(self, "principal_moments", moments)
         if self.metric.dim != self.algebra.dim:
             raise ValueError("metric dimension disagrees with the algebra")
         if not self.metric.is_positive_definite():
@@ -116,12 +110,13 @@ def so3_model(
 ) -> InvariantModel:
     """Rigid body about a fixed point: gamma = diag(I1, I2, I3) on so(3)."""
     moments = tuple(float(i) for i in principal_moments)
+    if len(moments) != 3 or any(i <= 0 for i in moments):
+        raise ValueError("principal moments must be three positive reals")
     return InvariantModel(
         algebra=fixture("so3"),
         metric=BilinearForm(np.diag(moments)),
         chirality=chirality,
         potential=potential,
-        principal_moments=moments,
     )
 
 
@@ -194,12 +189,12 @@ def _torque(model: InvariantModel, g: GroupElement, comoving: bool | None = None
     if comoving is None:
         comoving = model.chirality == "left"
     pot = model.potential
-    g_mat, tag, metric = g.matrix, g.tag, g.metric
+    g_mat, tag = g.matrix, g.tag
     out = np.empty(model.algebra.dim)
     for a, (exp_p, exp_m) in enumerate(model._torque_exps):
         plus, minus = (g_mat @ exp_p, g_mat @ exp_m) if comoving else (exp_p @ g_mat, exp_m @ g_mat)
-        out[a] = -(pot(GroupElement(plus, tag=tag, metric=metric))
-                   - pot(GroupElement(minus, tag=tag, metric=metric))) / (2.0 * _TORQUE_STEP)
+        out[a] = -(pot(GroupElement(plus, tag=tag))
+                   - pot(GroupElement(minus, tag=tag))) / (2.0 * _TORQUE_STEP)
     return out
 
 
@@ -248,12 +243,12 @@ def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4"
 
 def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     g0, s0 = state.g.matrix, state.sigma
-    tag, metric = state.g.tag, state.g.metric
+    tag = state.g.tag
 
     def rate(g_mat, sigma):
         rhs = _bracket_term(model, sigma)
         if model.potential is not None:
-            rhs = rhs + _torque(model, GroupElement(g_mat, tag=tag, metric=metric))
+            rhs = rhs + _torque(model, GroupElement(g_mat, tag=tag))
         return _configuration_rate(model, g_mat, sigma), rhs
 
     k1g, k1s = rate(g0, s0)
@@ -264,8 +259,7 @@ def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     s1 = s0 + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
     if not np.isfinite(g1).all():
         raise ValueError("group element has non-finite entries")
-    return BodyState(GroupElement(_project_group(g1, tag), tag=tag, metric=metric),
-                     s1, state.time + dt)
+    return BodyState(GroupElement(_project_group(g1, tag), tag=tag), s1, state.time + dt)
 
 
 def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
@@ -282,7 +276,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
             if model.potential is not None:
                 half = expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
                 g_mid = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
-                rhs = rhs + _torque(model, GroupElement(g_mid, tag=g0.tag, metric=g0.metric))
+                rhs = rhs + _torque(model, GroupElement(g_mid, tag=g0.tag))
             s_next = s0 + half_dt * rhs
             converged = all(abs(a - b) < tol for a, b in zip(s_next.tolist(), s_mid.tolist()))
             s_mid = s_next
@@ -294,9 +288,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
     s1 = 2.0 * s_mid - s0
     flow = expm(dt * _velocity_matrix(model, s_mid), model._skew3)
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
-    return BodyState(
-        GroupElement(g1_mat, tag=g0.tag, metric=g0.metric), s1, state.time + dt
-    )
+    return BodyState(GroupElement(g1_mat, tag=g0.tag), s1, state.time + dt)
 
 
 def integrate(
@@ -408,7 +400,9 @@ def _diagnostics(model: InvariantModel, states) -> dict:
         "energy": np.array([energy(model, s) for s in states]),
         "momentum_map": np.array([conserved_momentum(model, s) for s in states]),
     }
-    if model.algebra.label == "so3":
+    # C^c_ab = -C^a_cb (totally antisymmetric): then S.S Poisson-commutes with every S_b
+    c = model.algebra.structure
+    if np.array_equal(c, -c.transpose(1, 0, 2)):
         out["casimir"] = np.array([float(s.sigma @ s.sigma) for s in states])
     return out
 

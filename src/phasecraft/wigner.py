@@ -53,6 +53,8 @@ __all__ = [
 
 _TAIL_FRACTION = 0.10
 _TAIL_BOUND = 1.0e-8
+_FD_STEP = 1.0e-4
+_GRAD_TOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -417,11 +419,12 @@ def phase_grid_constant(value: float, like: PhaseGrid) -> PhaseGrid:
 # stationary-value calculus and propagators
 
 
-def van_vleck(s_fun, q, a, fd_step: float = 1.0e-4) -> float:
+def van_vleck(s_fun, q, a) -> float:
     """Mixed-derivative determinant det[d^2 S / dq_i da_j] at (q, a).
 
     S is a two-point function S(q, a) of scalars or same-length vectors;
-    derivatives use central differences with a relative step.  Raises
+    derivatives use central differences with the relative step 1e-4
+    (``_FD_STEP``: h = 1e-4 (1 + |x|) for each coordinate x).  Raises
     TurningPoint when the determinant falls below 1e-12.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -431,9 +434,9 @@ def van_vleck(s_fun, q, a, fd_step: float = 1.0e-4) -> float:
     n = len(q)
     mat = np.empty((n, n))
     for i in range(n):
-        hi = fd_step * (1.0 + abs(q[i]))
+        hi = _FD_STEP * (1.0 + abs(q[i]))
         for j in range(n):
-            hj = fd_step * (1.0 + abs(a[j]))
+            hj = _FD_STEP * (1.0 + abs(a[j]))
             qp, qm = q.copy(), q.copy()
             qp[i] += hi
             qm[i] -= hi
@@ -493,11 +496,13 @@ def propagate_free(psi: GridWavefunction, t: float) -> GridWavefunction:
     return GridWavefunction(out, psi.dx, psi.q0, psi.hbar, psi.mass)
 
 
-def stat_values(x, fx, grad_tol: float = 1.0e-8) -> list[float]:
+def stat_values(x, fx) -> list[float]:
     """Stationary values of a densely sampled function of one variable.
 
     Interior sign changes of the discrete derivative are refined by a local
-    quadratic fit; returns the fitted function values.  Raises
+    quadratic fit, kept when the fit's slope at its extremum is at most 1e-8
+    (``_GRAD_TOL``) and the extremum lies inside the fitted samples; returns
+    the fitted function values.  Raises
     NoCriticalPoint when the gradient never turns.
     """
     x = np.asarray(x, dtype=float)
@@ -517,7 +522,7 @@ def stat_values(x, fx, grad_tol: float = 1.0e-8) -> list[float]:
                 continue
             x_star = -coeff[1] / (2.0 * coeff[0])
             slope = 2.0 * coeff[0] * x_star + coeff[1]
-            if abs(slope) <= grad_tol and x[lo] <= x_star <= x[hi - 1]:
+            if abs(slope) <= _GRAD_TOL and x[lo] <= x_star <= x[hi - 1]:
                 out.append(float(np.polyval(coeff, x_star)))
     if not out:
         raise NoCriticalPoint("no interior stationary point detected")

@@ -82,7 +82,7 @@ def test_leibniz_rule():
     structures = [
         PoissonStructure.canonical(1),
         PoissonStructure.lie_poisson(fixture("so3")),
-        PoissonStructure.from_bivector(
+        PoissonStructure(
             2, lambda z: np.array([[0.0, 1.0 + z[0] ** 2], [-(1.0 + z[0] ** 2), 0.0]])
         ),
     ]

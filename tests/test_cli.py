@@ -330,6 +330,45 @@ def test_euler_bad_model_is_schema_error(tmp_path, model):
     assert cli.main(["euler", scen, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("method", ["lie_midpoint", "rk4"])
+def test_euler_reads_the_algebra_not_its_label(tmp_path, method):
+    """The group (special-orthogonal or not) and the Casimir column come from
+    the algebra's data: the so3 document under another label runs exactly as
+    the fixture does."""
+    so3 = json.loads(Path(cli.__file__).with_name("fixtures").joinpath("so3.json").read_text())
+    outs = []
+    for name, algebra in (("fixture", "so3"), ("renamed", {**so3, "label": "rotations"})):
+        scen = write(tmp_path, f"{name}.json", {**SO3_METRIC, "algebra": algebra, "t_end": 0.5,
+                                                "initial": {"sigma": [1.0, 0.5, 0.2]},
+                                                "method": method})
+        out = tmp_path / name
+        assert cli.run("euler", scen, str(out), seed=None) == 0
+        outs.append([(out / f).read_bytes() for f in ("euler.csv", "conservation.json")])
+    assert outs[0] == outs[1]
+    assert b"casimir_1" in outs[1][0] and b"casimir_drift" in outs[1][1]
+
+
+ROTATION = [[np.cos(0.3), -np.sin(0.3), 0.0], [np.sin(0.3), np.cos(0.3), 0.0], [0.0, 0.0, 1.0]]
+
+
+# initial.g must lie in the group: SO(3) for an so(3) basis, invertible otherwise
+@pytest.mark.parametrize("method", ["lie_midpoint", "rk4"])
+@pytest.mark.parametrize("model,g", [
+    (FREE_TOP, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    (FREE_TOP, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    (FREE_TOP, [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ({"algebra": "gl2", "metric": np.eye(4).tolist(), "t_end": 0.01}, [[1.0, 2.0], [2.0, 4.0]]),
+], ids=["so3_singular", "so3_reflection", "so3_shear", "gl2_singular"])
+def test_euler_initial_g_outside_the_group_is_schema_error(tmp_path, capsys, model, g, method):
+    so3 = "principal_moments" in model
+    doc = {**model, "initial": {"sigma": [1.0, 0.5, 0.2] + ([] if so3 else [0.0]), "g": g},
+           "method": method}
+    assert cli.main(["euler", write(tmp_path, "e.json", doc), "--out", str(tmp_path / "o")]) == 2
+    assert "error: initial.g " in capsys.readouterr().err
+    doc["initial"]["g"] = ROTATION if so3 else np.eye(2).tolist()
+    assert cli.main(["euler", write(tmp_path, "ok.json", doc), "--out", str(tmp_path / "ok")]) == 0
+
+
 @pytest.mark.parametrize("change", [
     {"grid": {"N": "many"}}, {"grid": {"N": 100}}, {"grid": {"N": 2}}, {"grid": {"N": 64.5}},
     {"grid": {"qmin": "x"}}, {"grid": {"qmax": -9.0}}, {"grid": {"qmax": float("inf")}},
@@ -391,10 +430,11 @@ def test_affine_initial_mixing_the_two_charts_is_schema_error(tmp_path, extra):
         cli.run("affine", scen, str(tmp_path / "out"), seed=None)
     assert all(f"initial.{key}" in str(err.value) for key in extra)
     assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
-    # p belongs to both charts
+    # p belongs to the lattice chart only: the configuration chart refuses it by its path
     initial = {"phi": initial["phi"], "sigma_hat": initial["sigma_hat"], "p": [0.0, 0.0]}
     scen = write(tmp_path, "b.json", {**LATTICE, "model": "affine_left", "initial": initial})
-    assert cli.run("affine", scen, str(tmp_path / "ok"), seed=None) == 0
+    with pytest.raises(SchemaError, match=r"'initial\.p'"):
+        cli.run("affine", scen, str(tmp_path / "ok"), seed=None)
 
 
 @pytest.mark.parametrize("initial", [

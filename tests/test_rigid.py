@@ -414,7 +414,7 @@ def _ref_torque(model, g):
         exp_p, exp_m = scipy.linalg.expm(h * e), scipy.linalg.expm(-h * e)
 
         def pot(m):
-            return model.potential(GroupElement(m, tag=g.tag, metric=g.metric))
+            return model.potential(GroupElement(m, tag=g.tag))
 
         spatial.append(-(pot(exp_p @ g.matrix) - pot(exp_m @ g.matrix)) / (2.0 * h))
         comoving.append(-(pot(g.matrix @ exp_p) - pot(g.matrix @ exp_m)) / (2.0 * h))
@@ -434,7 +434,7 @@ def _ref_step(model, state, dt, method):
     g0, s0 = state.g, state.sigma
 
     def element(m):
-        return GroupElement(m, tag=g0.tag, metric=g0.metric)
+        return GroupElement(m, tag=g0.tag)
 
     def side(g_mat, x):
         return g_mat @ x if model.chirality == "left" else x @ g_mat

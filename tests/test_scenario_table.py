@@ -38,8 +38,7 @@ BASE = {
     "affine": [{**AFFINE, "model": "lattice_hyperbolic", "constants": {"a": 1.0}},
                {**AFFINE, "model": "lattice_calogero", "constants": {"I": 1.0}},
                {**AFFINE, "model": "standard", "constants": {"J_iso": 1.0}},
-               {**AFFINE, "model": "affine_left",
-                "constants": {"a": 1.0, "inv_b": 0.0, "inv_c": 0.0},
+               {**AFFINE, "model": "affine_left", "constants": {"a": 1.0},
                 "initial": {"phi": [[2.0, 0.0], [0.0, 0.5]],
                             "sigma_hat": [[0.0, 1.0], [0.0, 0.0]]}}],
     "ensemble": [{"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
@@ -200,8 +199,16 @@ def test_json_booleans_are_not_numbers(tmp_path, sub, path, value, key):
      ["constants.I", "constants.J_iso", "constants.inv_b"]),
     ("cohomology", {"algebra": {"dim": 3, "structure": [[2.7, 0, 1, True]]}},
      ["algebra.structure[0]"]),
+    # settings that no run reads: the configuration chart's x and p, and the
+    # 1/b and 1/c weights of the trace-form models, whose dynamics has the 1/a term only
+    ("affine", place(BASE["affine"][3], ("initial", "x"), [5.0, -3.0]), ["initial.x"]),
+    ("affine", place(BASE["affine"][3], ("initial", "p"), [100.0, 7.0]), ["initial.p"]),
+    ("affine", place(BASE["affine"][3], ("constants", "inv_b"), 0.0), ["constants.inv_b"]),
+    ("affine", {**place(BASE["affine"][3], ("constants", "inv_c"), 0.0), "model": "affine_right"},
+     ["constants.inv_c"]),
 ], ids=["wigner:ho-ground_k", "euler:moments_with_metric", "affine:hyperbolic_constants",
-        "cohomology:entry_fraction_and_bool"])
+        "cohomology:entry_fraction_and_bool", "affine:configuration_x",
+        "affine:configuration_p", "affine:affine_left_inv_b", "affine:affine_right_inv_c"])
 def test_keys_the_variant_never_reads_are_refused(tmp_path, sub, doc, keys):
     code, err = run_cli(sub, doc, str(tmp_path))
     assert code == 2, err
