@@ -10,7 +10,10 @@ seconds.  It writes ``BENCH_<K>.json`` at the root of this repository with
 each run's result line, the environment line that run.py prints, per
 workload the median over ``SEEDS`` of each end-to-end metric (``medians``)
 and of each per-layer metric (``layer_medians``), the checkout's git SHA
-and whether tracked files differed from it.
+and whether tracked files differed from it.  Its ``cli`` section holds the
+wall seconds of ``CLI_RUNS`` fresh processes of each command in
+``CLI_COMMANDS`` (every shipped scenario, ``selftest --seed 0`` and the
+bare import), BLAS on one thread, and their median.
 Standard library only; the file is meant to be committed, one per change
 that touches a hot path, so that the rows a change moves can be named.
 """
@@ -19,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +36,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SECONDS = 10
 TIMEOUT_S = 900
+CLI_RUNS = 3
+# name -> arguments of ``python -m phasecraft.cli``, to which each run adds ``--out`` and
+# a fresh temporary directory; ``import`` is ``python -c "import phasecraft.cli"``
+CLI_COMMANDS = {
+    "euler.free_top": ["euler", "scenarios/free_top.json"],
+    "affine.sutherland_bound_pair": ["affine", "scenarios/sutherland_bound_pair.json"],
+    "ensemble.harmonic_shell": ["ensemble", "scenarios/harmonic_shell.json"],
+    "wigner.ho_ground_wigner": ["wigner", "scenarios/ho_ground_wigner.json"],
+    "cohomology.galilei_cohomology": ["cohomology", "scenarios/galilei_cohomology.json"],
+    "cohomology.so3_cocycle_radical": ["cohomology", "scenarios/so3_cocycle_radical.json"],
+    "selftest": ["selftest", "--seed", "0"],
+    "import": None,
+}
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -51,6 +71,24 @@ def run(checkout: Path, workload: str, trace: int, seed: int) -> dict:
             "result": json.loads(lines[-1])}
 
 
+def time_cli(checkout: Path, name: str) -> dict:
+    """Wall seconds of ``CLI_RUNS`` fresh processes of one command, and their median."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
+    args = CLI_COMMANDS[name]
+    samples = []
+    for _ in range(CLI_RUNS):
+        with tempfile.TemporaryDirectory() as out:
+            cmd = ([sys.executable, "-c", "import phasecraft.cli"] if args is None
+                   else [sys.executable, "-m", "phasecraft.cli", *args, "--out", out])
+            start = time.perf_counter()
+            proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+            samples.append(time.perf_counter() - start)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+    return {"median_s": statistics.median(samples), "samples_s": samples}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("k", type=int, help="the number in BENCH_<K>.json")
@@ -66,6 +104,10 @@ def main(argv=None) -> int:
             for seed in SEEDS:
                 print(f"{workload} --trace {trace} --seed {seed}", file=sys.stderr, flush=True)
                 runs.append(run(checkout, workload, trace, seed))
+    cli = {}
+    for name in CLI_COMMANDS:
+        print(f"cli {name}", file=sys.stderr, flush=True)
+        cli[name] = time_cli(checkout, name)
 
     def medians(trace: int, metrics: list) -> dict:
         return {workload: {metric["name"]: statistics.median(
@@ -78,7 +120,7 @@ def main(argv=None) -> int:
     doc = {"git_sha": git(checkout, "rev-parse", "HEAD"),
            "tracked_changes": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
            "medians": medians(0, spec["end_to_end"]),
-           "layer_medians": medians(1, spec["per_layer"]), "runs": runs}
+           "layer_medians": medians(1, spec["per_layer"]), "cli": cli, "runs": runs}
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0

@@ -72,7 +72,7 @@ _MAX_STEPS = 10_000_000  # euler/affine steps: 100 x sutherland_bound_pair's 1e5
 _MAX_SAMPLES = 1_000_000  # 2.5 x harmonic_shell's 4e5; 250 MB if every sample is accepted
 _MAX_POINT_STEPS = 100_000_000  # samples x flow steps: 7 x harmonic_shell's 1.5e7
 _MAX_DOF = 3  # ensemble histograms have 8^(2n) and 12^(2n) cells: 24 MB at n = 3, 3.4 GB at 4
-_MAX_GRID = 1024  # wigner grid.N: 2 x the shipped and benchmarked 512; 260 MB at 1024
+_MAX_GRID = 1024  # wigner grid.N: 2 x the shipped and benchmarked 512; a run peaks near 55 MB
 
 # affine model: (its lattice variant, the constant that sets the coupling)
 _AFFINE_MODELS = {"standard": ("calogero", "J_iso"), "affine_left": ("hyperbolic", "a"),

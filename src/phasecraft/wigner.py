@@ -55,6 +55,7 @@ _TAIL_FRACTION = 0.10
 _TAIL_BOUND = 1.0e-8
 _FD_STEP = 1.0e-4
 _GRAD_TOL = 1.0e-8
+_ROW_BLOCK = 32  # rows of wigner_transform's half-correlation per pass: 0.5 MB at N = 512
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def _upsample2(psi: np.ndarray, axis: int = -1) -> np.ndarray:
 def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
     """Phase-space image of a normalized state.
 
-    Output: N x N real field, q on the input lattice, p on the centered
+    Output: N x N float64 field, q on the input lattice, p on the centered
     dual lattice dp = 2 pi hbar / (N dq), normalized so the marginals are
     the position and momentum probability densities.
     """
@@ -279,36 +280,56 @@ def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
     padded = np.zeros(2 * n, dtype=complex)
     padded[n // 2 : n // 2 + n] = psi.psi
     up = _upsample2(padded)  # 4n samples, spacing dx/2
-    four_n = 4 * n
 
     # correlation c[i, r] = conj(psi)(q_i - s/2) psi(q_i + s/2) at s = r dx;
     # the half-shifts live on the upsampled (dx/2) lattice, where q_i sits at
     # u = 2 i + n.  Windows of the periodic signal read twice give
     # up[(u + r) % 4n] (forward) and up[(u - r) % 4n] (backward) as strided
-    # views, one row per i.
+    # views, one row per i.  The correlation is Hermitian in the separation,
+    # c[i, 4n - r] = conj(c[i, r]), so only r = 0 ... 2n is formed.
     twice = np.concatenate([up, up])
-    plus = sliding_window_view(twice, four_n)[n : 3 * n : 2]
-    minus = sliding_window_view(twice[::-1], four_n)[3 * n - 1 : n : -2]
-    corr = np.conj(minus) * plus
-    corr[:, 2 * n] = 0.0  # unpaired endpoint of the symmetric s-range
+    plus = sliding_window_view(twice, 2 * n + 1)[n : 3 * n : 2]
+    minus = sliding_window_view(twice[::-1], 2 * n + 1)[3 * n - 1 : n : -2]
 
-    # W[i, c] = dx / (2 pi hbar) sum_r corr[i, r] e^{-i p_c r dx / hbar} over the 4n
+    # W[i, c] = dx / (2 pi hbar) sum_r c[i, r] e^{-i p_c r dx / hbar} over the 4n
     # separations, p_c = (c - n/2) dp, i.e. the phase (-1)^r e^{-2 pi i c r / n}.
-    # It has period n in r, so the sum folds onto n bins, y[m] = sum_t corr[i, m + t n],
-    # before a length-n FFT; n is a power of two >= 4, hence even, and the
-    # centring sign (-1)^(m + t n) is (-1)^m.
-    signs = (-1.0) ** np.arange(n)  # centers the p-lattice
-    table = np.fft.fft(corr.reshape(n, 4, n).sum(axis=1) * signs, axis=1)
-    table *= psi.dx / (2.0 * np.pi * hbar)
-    dp = psi.dp
-    w = PhaseGrid(values=table, dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar)
-    # the correlation is Hermitian in r, so the field is real up to rounding and
-    # PhaseGrid keeps it complex only when the transform produced non-finite values
-    if np.iscomplexobj(w.values):
-        imag = float(np.max(np.abs(w.values.imag)))
+    # It has period n in r, so the sum folds onto n bins, y[m] = sum_t c[i, m + t n],
+    # and n is a power of two >= 4, hence even, so the centring sign is (-1)^m.
+    # The folded row is Hermitian too, y[n - m] = conj(y[m]): with r > 2n read as
+    # conj(c[4n - r]), its h = n/2 + 1 non-negative bins are
+    # y[m] = c[m] + c[m + n] + conj(c[2n - m] + c[n - m]), and the real inverse FFT
+    # of conj(y) (-1)^m gives the real length-n sum.  That FFT drops the imaginary
+    # parts of bins 0 and n/2, which vanish exactly for finite samples; they are
+    # kept as the hermiticity residue reported when the field is not finite.
+    half = n // 2 + 1
+    signs = (-1.0) ** np.arange(half)  # centers the p-lattice
+    scale = psi.dx / (2.0 * np.pi * hbar)
+    table = np.empty((n, n))
+    edges = np.empty((n, 2), dtype=complex)  # bins 0 and n/2 of each row
+    block = min(n, _ROW_BLOCK)
+    corr = np.empty((block, 2 * n + 1), dtype=complex)
+    folded = np.empty((block, half), dtype=complex)
+    tmp = np.empty((block, half), dtype=complex)
+    # a non-finite sample (inf * 0, inf - inf) reaches the guard below, not a warning
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, n, block):  # the block buffers stay in cache across passes
+            rows = slice(lo, lo + block)
+            np.conjugate(minus[rows], out=corr)
+            corr *= plus[rows]
+            corr[:, 2 * n] = 0.0  # unpaired endpoint of the symmetric s-range
+            np.add(corr[:, :half], corr[:, n : n + half], out=folded)
+            np.conjugate(folded, out=folded)
+            np.add(corr[:, 2 * n : 3 * n // 2 - 1 : -1], corr[:, n : n // 2 - 1 : -1], out=tmp)
+            folded += tmp
+            folded *= signs
+            edges[rows] = folded[:, :: n // 2]
+            np.multiply(np.fft.irfft(folded, n, axis=1, norm="forward"), scale, out=table[rows])
+    if not np.isfinite(table).all():
+        imag = float(np.max(np.abs(edges.imag)))
         raise GridTooCoarse(f"wigner_transform: the field has non-finite values "
                             f"(hermiticity residue {imag:.3e})")
-    return w
+    dp = psi.dp
+    return PhaseGrid(values=table, dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar)
 
 
 def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:

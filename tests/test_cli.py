@@ -169,6 +169,25 @@ def test_wigner_run_binary_sidecar(tmp_path):
     assert abs(w.sum() * side["dq"] * side["dp"] - 1.0) <= 1e-9
 
 
+def test_wigner_run_at_n_1024_peaks_below_100_mib(tmp_path):
+    # the transform forms the Hermitian half of the correlation a block of rows
+    # at a time; the full complex correlation took the run to about 132 MiB.
+    # VmHWM is the peak of the process's own memory since exec; ru_maxrss would
+    # also carry the peak of this test process, whose memory the child starts from
+    scen = write(tmp_path, "w.json", {
+        "state": {"kind": "ho-ground"},
+        "grid": {"N": 1024, "qmin": -8.0, "qmax": 8.0},
+    })
+    code = ("from phasecraft import cli; "
+            f"assert cli.main(['wigner', {scen!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert int(proc.stdout.split()[-1]) < 100 * 1024  # kB
+
+
 def test_cohomology_fixture_and_radical(tmp_path):
     scen = write(tmp_path, "c.json", {
         "algebra": "so3",

@@ -148,8 +148,20 @@ def _row_loop_correlation(psi):
 
 
 def _row_loop_transform(psi):
-    """The field from the row-loop correlation, folded onto n bins and
-    transformed as the library does."""
+    """The field from the row-loop correlation, folded onto the n/2 + 1
+    non-negative bins of the Hermitian row and transformed as the library does."""
+    n = psi.n_points
+    corr, half = _row_loop_correlation(psi), n // 2 + 1
+    folded = np.conj(corr[:, :half] + corr[:, n : n + half])
+    folded += corr[:, 2 * n : 3 * n // 2 - 1 : -1] + corr[:, n : n // 2 - 1 : -1]
+    table = np.fft.irfft(folded * (-1.0) ** np.arange(half), n, axis=1, norm="forward")
+    table *= psi.dx / (2.0 * np.pi * psi.hbar)
+    return table.real
+
+
+def _complex_fold_transform(psi):
+    """The field from all four blocks of the row-loop correlation folded onto
+    n complex bins, a complex length-n FFT and the real part."""
     n = psi.n_points
     folded = _row_loop_correlation(psi).reshape(n, 4, n).sum(axis=1)
     table = np.fft.fft(folded * (-1.0) ** np.arange(n), axis=1)
@@ -188,6 +200,23 @@ def test_wigner_fold_matches_full_length_transform(make, n):
     assert float(np.max(np.abs(w - full))) <= 4 * np.finfo(float).eps * scale
 
 
+@_transform_sizes
+@_transform_states
+def test_wigner_half_fold_matches_complex_fold(make, n):
+    # the real FFT of the n/2 + 1 Hermitian bins against the complex FFT of all n
+    psi = make(n).normalized()
+    w = wg.wigner_transform(psi).values
+    scale = float(np.max(np.abs(w)))
+    assert float(np.max(np.abs(w - _complex_fold_transform(psi)))) <= 4 * np.finfo(float).eps * scale
+
+
+@_transform_states
+def test_wigner_field_is_read_only_c_contiguous_float64(make):
+    values = wg.wigner_transform(make(64).normalized()).values
+    assert values.dtype == np.float64 and values.shape == (64, 64)
+    assert values.flags.c_contiguous and not values.flags.writeable
+
+
 def test_hermiticity_guard_raises(monkeypatch):
     # the correlation is Hermitian in the separation for any upsampled
     # signal, so only a non-finite sample leaves the field complex
@@ -197,6 +226,19 @@ def test_hermiticity_guard_raises(monkeypatch):
     def corrupted(psi, axis=-1):
         out = upsample(psi, axis) * np.exp(2j * np.pi * rng.random(4 * 64))
         out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(wg, "_upsample2", corrupted)
+    with pytest.raises(GridTooCoarse, match="hermiticity"):
+        wg.wigner_transform(wg.ho_ground(64, -8.0, 8.0))
+
+
+def test_hermiticity_guard_raises_on_an_infinite_sample(monkeypatch):
+    upsample = wg._upsample2
+
+    def corrupted(psi, axis=-1):
+        out = upsample(psi, axis)
+        out[7] = np.inf
         return out
 
     monkeypatch.setattr(wg, "_upsample2", corrupted)
