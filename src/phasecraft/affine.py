@@ -369,8 +369,7 @@ def lattice_hamiltonian(
     zeros = [0.0] * (n * (n - 1) // 2)
     m_up = _upper(lat.M) if lat.M is not None else zeros
     n_up = _upper(lat.N) if lat.N is not None else zeros
-    terms = _pair_terms(variant, params, q)
-    well, _, dt_dp = _one_body_terms(variant, params, q, p, dilatation_k, dilatation_center)
+    well, _, dt_dp, terms = _lattice_model(variant, params, dilatation_k, dilatation_center)(q, p)
     # T is quadratic in p, so T = p . dT/dp / 2
     energy = 0.5 * float(np.dot(p, dt_dp)) + well
     pairs = 0.0
@@ -379,71 +378,72 @@ def lattice_hamiltonian(
     return energy + pairs
 
 
-def _one_body_terms(variant, params, q, p, dil_k, dil_c):
-    """The dilatation well's energy and the one-body gradients (dH/dq, dH/dp)
-    of the kinetic term plus the well, on lists of floats."""
-    if variant == "calogero":
-        # T = sum_a exp(-2 q_a) p_a^2 / 2I
-        inertia = float(params["I"])
-        try:
-            dt_dp = [math.exp(-2.0 * x) / inertia * y for x, y in zip(q, p)]
-        except OverflowError as exc:
-            raise Overflow("kinetic weight exp(-2 q) leaves the float64 range") from exc
-        dt_dq = [-d * y for d, y in zip(dt_dp, p)]
-    elif variant in ("hyperbolic", "trigonometric"):
-        a = float(params["a"])
-        dt_dp = [y / a for y in p]
-        dt_dq = [0.0] * len(q)
-    else:
+def _lattice_model(variant, params, dil_k, dil_c):
+    """Bind a lattice variant, its constant (``a``, or ``I`` for calogero) and
+    the dilatation well once; ValueError for an unknown variant or a missing,
+    zero or non-finite constant.  The returned ``kernel(q, p)``, on lists of
+    floats, gives (well energy, dH/dq, dH/dp, terms): the one-body gradients
+    include the well, and ``terms`` holds per pair a < b in row-major order
+    (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a, dc_N/dq_b) of the pair part
+    sum_{a<b} c_M M_ab^2 + c_N N_ab^2 of H, both orderings of the printed
+    double sum counted.  Pair terms come first, so a colliding or NaN q
+    raises SingularConfiguration."""
+    if variant not in ("hyperbolic", "trigonometric", "calogero"):
         raise ValueError(f"unknown lattice variant {variant!r}")
-    if dil_k == 0.0:
-        return 0.0, dt_dq, dt_dp
-    shift = sum(q) / len(q) - dil_c
-    pull = dil_k * shift / len(q)
-    return 0.5 * dil_k * shift**2, [d + pull for d in dt_dq], dt_dp
-
-
-def _pair_terms(variant, params, q):
-    """Pair coefficients of the lattice Hamiltonian and their q-derivatives.
-
-    The pair part of H is sum_{a<b} c_M M_ab^2 + c_N N_ab^2, both orderings
-    of the printed double sum counted.  ``q`` is a list of floats.  Returns
-    one tuple (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a, dc_N/dq_b) per
-    pair a < b, in row-major order.
-    """
     hyper, calogero = variant == "hyperbolic", variant == "calogero"
-    if hyper or variant == "trigonometric":
-        scale, sign = 1.0 / (16.0 * float(params["a"])), -1.0 if hyper else 1.0
-        rep_f, att_f = (math.sinh, math.cosh) if hyper else (math.sin, math.cos)
-    elif calogero:
-        scale, sign = 0.25 / float(params["I"]), 1.0
+    key = "I" if calogero else "a"
+    strength = float(params[key]) if key in params else math.nan
+    if not (math.isfinite(strength) and strength != 0.0):
+        raise ValueError(f"the {variant} lattice needs a finite nonzero {key!r}, "
+                         f"got {params.get(key)!r}")
+    if calogero:
+        scale, sign = 0.25 / strength, 1.0
     else:
-        raise ValueError(f"unknown lattice variant {variant!r}")
-    n = len(q)
-    terms = []
-    try:
-        qs = [math.exp(x) for x in q] if calogero else q
-        for a in range(n):
-            for b in range(a + 1, n):
-                # repulsive and attractive denominators, c_M = scale / rep^2 and
-                # c_N = sign * scale / att^2, and their q_a and q_b derivatives
-                if calogero:
-                    rep, att = qs[a] - qs[b], qs[a] + qs[b]
-                    rep_a, rep_b = qs[a], -qs[b]
-                    att_a, att_b = qs[a], qs[b]
-                else:
-                    half = 0.5 * (qs[a] - qs[b])
-                    rep, att = rep_f(half), att_f(half)
-                    rep_a, att_a = 0.5 * att, -0.5 * sign * rep
-                    rep_b, att_b = -rep_a, -att_a
-                if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
-                    raise SingularConfiguration("lattice denominator underflow")
-                cm, cn = scale / rep**2, sign * scale / att**2
-                terms.append((cm, cn, -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep,
-                              -2.0 * cn * att_a / att, -2.0 * cn * att_b / att))
-    except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf
-        raise Overflow("deformation invariants too far apart for the lattice terms") from exc
-    return terms
+        scale, sign = 1.0 / (16.0 * strength), -1.0 if hyper else 1.0
+        rep_f, att_f = (math.sinh, math.cosh) if hyper else (math.sin, math.cos)
+
+    def kernel(q, p):
+        n = len(q)
+        terms = []
+        try:
+            qs = [math.exp(x) for x in q] if calogero else q
+            for a in range(n):
+                for b in range(a + 1, n):
+                    # repulsive and attractive denominators, c_M = scale / rep^2 and
+                    # c_N = sign * scale / att^2, and their q_a and q_b derivatives
+                    if calogero:
+                        rep, att = qs[a] - qs[b], qs[a] + qs[b]
+                        rep_a, rep_b = qs[a], -qs[b]
+                        att_a, att_b = qs[a], qs[b]
+                    else:
+                        half = 0.5 * (qs[a] - qs[b])
+                        rep, att = rep_f(half), att_f(half)
+                        rep_a, att_a = 0.5 * att, -0.5 * sign * rep
+                        rep_b, att_b = -rep_a, -att_a
+                    if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
+                        raise SingularConfiguration("lattice denominator underflow")
+                    cm, cn = scale / rep**2, sign * scale / att**2
+                    terms.append((cm, cn, -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep,
+                                  -2.0 * cn * att_a / att, -2.0 * cn * att_b / att))
+        except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf
+            raise Overflow("deformation invariants too far apart for the lattice terms") from exc
+        if calogero:
+            # T = sum_a exp(-2 q_a) p_a^2 / 2I
+            try:
+                dt_dp = [math.exp(-2.0 * x) / strength * y for x, y in zip(q, p)]
+            except OverflowError as exc:
+                raise Overflow("kinetic weight exp(-2 q) leaves the float64 range") from exc
+            dt_dq = [-d * y for d, y in zip(dt_dp, p)]
+        else:
+            dt_dp = [y / strength for y in p]
+            dt_dq = [0.0] * n
+        if dil_k == 0.0:
+            return 0.0, dt_dq, dt_dp, terms
+        shift = sum(q) / n - dil_c
+        pull = dil_k * shift / n
+        return 0.5 * dil_k * shift**2, [d + pull for d in dt_dq], dt_dp, terms
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +512,19 @@ def _lattice_flow(variant, params, n, dil_k, dil_c):
     of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
         dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N].
     """
+    kernel = _lattice_model(variant, params, dil_k, dil_c)
     pairs, _, legs = _skew_tables(n)
     n_start = 2 * n + len(pairs)
 
     def flow(y):
         q, p, m, nn = y[:n], y[n : 2 * n], y[2 * n : n_start], y[n_start:]
         try:
-            terms = _pair_terms(variant, params, q)
+            _, dh_dq, dh_dp, terms = kernel(q, p)
         except SingularConfiguration:
             if all(map(math.isfinite, q)):
                 raise
             # an RK4 stage built from an overflowing derivative, not a collision
             raise Overflow("the lattice state left the float64 range") from None
-        _, dh_dq, dh_dp = _one_body_terms(variant, params, q, p, dil_k, dil_c)
         dp, g_m, g_n = [-d for d in dh_dq], [], []
         for (a, b), (c_m, c_n, dm_a, dm_b, dn_a, dn_b), mv, nv in zip(pairs, terms, m, nn):
             m2, n2 = mv * mv, nv * nv
@@ -576,7 +576,8 @@ def lattice_dynamics(
     closes on the momenta alone).  Raises SingularConfiguration when two
     invariants collide or cross, Overflow when the state leaves the float64
     range, and ValueError for a ``dt`` that is not finite and positive, a
-    ``sample_every`` below 1 or a non-finite state.
+    ``sample_every`` below 1, a non-finite state, an unknown variant or a
+    missing, zero or non-finite constant.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")

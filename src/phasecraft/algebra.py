@@ -153,7 +153,7 @@ class BilinearForm:
     """Symmetric bilinear form ``gamma_ab`` on an algebra, with cached inverse."""
 
     coeffs: np.ndarray
-    inverse: np.ndarray | None = field(default=None, compare=False)
+    inverse: np.ndarray | None = field(init=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.coeffs, dtype=float)
@@ -382,7 +382,8 @@ def adjoint_matrix(g: GroupElement, alg: LieAlgebraSpec) -> np.ndarray:
     """Coordinate matrix (Ad_g)^b_a with Ad_g E_a = (Ad_g)^b_a E_b."""
     if alg.basis is None:
         raise ValueError("adjoint matrix needs a matrix basis")
-    cols = [alg.coords_of(adjoint(g, e)) for e in alg.basis]
+    ginv = g.inv()
+    cols = [alg.coords_of(g.matrix @ np.asarray(e) @ ginv) for e in alg.basis]
     return np.stack(cols, axis=1)
 
 

@@ -209,8 +209,7 @@ def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
         return []
     if k == n:  # top degree: everything is closed
         return [form_from_vector(np.ones(1), n, k)]
-    mat = coboundary_matrix(alg, k)
-    null = _null_space(mat)
+    _, null = _spaces(coboundary_matrix(alg, k))
     return [form_from_vector(null[:, i], n, k) for i in range(null.shape[1])]
 
 
@@ -219,8 +218,7 @@ def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     n = alg.dim
     if k < 1 or k - 1 >= n:
         return []
-    mat = coboundary_matrix(alg, k - 1)
-    img = _column_space(mat)
+    img, _ = _spaces(coboundary_matrix(alg, k - 1))
     return [form_from_vector(img[:, i], n, k) for i in range(img.shape[1])]
 
 
@@ -239,8 +237,7 @@ def radical(alg: LieAlgebraSpec, omega: KForm):
     """
     if omega.degree != 2:
         raise ValueError("radical is defined for two-forms")
-    mat = omega.coeffs
-    null = _null_space(mat)
+    _, null = _spaces(omega.coeffs)
     codim = alg.dim - null.shape[1]
 
     # closure: [u, v] must fall back into the span for all basis pairs
@@ -256,17 +253,11 @@ def radical(alg: LieAlgebraSpec, omega: KForm):
     return [span[:, i] for i in range(span.shape[1])], codim
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
+def _spaces(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the image and the kernel of ``mat``, from
+    one SVD with singular values above ``_RANK_CUTOFF`` counted as rank."""
     if mat.size == 0:
-        return np.eye(mat.shape[1]) if mat.shape[1] else np.zeros((0, 0))
+        return np.zeros((mat.shape[0], 0)), np.eye(mat.shape[1])
     u, s, vt = np.linalg.svd(mat)
     rank = int(np.sum(s > _RANK_CUTOFF))
-    return vt[rank:].T
-
-
-def _column_space(mat: np.ndarray) -> np.ndarray:
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > _RANK_CUTOFF))
-    return u[:, :rank]
+    return u[:, :rank], vt[rank:].T

@@ -560,6 +560,26 @@ def test_lattice_dynamics_rejects_bad_steps_and_states(dt, steps, sample_every, 
         lattice_dynamics("hyperbolic", {"a": 1.0}, lat, dt, steps, sample_every=sample_every)
 
 
+@pytest.mark.parametrize("variant,params,named", [
+    ("bogus", {"a": 1.0}, "bogus"),
+    ("hyperbolic", {"I": 1.0}, "'a'"),
+    ("calogero", {"a": 1.0}, "'I'"),
+    ("trigonometric", {"a": 0.0}, "'a'"),
+    ("hyperbolic", {"a": float("nan")}, "'a'"),
+    ("calogero", {"I": float("inf")}, "'I'"),
+], ids=["unknown_variant", "missing_a", "missing_I", "zero_a", "nan_a", "inf_I"])
+def test_lattice_model_refuses_a_bad_variant_or_constant(variant, params, named):
+    # refused where the model is bound, before any step is taken
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError, match=named):
+        lattice_hamiltonian(variant, params, lat)
+    with pytest.raises(ValueError, match=named):
+        lattice_dynamics(variant, params, lat, 1e-3, 0)
+
+
 @pytest.mark.parametrize("p,m12,n12", [
     ([0.0, 0.0], 1e160, 1.2), ([0.0, 0.0], 1e160, 1e160), ([1e300, -1e300], 1.0, 1.2),
 ], ids=["coupling_squared_overflows", "infinite_forces_cancel_to_nan", "sinh_overflows"])

@@ -233,6 +233,16 @@ def test_adjoint_identity_map():
     npt.assert_allclose(adjoint_matrix(g, spec), np.eye(3), atol=1e-14)
 
 
+@pytest.mark.parametrize("name,tag", [("so3", "special-orthogonal"), ("so13", "general-linear")])
+def test_adjoint_matrix_columns_are_the_adjoint_action(name, tag):
+    # one inverse per call must give the bits of Ad_g applied to each basis element
+    spec = fixture(name)
+    rng = np.random.default_rng(5)
+    g = group_exp(spec.matrix_of(rng.normal(size=spec.dim)), tag=tag)
+    want = np.stack([spec.coords_of(adjoint(g, e)) for e in spec.basis], axis=1)
+    npt.assert_array_equal(adjoint_matrix(g, spec), want)
+
+
 def test_adjoint_rotation_mixes_generators():
     spec = fixture("so3")
     theta = 0.31
@@ -271,6 +281,9 @@ def test_bilinear_form_inverse_cached():
     npt.assert_allclose(form.coeffs @ form.inverse, np.eye(3), atol=1e-12)
     singular = BilinearForm(np.zeros((2, 2)))
     assert singular.inverse is None
+    # the inverse is always derived from the coefficients, never given
+    with pytest.raises(TypeError):
+        BilinearForm(np.eye(2), inverse=np.eye(2))
 
 
 def test_group_membership_orthogonal_tag():

@@ -26,6 +26,18 @@ def w_ground(ho_ground_512):
     return wg.wigner_transform(ho_ground_512)
 
 
+@pytest.fixture(scope="module")
+def gaussian_512():
+    return wg.wigner_transform(
+        wg.gaussian_packet(0.7, 512, -8.0, 8.0, q_center=0.5, p_center=0.3)
+    )
+
+
+@pytest.fixture(scope="module")
+def ground_star_gaussian(w_ground, gaussian_512):
+    return wg.star_product(w_ground, gaussian_512)
+
+
 # --- states and grids -----------------------------------------------------------
 
 
@@ -334,12 +346,9 @@ def test_star_pure_state_idempotent(w_ground):
     assert np.max(np.abs(2.0 * np.pi * HBAR * ww.values - w_ground.values)) <= 1e-7
 
 
-def test_star_trace_rule(w_ground):
-    other = wg.wigner_transform(
-        wg.gaussian_packet(0.7, 512, -8.0, 8.0, q_center=0.5, p_center=0.3)
-    )
-    prod = wg.star_product(w_ground, other)
-    lhs = prod.integral()
+def test_star_trace_rule(w_ground, gaussian_512, ground_star_gaussian):
+    other = gaussian_512
+    lhs = ground_star_gaussian.integral()
     rhs = float((w_ground.values * other.values).sum()) * w_ground.dq * w_ground.dp
     assert abs(lhs - rhs) / (2.0 * np.pi * HBAR) <= 1e-7
 
@@ -357,12 +366,9 @@ def test_star_trace_cyclicity(w_ground):
     assert np.max(np.abs(ab.values - ba.values)) > 1e-4
 
 
-def test_star_conjugation_rule(w_ground):
-    other = wg.wigner_transform(
-        wg.gaussian_packet(0.7, 512, -8.0, 8.0, q_center=0.5, p_center=0.3)
-    )
-    ab = wg.star_product(w_ground, other)
-    ba = wg.star_product(other, w_ground)
+def test_star_conjugation_rule(w_ground, gaussian_512, ground_star_gaussian):
+    ab = ground_star_gaussian
+    ba = wg.star_product(gaussian_512, w_ground)
     assert np.max(np.abs(np.conj(ab.values) - ba.values)) <= 1e-8
 
 
