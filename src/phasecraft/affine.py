@@ -26,14 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import expm
-from .errors import (
-    ModelMismatch,
-    OrientationReversed,
-    Overflow,
-    Singular,
-    SingularConfiguration,
-)
+from .algebra import check_step, expm, rk4
+from .errors import (ModelMismatch, OrientationReversed, Overflow, Singular,
+                     SingularConfiguration)
 
 __all__ = [
     "AffineState",
@@ -80,11 +75,15 @@ class AffineState:
         n = phi.shape[0]
         if phi.shape != (n, n):
             raise ValueError("phi must be square")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi has non-finite entries")
         if abs(np.linalg.det(phi)) < 1.0e-12:
             raise Singular("phi is numerically singular")
         sh = np.asarray(self.sigma_hat, dtype=float)
         if sh.shape != (n, n):
             raise ValueError("sigma_hat must match phi in shape")
+        if not np.isfinite(sh).all():
+            raise ValueError("sigma_hat has non-finite entries")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma_hat", sh)
         if self.p is not None:
@@ -237,16 +236,13 @@ def two_polar(phi) -> TwoPolarState:
 
     u, s, vt = np.linalg.svd(phi)
     v = vt.T
-    if np.linalg.det(u) < 0:  # det u = det v here since det phi > 0
-        u[:, -1] *= -1.0
-        v[:, -1] *= -1.0
     n = phi.shape[0]
     for col in range(n - 1):
         lead = u[:, col][np.nonzero(np.abs(u[:, col]) > 1.0e-12)[0]]
         if lead.size and lead[0] < 0:
             u[:, col] *= -1.0
             v[:, col] *= -1.0
-    if np.linalg.det(u) < 0:
+    if np.linalg.det(u) < 0:  # det u = det v here since det phi > 0
         u[:, -1] *= -1.0
         v[:, -1] *= -1.0
 
@@ -380,14 +376,14 @@ def lattice_hamiltonian(
 
 def _lattice_model(variant, params, dil_k, dil_c):
     """Bind a lattice variant, its constant (``a``, or ``I`` for calogero) and
-    the dilatation well once; ValueError for an unknown variant or a missing,
-    zero or non-finite constant.  The returned ``kernel(q, p)``, on lists of
-    floats, gives (well energy, dH/dq, dH/dp, terms): the one-body gradients
-    include the well, and ``terms`` holds per pair a < b in row-major order
-    (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a, dc_N/dq_b) of the pair part
-    sum_{a<b} c_M M_ab^2 + c_N N_ab^2 of H, both orderings of the printed
-    double sum counted.  Pair terms come first, so a colliding or NaN q
-    raises SingularConfiguration."""
+    the dilatation well once; ValueError for an unknown variant, a missing,
+    zero or non-finite constant or a non-finite well setting.  The returned
+    ``kernel(q, p)``, on lists of floats, gives (well energy, dH/dq, dH/dp,
+    terms): the one-body gradients include the well, and ``terms`` holds per
+    pair a < b in row-major order (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a,
+    dc_N/dq_b) of the pair part sum_{a<b} c_M M_ab^2 + c_N N_ab^2 of H, both
+    orderings of the printed double sum counted.  Pair terms come first, so a
+    colliding or NaN q raises SingularConfiguration."""
     if variant not in ("hyperbolic", "trigonometric", "calogero"):
         raise ValueError(f"unknown lattice variant {variant!r}")
     hyper, calogero = variant == "hyperbolic", variant == "calogero"
@@ -396,6 +392,9 @@ def _lattice_model(variant, params, dil_k, dil_c):
     if not (math.isfinite(strength) and strength != 0.0):
         raise ValueError(f"the {variant} lattice needs a finite nonzero {key!r}, "
                          f"got {params.get(key)!r}")
+    for name, value in (("dilatation_k", dil_k), ("dilatation_center", dil_c)):
+        if not math.isfinite(value):
+            raise ValueError(f"the dilatation well needs a finite {name}, got {value!r}")
     if calogero:
         scale, sign = 0.25 / strength, 1.0
     else:
@@ -576,24 +575,16 @@ def lattice_dynamics(
     closes on the momenta alone).  Raises SingularConfiguration when two
     invariants collide or cross, Overflow when the state leaves the float64
     range, and ValueError for a ``dt`` that is not finite and positive, a
-    ``sample_every`` below 1, a non-finite state, an unknown variant or a
-    missing, zero or non-finite constant.
+    ``sample_every`` below 1, a non-finite state, an unknown variant, a
+    missing, zero or non-finite constant or a non-finite well setting.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
-        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
+    check_step(dt, sample_every)
     y = _flat_state(lat)
     n = lat.n
     flow = _lattice_flow(variant, params, n, dilatation_k, dilatation_center)
-    half, sixth = 0.5 * dt, dt / 6.0
     out = [lat]
     for k in range(steps):
-        k1 = flow(y)
-        k2 = flow([u + half * v for u, v in zip(y, k1)])
-        k3 = flow([u + half * v for u, v in zip(y, k2)])
-        k4 = flow([u + dt * v for u, v in zip(y, k3)])
-        y = [u + sixth * (a + 2 * b + 2 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        y = rk4(flow, y, dt)
         if not all(map(math.isfinite, y)):
             raise Overflow("the lattice state left the float64 range")
         if any(y[a + 1] > y[a] for a in range(n - 1)):

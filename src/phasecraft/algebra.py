@@ -27,6 +27,8 @@ __all__ = [
     "so_basis",
     "killing_tensor",
     "expm",
+    "rk4",
+    "check_step",
     "group_exp",
     "adjoint",
     "adjoint_matrix",
@@ -366,6 +368,27 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
         [b * w1 * w2 + a * w3, 1.0 - b * (w1 * w1 + w3 * w3), b * w2 * w3 - a * w1],
         [b * w1 * w3 - a * w2, b * w2 * w3 + a * w1, 1.0 - b * (w1 * w1 + w2 * w2)],
     ])
+
+
+def rk4(rate, y: list, dt: float, steps: int = 1) -> list:
+    """``steps`` classical Runge-Kutta steps of size dt of dy/dt = rate(y), on a
+    list y of components (floats or arrays) that ``rate`` maps to theirs."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(steps):
+        k1 = rate(y)
+        k2 = rate([u + half * v for u, v in zip(y, k1)])
+        k3 = rate([u + half * v for u, v in zip(y, k2)])
+        k4 = rate([u + dt * v for u, v in zip(y, k3)])
+        y = [u + sixth * (a + 2 * b + 2 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return y
+
+
+def check_step(dt: float, sample_every: int = 1) -> None:
+    """ValueError unless dt is finite and positive and sample_every a positive integer."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
+        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
 
 
 def group_exp(x: np.ndarray, tag: str = "general-linear") -> GroupElement:

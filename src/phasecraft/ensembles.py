@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import rk4
 from .errors import EmptyShell, NotNormalized, SingularMetric
 
 __all__ = [
@@ -142,24 +143,19 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
 
 
 def _flow_rk4(points: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
-              tau: float, dt: float = FLOW_STEP) -> np.ndarray:
-    """Hamiltonian flow of the observable, vectorized RK4 on all points."""
-    n_steps = max(1, int(np.ceil(abs(tau) / dt)))
-    h = tau / n_steps
+              tau: float) -> np.ndarray:
+    """Hamiltonian flow of the observable, vectorized RK4 on all points in
+    steps of at most FLOW_STEP.  All steps run inside one ``rk4`` call: a
+    call per step frees the four stage arrays at every return, and mapping
+    their memory afresh made a flow of 20 000 points about twice as slow."""
+    n_steps = max(1, int(np.ceil(abs(tau) / FLOW_STEP)))
     n_dof = points.shape[1] // 2
 
-    def vf(z):
-        g = grad(z)
-        return np.concatenate([g[:, n_dof:], -g[:, :n_dof]], axis=1)
+    def vf(y):
+        g = grad(y[0])
+        return [np.concatenate([g[:, n_dof:], -g[:, :n_dof]], axis=1)]
 
-    z = points
-    for _ in range(n_steps):
-        k1 = vf(z)
-        k2 = vf(z + 0.5 * h * k1)
-        k3 = vf(z + 0.5 * h * k2)
-        k4 = vf(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z
+    return rk4(vf, [points], tau / n_steps, steps=n_steps)[0]
 
 
 def invariance_check(shell: ShellEnsemble, region: PhaseRegion,

@@ -20,14 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    BilinearForm,
-    GroupElement,
-    LieAlgebraSpec,
-    adjoint_matrix,
-    coadjoint,
-    expm,
-)
+from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, adjoint_matrix,
+                      check_step, coadjoint, expm, rk4)
 from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
 
@@ -231,9 +225,9 @@ def _project_group(g_mat: np.ndarray, tag: str) -> np.ndarray:
 
 
 def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4") -> BodyState:
-    """Advance one time step; ``method`` is ``rk4`` or ``lie_midpoint``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """Advance one time step; ``method`` is ``rk4`` or ``lie_midpoint``;
+    ValueError for a ``dt`` that is not finite and positive."""
+    check_step(dt)
     if method == "rk4":
         return _step_rk4(model, state, dt)
     if method == "lie_midpoint":
@@ -242,21 +236,16 @@ def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4"
 
 
 def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
-    g0, s0 = state.g.matrix, state.sigma
     tag = state.g.tag
 
-    def rate(g_mat, sigma):
+    def rate(y):
+        g_mat, sigma = y
         rhs = _bracket_term(model, sigma)
         if model.potential is not None:
             rhs = rhs + _torque(model, GroupElement(g_mat, tag=tag))
         return _configuration_rate(model, g_mat, sigma), rhs
 
-    k1g, k1s = rate(g0, s0)
-    k2g, k2s = rate(g0 + 0.5 * dt * k1g, s0 + 0.5 * dt * k1s)
-    k3g, k3s = rate(g0 + 0.5 * dt * k2g, s0 + 0.5 * dt * k2s)
-    k4g, k4s = rate(g0 + dt * k3g, s0 + dt * k3s)
-    g1 = g0 + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-    s1 = s0 + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+    g1, s1 = rk4(rate, [state.g.matrix, state.sigma], dt)
     if not np.isfinite(g1).all():
         raise ValueError("group element has non-finite entries")
     return BodyState(GroupElement(_project_group(g1, tag), tag=tag), s1, state.time + dt)
@@ -299,9 +288,10 @@ def integrate(
     method: str = "lie_midpoint",
     sample_every: int = 1,
 ) -> Trajectory:
-    """Run ``n_steps`` steps, sampling every ``sample_every``-th state."""
-    if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
-        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
+    """Run ``n_steps`` steps, sampling every ``sample_every``-th state;
+    ValueError for a ``dt`` that is not finite and positive or a
+    ``sample_every`` below 1."""
+    check_step(dt, sample_every)
     states = [state]
     current = state
     for k in range(n_steps):

@@ -345,13 +345,13 @@ def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     """Integral-operator kernel K[x_j, x_k] on the half-step lattice
-    h = dq/2 (2 Nq points) from symbol samples (Nq x Np, dq dp = 2 pi
-    hbar / Np), by the inverse midpoint map."""
+    h = dq/2 (2 Nq points) from complex symbol samples (Nq x Np,
+    dq dp = 2 pi hbar / Np), by the inverse midpoint map."""
     nq, np_ = values.shape
     two_nq = 2 * nq
     two_np = 2 * np_
     # symbol upsampled x4 along q: rows at spacing dq/4 index (j + k)
-    a4 = _upsample2(_upsample2(values.astype(complex), axis=0), axis=0)
+    a4 = _upsample2(_upsample2(values, axis=0), axis=0)
     # F[l, r] = sum_m a4[l, m] e^{i p_m r h / hbar}, p_m = p0 + m dp,
     # p_m r h / hbar = p0 r h / hbar + pi m r / Np  -> zero-padded inverse
     # FFT of length 2 Np (exactly periodic in r with period 2 Np)
@@ -375,7 +375,7 @@ def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     return kern
 
 
-def _kernel_to_symbol(kern: np.ndarray, np_: int, dq, dp, p0, hbar) -> np.ndarray:
+def _kernel_to_symbol(kern: np.ndarray, np_: int, dq, p0, hbar) -> np.ndarray:
     """Symbol samples (Nq x Np) from a kernel on the half-step lattice."""
     two_nq = kern.shape[0]
     j = np.arange(two_nq)
@@ -422,7 +422,7 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     ka = _symbol_to_kernel(doubled(a.values), a.dq, dp_fine, a.p0, a.hbar)
     kb = _symbol_to_kernel(doubled(b.values), b.dq, dp_fine, b.p0, b.hbar)
     kern = ka @ kb * (a.dq / 2.0)
-    sym = _kernel_to_symbol(kern, 2 * n, a.dq, dp_fine, a.p0, a.hbar)
+    sym = _kernel_to_symbol(kern, 2 * n, a.dq, a.p0, a.hbar)
     # products of real symbols need not be real; PhaseGrid keeps the complex
     # part only when it is genuine
     return PhaseGrid(sym[n // 2 : n // 2 + n, ::2], a.dq, a.dp, a.q0, a.p0, a.hbar)

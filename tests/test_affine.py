@@ -580,6 +580,37 @@ def test_lattice_model_refuses_a_bad_variant_or_constant(variant, params, named)
         lattice_dynamics(variant, params, lat, 1e-3, 0)
 
 
+@pytest.mark.parametrize("well,named", [
+    ({"dilatation_k": float("nan")}, "dilatation_k"),
+    ({"dilatation_k": float("-inf")}, "dilatation_k"),
+    ({"dilatation_k": 1.0, "dilatation_center": float("inf")}, "dilatation_center"),
+    ({"dilatation_center": float("nan")}, "dilatation_center"),
+], ids=["nan_k", "minus_inf_k", "inf_center", "nan_center_without_well"])
+def test_lattice_model_refuses_a_non_finite_well(well, named):
+    # refused where the model is bound, not as a NaN energy or an Overflow of the state
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError, match=named):
+        lattice_hamiltonian("hyperbolic", {"a": 1.0}, lat, **well)
+    with pytest.raises(ValueError, match=named):
+        affine.lattice_rhs("hyperbolic", {"a": 1.0}, lat, **well)
+    with pytest.raises(ValueError, match=named):
+        lattice_dynamics("hyperbolic", {"a": 1.0}, lat, 1e-3, 5, **well)
+
+
+@pytest.mark.parametrize("phi,sigma_hat,named", [
+    (np.diag([1.0, np.nan]), np.zeros((2, 2)), "phi"),
+    (np.diag([np.inf, 1.0]), np.zeros((2, 2)), "phi"),
+    (np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]]), "sigma_hat"),
+    (np.eye(3), np.diag([0.0, -np.inf, 0.0]), "sigma_hat"),
+], ids=["phi_nan", "phi_inf", "sigma_hat_nan", "sigma_hat_inf"])
+def test_affine_state_refuses_non_finite_entries(phi, sigma_hat, named):
+    with pytest.raises(ValueError, match=named):
+        AffineState(phi=phi, sigma_hat=sigma_hat)
+
+
 @pytest.mark.parametrize("p,m12,n12", [
     ([0.0, 0.0], 1e160, 1.2), ([0.0, 0.0], 1e160, 1e160), ([1e300, -1e300], 1.0, 1.2),
 ], ids=["coupling_squared_overflows", "infinite_forces_cancel_to_nan", "sinh_overflows"])

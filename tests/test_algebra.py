@@ -360,3 +360,38 @@ def test_user_basis_is_copied_before_it_is_frozen():
     mats = eps3()
     spec = alg.LieAlgebraSpec(3, fixture("so3").structure, basis=tuple(mats))
     assert not spec.basis[0].flags.writeable and mats[0].flags.writeable
+
+
+def _rk4_reference(rate, y, dt):
+    """One classical RK4 step written out, component by component."""
+    k1 = rate(y)
+    k2 = rate([u + 0.5 * dt * v for u, v in zip(y, k1)])
+    k3 = rate([u + 0.5 * dt * v for u, v in zip(y, k2)])
+    k4 = rate([u + dt * v for u, v in zip(y, k3)])
+    return [u + (dt / 6.0) * (a + 2 * b + 2 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _pendulum(y):
+    q, p = y
+    return [p, -np.sin(q)]
+
+
+def _rotating_cloud(y):
+    z, s = y
+    return [np.stack([s[0] * z[:, 1], -s[1] * z[:, 0]], axis=1), -0.1 * s * s]
+
+
+@pytest.mark.parametrize("rate,y0", [
+    (_pendulum, [0.7, -0.2]),
+    (_rotating_cloud, [np.random.default_rng(3).normal(size=(5, 2)), np.array([1.3, 0.4])]),
+], ids=["floats", "arrays"])
+def test_rk4_is_the_classical_scheme(rate, y0):
+    dt, n = 0.03, 7
+    one = alg.rk4(rate, y0, dt)
+    for got, want in zip(one, _rk4_reference(rate, y0, dt)):
+        assert np.array_equal(got, want)
+    stepped = y0
+    for _ in range(n):
+        stepped = alg.rk4(rate, stepped, dt)
+    for got, want in zip(alg.rk4(rate, y0, dt, steps=n), stepped):
+        assert np.array_equal(got, want)

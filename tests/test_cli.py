@@ -559,6 +559,33 @@ def test_rerun_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+_RNG = np.random.default_rng(2024)
+_SIGMA = _RNG.uniform(-1.0, 1.0, 3).tolist()
+_Q = sorted(_RNG.uniform(-1.5, 1.5, 2).tolist(), reverse=True)
+_M, _N = _RNG.uniform(0.5, 1.5, 2).tolist()
+
+
+@pytest.mark.parametrize("sub,doc", [
+    ("euler", {"principal_moments": [1.0, 2.0, 3.0], "initial": {"sigma": _SIGMA},
+               "t_end": 0.2, "method": "rk4"}),
+    ("euler", {"principal_moments": [1.0, 2.0, 3.0], "initial": {"sigma": _SIGMA},
+               "t_end": 0.2, "potential": "trace_alignment"}),
+    ("affine", {"model": "lattice_trigonometric", "constants": {"a": 1.0}, "t_end": 0.2,
+                "initial": {"q": _Q, "p": [0.3, -0.1], "M": [[0.0, _M], [-_M, 0.0]],
+                            "N": [[0.0, _N], [-_N, 0.0]]}}),
+    ("ensemble", {**SHELL, "seed": 5, "flow_time": 0.3}),
+    ("cohomology", {"algebra": "heisenberg_rot"}),
+], ids=["euler_rk4", "euler_torque", "affine", "ensemble", "cohomology"])
+def test_scenario_reruns_are_byte_identical(tmp_path, sub, doc):
+    scen = write(tmp_path, "s.json", doc)
+    outs = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert cli.run(sub, scen, out, seed=None) == 0
+        outs.append(Path(out, "manifest.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_report_summary_flags_failures(tmp_path, capsys):
     out = str(tmp_path / "out")
     os.makedirs(out)

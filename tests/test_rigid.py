@@ -310,6 +310,18 @@ def test_integrate_rejects_bad_sample_every(sample_every):
                         sample_every=sample_every)
 
 
+@pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_step_and_integrate_refuse_a_bad_dt(dt, method):
+    # a NaN or infinite dt used to fail later, as NoConvergence or a non-finite group element
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    state = identity_state([0.5, 0.1, -0.3])
+    with pytest.raises(ValueError, match="dt"):
+        rigid.step(model, state, dt, method=method)
+    with pytest.raises(ValueError, match="dt"):
+        rigid.integrate(model, state, dt, 10, method=method)
+
+
 def test_midpoint_no_convergence_for_huge_step():
     model = rigid.so3_model((1.0, 2.0, 3.0))
     st = identity_state([50.0, -40.0, 30.0])
