@@ -87,7 +87,10 @@ class AffineState:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma_hat", sh)
         if self.p is not None:
-            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+            p = np.asarray(self.p, dtype=float)
+            if not np.isfinite(p).all():
+                raise ValueError("p has non-finite entries")
+            object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
@@ -120,15 +123,20 @@ class InertiaModel:
         if self.kind not in ("standard", "affine_left", "affine_right"):
             raise ValueError(f"unknown inertia kind {self.kind!r}")
         if self.kind == "standard":
-            if self.m <= 0:
-                raise ValueError("mass must be positive")
+            if not (math.isfinite(self.m) and self.m > 0):
+                raise ValueError(f"mass m must be finite and positive, got {self.m!r}")
             j = np.asarray(self.J, dtype=float)
+            if not np.isfinite(j).all():
+                raise ValueError("J has non-finite entries")
             try:
                 np.linalg.cholesky(j)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("J must be symmetric positive-definite") from exc
             object.__setattr__(self, "J", j)
         else:
+            for name in ("inv_a", "inv_b", "inv_c"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
             if self.inv_a == 0.0:
                 raise ValueError("affine models need a nonzero 1/a")
 
@@ -147,6 +155,8 @@ class InertiaModel:
     ) -> "InertiaModel":
         """Build from the momentum-side a (plus optional 1/b, 1/c) or from
         the velocity-side triple (I, A, B) with the stated conversion."""
+        if a is not None and not math.isfinite(a):
+            raise ValueError(f"a must be finite, got {a!r}")
         if velocity_constants is not None:
             big_i, big_a, big_b = velocity_constants
             if dim is None:
@@ -575,10 +585,11 @@ def lattice_dynamics(
     closes on the momenta alone).  Raises SingularConfiguration when two
     invariants collide or cross, Overflow when the state leaves the float64
     range, and ValueError for a ``dt`` that is not finite and positive, a
-    ``sample_every`` below 1, a non-finite state, an unknown variant, a
-    missing, zero or non-finite constant or a non-finite well setting.
+    ``sample_every`` below 1, a ``steps`` that is not a non-negative
+    integer, a non-finite state, an unknown variant, a missing, zero or
+    non-finite constant or a non-finite well setting.
     """
-    check_step(dt, sample_every)
+    check_step(dt, sample_every, steps)
     y = _flat_state(lat)
     n = lat.n
     flow = _lattice_flow(variant, params, n, dilatation_k, dilatation_center)

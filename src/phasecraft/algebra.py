@@ -383,10 +383,13 @@ def rk4(rate, y: list, dt: float, steps: int = 1) -> list:
     return y
 
 
-def check_step(dt: float, sample_every: int = 1) -> None:
-    """ValueError unless dt is finite and positive and sample_every a positive integer."""
+def check_step(dt: float, sample_every: int = 1, steps: int = 0) -> None:
+    """ValueError unless dt is finite and positive, sample_every a positive
+    integer and steps a non-negative integer."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise ValueError(f"the step count must be a non-negative integer, got {steps!r}")
     if not (isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
         raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
 

@@ -289,9 +289,10 @@ def integrate(
     sample_every: int = 1,
 ) -> Trajectory:
     """Run ``n_steps`` steps, sampling every ``sample_every``-th state;
-    ValueError for a ``dt`` that is not finite and positive or a
-    ``sample_every`` below 1."""
-    check_step(dt, sample_every)
+    ValueError for a ``dt`` that is not finite and positive, a
+    ``sample_every`` below 1 or an ``n_steps`` that is not a non-negative
+    integer."""
+    check_step(dt, sample_every, n_steps)
     states = [state]
     current = state
     for k in range(n_steps):

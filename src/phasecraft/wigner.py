@@ -343,12 +343,42 @@ def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 # star product via operator kernels
 
 
-def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
+def _toeplitz(line: np.ndarray) -> np.ndarray:
+    """Read-only view T[j, k] = line[size - 1 - j + k] of a line of length
+    2 size - 1 that lists the values of the separations j - k = size - 1,
+    size - 2, ..., 1 - size in that (descending) order."""
+    size = (len(line) + 1) // 2
+    return sliding_window_view(line, size)[::-1]
+
+
+def _separations(size: int) -> np.ndarray:
+    """The separations j - k of a size x size grid in ``_toeplitz`` order."""
+    return np.arange(size - 1, -size, -1)
+
+
+def _kernel_geometry(two_nq: int, two_np: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``_symbol_to_kernel`` reads K[x_j, x_k] in its row-major FFT
+    table, the flat index (j + k) 2 Np + (j - k) mod 2 Np, and the cut
+    |j - k| > Np; both depend on the grid alone, so one star product builds
+    them once for its two operands."""
+    sep = _separations(two_nq)
+    j = np.arange(two_nq)
+    flat = np.add.outer(j, j)  # midpoint index on the dq/4 lattice
+    flat *= two_np
+    flat += _toeplitz(sep % two_np)  # separation in units of h, periodic
+    # The discrete p-sum is periodic in the separation with period
+    # two_np * h; beyond half that period the entries are aliases of the
+    # (decayed) short-range content, so they are cut off.
+    return flat, _toeplitz(np.abs(sep) > two_np // 2)
+
+
+def _symbol_to_kernel(values, geometry, dq, dp, p0, hbar) -> np.ndarray:
     """Integral-operator kernel K[x_j, x_k] on the half-step lattice
     h = dq/2 (2 Nq points) from complex symbol samples (Nq x Np,
-    dq dp = 2 pi hbar / Np), by the inverse midpoint map."""
+    dq dp = 2 pi hbar / Np), by the inverse midpoint map; ``geometry`` is
+    ``_kernel_geometry(2 Nq, 2 Np)``."""
+    flat, cut = geometry
     nq, np_ = values.shape
-    two_nq = 2 * nq
     two_np = 2 * np_
     # symbol upsampled x4 along q: rows at spacing dq/4 index (j + k)
     a4 = _upsample2(_upsample2(values, axis=0), axis=0)
@@ -358,35 +388,35 @@ def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     # Extend the p-window to the full reciprocal of the half-step lattice:
     # the upper half aliases to momenta below the band, so replicate the
     # matching band edges (zero for decaying symbols, exact for constants).
-    pad = np.empty((4 * nq, two_np), dtype=complex)
-    pad[:, :np_] = a4
-    pad[:, np_ : 3 * np_ // 2] = a4[:, -1:]
-    pad[:, 3 * np_ // 2 :] = a4[:, :1]
-    table = np.fft.ifft(pad, axis=1) * two_np
-    j = np.arange(two_nq)
-    ll = np.add.outer(j, j)          # midpoint index on the dq/4 lattice
-    rr = np.subtract.outer(j, j)     # separation in units of h
-    phase = np.exp(1j * p0 * rr * (dq / 2.0) / hbar)
-    kern = table[ll, rr % two_np] * phase * (dp / (2.0 * np.pi * hbar))
-    # The discrete p-sum is periodic in the separation with period
-    # two_np * h; beyond half that period the entries are aliases of the
-    # (decayed) short-range content, so cut them off.
-    kern[np.abs(rr) > two_np // 2] = 0.0
+    table = np.empty((4 * nq, two_np), dtype=complex)
+    table[:, :np_] = a4
+    table[:, np_ : 3 * np_ // 2] = a4[:, -1:]
+    table[:, 3 * np_ // 2 :] = a4[:, :1]
+    del a4
+    np.fft.ifft(table, axis=1, out=table)
+    table *= two_np
+    kern = table.ravel().take(flat)
+    del table
+    # phase e^{i p0 (j - k) h / hbar}, one exp per separation
+    kern *= _toeplitz(np.exp(1j * p0 * _separations(2 * nq) * (dq / 2.0) / hbar))
+    kern *= dp / (2.0 * np.pi * hbar)
+    kern[cut] = 0.0
     return kern
 
 
-def _kernel_to_symbol(kern: np.ndarray, np_: int, dq, p0, hbar) -> np.ndarray:
-    """Symbol samples (Nq x Np) from a kernel on the half-step lattice."""
+def _kernel_to_symbol(kern: np.ndarray, rows: np.ndarray, np_: int, dq, p0, hbar) -> np.ndarray:
+    """Symbol samples (len(rows) x Np) from a kernel on the half-step
+    lattice, on the given rows of that lattice."""
     two_nq = kern.shape[0]
-    j = np.arange(two_nq)
+    i = rows[:, None]
+    r = np.arange(two_nq)
     # even separations: s = r dq, entries K[(i + r) % 2Nq, (i - r) % 2Nq]
-    gather = kern[(j[:, None] + j[None, :]) % two_nq, (j[:, None] - j[None, :]) % two_nq]
-    folded = gather.reshape(two_nq, -1, np_).sum(axis=1)
+    gather = kern[(i + r) % two_nq, (i - r) % two_nq]
+    folded = gather.reshape(len(rows), -1, np_).sum(axis=1)
     # sum_r folded[i, r] e^{-i p_m r dq / hbar} with p_m = p0 + m dp
     r = np.arange(np_)
     base = np.exp(-1j * p0 * r * dq / hbar)
-    table = np.fft.fft(folded * base, axis=1)  # e^{-2 pi i m r / Np}
-    return table[::2, :] * dq  # down to the original q lattice
+    return np.fft.fft(folded * base, axis=1) * dq  # e^{-2 pi i m r / Np}
 
 
 def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
@@ -419,13 +449,19 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
         return out
 
     dp_fine = a.dp / 2.0
-    ka = _symbol_to_kernel(doubled(a.values), a.dq, dp_fine, a.p0, a.hbar)
-    kb = _symbol_to_kernel(doubled(b.values), b.dq, dp_fine, b.p0, b.hbar)
-    kern = ka @ kb * (a.dq / 2.0)
-    sym = _kernel_to_symbol(kern, 2 * n, a.dq, a.p0, a.hbar)
+    geometry = _kernel_geometry(4 * n, 4 * n)
+    ka = _symbol_to_kernel(doubled(a.values), geometry, a.dq, dp_fine, a.p0, a.hbar)
+    kb = _symbol_to_kernel(doubled(b.values), geometry, b.dq, dp_fine, b.p0, b.hbar)
+    del geometry
+    kern = ka @ kb
+    del ka, kb
+    kern *= a.dq / 2.0
+    # the reported window is rows n // 2 ... n // 2 + n - 1 of the doubled
+    # grid, i.e. the even rows n, n + 2, ..., 3n - 2 of the half-step lattice
+    sym = _kernel_to_symbol(kern, np.arange(n, 3 * n, 2), 2 * n, a.dq, a.p0, a.hbar)
     # products of real symbols need not be real; PhaseGrid keeps the complex
     # part only when it is genuine
-    return PhaseGrid(sym[n // 2 : n // 2 + n, ::2], a.dq, a.dp, a.q0, a.p0, a.hbar)
+    return PhaseGrid(sym[:, ::2], a.dq, a.dp, a.q0, a.p0, a.hbar)
 
 
 def phase_grid_constant(value: float, like: PhaseGrid) -> PhaseGrid:

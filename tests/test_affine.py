@@ -260,6 +260,26 @@ def test_affine_energy_two_sided_invariance_of_trace_terms():
         assert after == pytest.approx(before, rel=1e-9)
 
 
+@pytest.mark.parametrize("build,named", [
+    (lambda: AffineState(phi=np.eye(2), sigma_hat=np.zeros((2, 2)),
+                         p=[float("nan"), 0.0]), "p"),
+    (lambda: InertiaModel.standard(float("nan"), np.eye(2)), "m"),
+    (lambda: InertiaModel.standard(float("inf"), np.eye(2)), "m"),
+    (lambda: InertiaModel.standard(1.0, [[1.0, 0.0], [0.0, float("nan")]]), "J"),
+    (lambda: InertiaModel.affine("affine_left", a=float("nan")), "a"),
+    (lambda: InertiaModel.affine("affine_left", a=float("nan"),
+                                 velocity_constants=(0.9, 0.4, 0.2), dim=3), "a"),
+    (lambda: InertiaModel.affine("affine_left", velocity_constants=(float("nan"), 0.4, 0.2),
+                                 dim=3), "inv_a"),
+    (lambda: InertiaModel(kind="affine_right", inv_a=1.0, inv_b=float("inf")), "inv_b"),
+], ids=["p_nan", "m_nan", "m_inf", "J_nan", "a_nan", "a_nan_with_velocity_constants",
+        "velocity_constant_nan", "inv_b_inf"])
+def test_non_finite_momentum_and_inertia_are_refused(build, named):
+    # each used to be stored, and a NaN m or p came out of hamiltonian_standard as NaN
+    with pytest.raises(ValueError, match=rf"\b{named}\b"):
+        build()
+
+
 def test_model_mismatch_errors():
     std = InertiaModel.standard(1.0, np.eye(2))
     aff = InertiaModel.affine("affine_left", a=1.0)
@@ -558,6 +578,25 @@ def test_lattice_dynamics_rejects_bad_steps_and_states(dt, steps, sample_every, 
     )
     with pytest.raises(ValueError):
         lattice_dynamics("hyperbolic", {"a": 1.0}, lat, dt, steps, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("steps", [-3, 2.5, np.float64(4.0)])
+def test_lattice_dynamics_refuses_a_bad_step_count(steps):
+    # a negative count used to return the initial state alone
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError, match="step count"):
+        lattice_dynamics("hyperbolic", {"a": 1.0}, lat, 1e-3, steps)
+
+
+def test_lattice_dynamics_with_no_steps_returns_the_initial_state():
+    lat = TwoPolarState(
+        L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+    )
+    assert lattice_dynamics("hyperbolic", {"a": 1.0}, lat, 1e-3, 0) == [lat]
 
 
 @pytest.mark.parametrize("variant,params,named", [

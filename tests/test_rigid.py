@@ -310,6 +310,23 @@ def test_integrate_rejects_bad_sample_every(sample_every):
                         sample_every=sample_every)
 
 
+@pytest.mark.parametrize("n_steps", [-5, 2.5, 3.0, "3"])
+def test_integrate_refuses_a_bad_step_count(n_steps):
+    # a negative count used to return the initial state alone, a fractional
+    # one a bare TypeError from range
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="step count"):
+        rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, n_steps)
+
+
+def test_integrate_with_no_steps_returns_the_initial_state():
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    state = identity_state([0.5, 0.1, -0.3])
+    traj = rigid.integrate(model, state, 1e-3, 0)
+    assert traj.states == [state]
+    npt.assert_array_equal(traj.times, [0.0])
+
+
 @pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_step_and_integrate_refuse_a_bad_dt(dt, method):
