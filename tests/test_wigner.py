@@ -397,8 +397,8 @@ def test_star_orthogonal_states_annihilate():
 
 
 def _full_map_back(kern, n, dq, p0, hbar):
-    # every half-step row gathered, folded and transformed, then the kept
-    # ones picked: the form star products were first written in
+    # the oracle: every half-step row gathered, folded and transformed, then
+    # the rows and columns of the reported window picked
     two_nq, np_ = kern.shape[0], 2 * n
     j = np.arange(two_nq)
     gather = kern[(j[:, None] + j[None, :]) % two_nq, (j[:, None] - j[None, :]) % two_nq]
