@@ -393,7 +393,7 @@ def _symbol_to_kernel(values, geometry, dq, dp, p0, hbar) -> np.ndarray:
     table[:, np_ : 3 * np_ // 2] = a4[:, -1:]
     table[:, 3 * np_ // 2 :] = a4[:, :1]
     del a4
-    np.fft.ifft(table, axis=1, out=table)
+    np.fft.ifft(table, axis=1, out=table)  # in place (numpy >= 2): no second table
     table *= two_np
     kern = table.ravel().take(flat)
     del table
@@ -404,19 +404,25 @@ def _symbol_to_kernel(values, geometry, dq, dp, p0, hbar) -> np.ndarray:
     return kern
 
 
-def _kernel_to_symbol(kern: np.ndarray, rows: np.ndarray, np_: int, dq, p0, hbar) -> np.ndarray:
-    """Symbol samples (len(rows) x Np) from a kernel on the half-step
-    lattice, on the given rows of that lattice."""
+def _kernel_to_symbol(kern: np.ndarray, dq, p0, hbar) -> np.ndarray:
+    """Symbol samples on the reported N x N window from the kernel of a
+    doubled star-product grid (2N x 2N) on its half-step lattice (4N
+    points): the window's rows are rows N // 2 ... N // 2 + N - 1 of the
+    doubled grid, i.e. the even rows N, N + 2, ..., 3N - 2 of the half-step
+    lattice, and its momenta every second one of the doubled grid's 2N."""
     two_nq = kern.shape[0]
-    i = rows[:, None]
+    n = two_nq // 4
+    np_ = 2 * n
+    i = np.arange(n, 3 * n, 2)[:, None]
     r = np.arange(two_nq)
     # even separations: s = r dq, entries K[(i + r) % 2Nq, (i - r) % 2Nq]
     gather = kern[(i + r) % two_nq, (i - r) % two_nq]
-    folded = gather.reshape(len(rows), -1, np_).sum(axis=1)
+    folded = gather.reshape(n, -1, np_).sum(axis=1)
     # sum_r folded[i, r] e^{-i p_m r dq / hbar} with p_m = p0 + m dp
     r = np.arange(np_)
     base = np.exp(-1j * p0 * r * dq / hbar)
-    return np.fft.fft(folded * base, axis=1) * dq  # e^{-2 pi i m r / Np}
+    table = np.fft.fft(folded * base, axis=1)  # e^{-2 pi i m r / Np}
+    return table[:, ::2] * dq
 
 
 def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
@@ -456,12 +462,10 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     kern = ka @ kb
     del ka, kb
     kern *= a.dq / 2.0
-    # the reported window is rows n // 2 ... n // 2 + n - 1 of the doubled
-    # grid, i.e. the even rows n, n + 2, ..., 3n - 2 of the half-step lattice
-    sym = _kernel_to_symbol(kern, np.arange(n, 3 * n, 2), 2 * n, a.dq, a.p0, a.hbar)
+    sym = _kernel_to_symbol(kern, a.dq, a.p0, a.hbar)
     # products of real symbols need not be real; PhaseGrid keeps the complex
     # part only when it is genuine
-    return PhaseGrid(sym[:, ::2], a.dq, a.dp, a.q0, a.p0, a.hbar)
+    return PhaseGrid(sym, a.dq, a.dp, a.q0, a.p0, a.hbar)
 
 
 def phase_grid_constant(value: float, like: PhaseGrid) -> PhaseGrid:

@@ -434,6 +434,55 @@ def test_star_maps_back_only_the_kept_rows_bit_for_bit(monkeypatch):
         assert np.array_equal(got.values, want.values)
 
 
+def _parent_kernel(values, dq, dp, p0, hbar):
+    # the oracle: the inverse midpoint map with its index, phase and cut
+    # built in 2-D for each operand, the padded table transformed into a
+    # new array
+    nq, np_ = values.shape
+    two_nq, two_np = 2 * nq, 2 * np_
+    a4 = wg._upsample2(wg._upsample2(values, axis=0), axis=0)
+    pad = np.empty((4 * nq, two_np), dtype=complex)
+    pad[:, :np_] = a4
+    pad[:, np_ : 3 * np_ // 2] = a4[:, -1:]
+    pad[:, 3 * np_ // 2 :] = a4[:, :1]
+    table = np.fft.ifft(pad, axis=1) * two_np
+    j = np.arange(two_nq)
+    ll = np.add.outer(j, j)
+    rr = np.subtract.outer(j, j)
+    phase = np.exp(1j * p0 * rr * (dq / 2.0) / hbar)
+    kern = table[ll, rr % two_np] * phase * (dp / (2.0 * np.pi * hbar))
+    kern[np.abs(rr) > two_np // 2] = 0.0
+    return kern
+
+
+def test_star_kernels_match_the_two_dimensional_map_bit_for_bit(monkeypatch):
+    # dq = 15/64 makes the constant dp / (2 pi hbar) no power of two, so the
+    # order of the phase and constant multiplications shows in the bits
+    n = 64
+    w0 = wg.wigner_transform(wg.ho_ground(n, -7.5, 7.5))
+    other = wg.wigner_transform(
+        wg.gaussian_packet(0.7, n, -7.5, 7.5, q_center=0.5, p_center=0.3)
+    )
+    a = wg.star_product(w0, other)
+    assert np.iscomplexobj(a.values)
+    calls = []
+    to_kernel = wg._symbol_to_kernel
+
+    def recording(values, geometry, *args):
+        kern = to_kernel(values, geometry, *args)
+        calls.append((values.copy(), args, kern.copy()))
+        return kern
+
+    monkeypatch.setattr(wg, "_symbol_to_kernel", recording)
+    wg.star_product(a, w0)
+    assert len(calls) == 2
+    for values, args, kern in calls:
+        assert values.shape == (2 * n, 2 * n)
+        want = _parent_kernel(values, *args)
+        assert kern.dtype == want.dtype == np.complex128
+        assert np.array_equal(kern, want)
+
+
 def test_star_product_at_n_256_peaks_below_175_mib():
     # the kernel geometry is built once per product, only the kept rows are
     # mapped back and each temporary is freed before the next one is built;
