@@ -124,6 +124,8 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
     Z estimates the dimensionless shell volume, int chi d mu; <f> is the
     shell average int f chi d mu / Z.  ``batches`` are the accepted points
     per batch that ``shell_samples(shell, region)`` returns; None draws them.
+    Raises EmptyShell when no batch holds a point and ValueError when f is
+    NaN or infinite at an accepted point.
     """
     if batches is None:
         batches = shell_samples(shell, region)
@@ -131,13 +133,15 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
     mu_total = liouville_volume(region)
     z_parts = np.array([len(b) / per_batch * mu_total for b in batches])
     values = [np.asarray(f(b)) for b in batches if len(b)]  # f once per accepted point
-    f_parts = np.array([np.mean(v) for v in values])
-    good = ~np.isnan(f_parts)
-    if not np.any(good):
+    if not values:
         raise EmptyShell("no sample hit the shell")
-    mean_f = float(np.concatenate(values).mean())
+    every = np.concatenate(values)
+    if not np.isfinite(every).all():
+        raise ValueError("f returned a non-finite value on the shell")
+    f_parts = np.array([np.mean(v) for v in values])
+    mean_f = float(every.mean())
     z_val = float(z_parts.mean())
-    stderr_f = float(np.std(f_parts[good], ddof=1) / np.sqrt(good.sum())) if good.sum() > 1 else float("inf")
+    stderr_f = float(np.std(f_parts, ddof=1) / np.sqrt(len(f_parts))) if len(f_parts) > 1 else float("inf")
     stderr_z = float(np.std(z_parts, ddof=1) / np.sqrt(len(z_parts)))
     return {"mean": mean_f, "Z": z_val, "stderr_mean": stderr_f, "stderr_Z": stderr_z}
 

@@ -8,8 +8,9 @@ Conventions (one degree of freedom):
   W(q, p) = (2 pi hbar)^{-1} int conj(psi)(q - s/2) psi(q + s/2)
   exp(-i p s / hbar) ds, so that int W dp = |psi(q)|^2 and
   int W dq = |psihat(p)|^2 (total mass one).
-* The star product acts on raw symbols: 1 * A = A and the pure-state
-  projector identity reads (2 pi hbar) (W * W) = W.
+* The star product acts on raw symbols, one of which must decay to the
+  window's edges: 1 * A = A and the pure-state projector identity reads
+  (2 pi hbar) (W * W) = W.
 
 All transforms assume power-of-two grids, treat signals as periodic and
 refuse to run when more than 1e-8 of the mass sits in the outer 10% of the
@@ -343,43 +344,12 @@ def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 # star product via operator kernels
 
 
-def _toeplitz(line: np.ndarray) -> np.ndarray:
-    """Read-only view T[j, k] = line[size - 1 - j + k] of a line of length
-    2 size - 1 that lists the values of the separations j - k = size - 1,
-    size - 2, ..., 1 - size in that (descending) order."""
-    size = (len(line) + 1) // 2
-    return sliding_window_view(line, size)[::-1]
-
-
-def _separations(size: int) -> np.ndarray:
-    """The separations j - k of a size x size grid in ``_toeplitz`` order."""
-    return np.arange(size - 1, -size, -1)
-
-
-def _kernel_geometry(two_nq: int, two_np: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``_symbol_to_kernel`` reads K[x_j, x_k] in its row-major FFT
-    table, the flat index (j + k) 2 Np + (j - k) mod 2 Np, and the cut
-    |j - k| > Np; both depend on the grid alone, so one star product builds
-    them once for its two operands."""
-    sep = _separations(two_nq)
-    j = np.arange(two_nq)
-    flat = np.add.outer(j, j)  # midpoint index on the dq/4 lattice
-    flat *= two_np
-    flat += _toeplitz(sep % two_np)  # separation in units of h, periodic
-    # The discrete p-sum is periodic in the separation with period
-    # two_np * h; beyond half that period the entries are aliases of the
-    # (decayed) short-range content, so they are cut off.
-    return flat, _toeplitz(np.abs(sep) > two_np // 2)
-
-
-def _symbol_to_kernel(values, geometry, dq, dp, p0, hbar) -> np.ndarray:
+def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     """Integral-operator kernel K[x_j, x_k] on the half-step lattice
     h = dq/2 (2 Nq points) from complex symbol samples (Nq x Np,
-    dq dp = 2 pi hbar / Np), by the inverse midpoint map; ``geometry`` is
-    ``_kernel_geometry(2 Nq, 2 Np)``."""
-    flat, cut = geometry
+    dq dp = 2 pi hbar / Np), by the inverse midpoint map."""
     nq, np_ = values.shape
-    two_np = 2 * np_
+    two_nq, two_np = 2 * nq, 2 * np_
     # symbol upsampled x4 along q: rows at spacing dq/4 index (j + k)
     a4 = _upsample2(_upsample2(values, axis=0), axis=0)
     # F[l, r] = sum_m a4[l, m] e^{i p_m r h / hbar}, p_m = p0 + m dp,
@@ -395,12 +365,19 @@ def _symbol_to_kernel(values, geometry, dq, dp, p0, hbar) -> np.ndarray:
     del a4
     np.fft.ifft(table, axis=1, out=table)  # in place (numpy >= 2): no second table
     table *= two_np
-    kern = table.ravel().take(flat)
-    del table
-    # phase e^{i p0 (j - k) h / hbar}, one exp per separation
-    kern *= _toeplitz(np.exp(1j * p0 * _separations(2 * nq) * (dq / 2.0) / hbar))
+    # K[j, k] = F[j + k, (j - k) mod 2 Np] e^{i p0 (j - k) h / hbar}, filled one
+    # diagonal d = j - k at a time.  The discrete p-sum is periodic in d with
+    # period 2 Np; beyond half that period the entries are aliases of the
+    # (decayed) short-range content, so the diagonals |d| > Np stay zero.
+    seps = np.arange(-np_, np_ + 1)
+    phase = np.exp(1j * p0 * seps * (dq / 2.0) / hbar)
+    kern = np.zeros((two_nq, two_nq), dtype=complex)
+    flat = kern.reshape(-1)
+    for d, ph in zip(range(-np_, np_ + 1), phase):
+        start = d * two_nq if d >= 0 else -d  # flat index of K[d, 0] or K[0, -d]
+        diagonal = flat[start :: two_nq + 1][: two_nq - abs(d)]
+        np.multiply(table[abs(d) : 2 * two_nq - 1 - abs(d) : 2, d % two_np], ph, out=diagonal)
     kern *= dp / (2.0 * np.pi * hbar)
-    kern[cut] = 0.0
     return kern
 
 
@@ -431,8 +408,13 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     Implemented by the kernel factorization: both symbols are mapped to
     integral kernels on a doubled lattice (zero-padded in q so periodic
     images stay out of the reported window), composed by quadrature, and
-    mapped back.  Satisfies 1 * A = A * 1 = A, the conjugation rule
-    conj(A * B) = conj(B) * conj(A) and trace identities to grid accuracy.
+    mapped back.  The map-back folds the kernel's periodic image into the
+    result, and that image vanishes only when the product decays inside the
+    window, so at least one operand must decay to the window's edges in q
+    and in p.  Then 1 * A = A * 1 = A, the conjugation rule
+    conj(A * B) = conj(B) * conj(A) and trace identities hold to grid
+    accuracy; without it they fail (1 * 1 comes back as 4, and
+    e^{-q^2/2} * e^{-q^2/2} is off by 1).  Nothing checks the condition.
     """
     if not a.same_grid(b):
         raise GridMismatch("star product operands live on different grids")
@@ -455,10 +437,8 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
         return out
 
     dp_fine = a.dp / 2.0
-    geometry = _kernel_geometry(4 * n, 4 * n)
-    ka = _symbol_to_kernel(doubled(a.values), geometry, a.dq, dp_fine, a.p0, a.hbar)
-    kb = _symbol_to_kernel(doubled(b.values), geometry, b.dq, dp_fine, b.p0, b.hbar)
-    del geometry
+    ka = _symbol_to_kernel(doubled(a.values), a.dq, dp_fine, a.p0, a.hbar)
+    kb = _symbol_to_kernel(doubled(b.values), b.dq, dp_fine, b.p0, b.hbar)
     kern = ka @ kb
     del ka, kb
     kern *= a.dq / 2.0

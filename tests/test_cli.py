@@ -515,13 +515,6 @@ def test_bad_ensemble_inputs_are_schema_errors(tmp_path, bad):
     assert cli.main(["ensemble", scen, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_selftest_deterministic(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.run("selftest", None, out1, seed=7) == 0
-    assert cli.run("selftest", None, out2, seed=7) == 0
-    assert Path(out1, "manifest.json").read_bytes() == Path(out2, "manifest.json").read_bytes()
-
-
 SHELL = {"observable": "harmonic", "a": 1.0, "epsilon": 0.3,
          "box": [[-2.2, 2.2], [-2.2, 2.2]], "samples": 3200}
 

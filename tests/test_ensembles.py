@@ -100,6 +100,31 @@ def test_empty_shell_raises():
         ens.shell_probability(shell, box(2.0), harmonic)
 
 
+def test_given_empty_batches_raise_empty_shell():
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=1)
+    with pytest.raises(EmptyShell):
+        ens.shell_probability(shell, box(2.2), harmonic, batches=[np.empty((0, 2))] * 16)
+
+
+@pytest.mark.parametrize("bad,every_batch", [(np.nan, False), (np.nan, True), (np.inf, False)],
+                         ids=["nan-in-one-batch", "nan-in-every-batch", "inf"])
+def test_shell_probability_refuses_a_non_finite_observable(bad, every_batch):
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=1)
+    calls = []
+
+    def f(z):
+        vals = harmonic(z)
+        if every_batch or not calls:
+            vals[0] = bad
+        calls.append(len(z))
+        return vals
+
+    with pytest.raises(ValueError, match="^f "):
+        ens.shell_probability(shell, box(2.2), f)
+
+
 def test_shell_to_membrane_richardson():
     # <H^2> on the shell is a^2 + eps^2 / 12: halving eps scales the excess
     # by 4; common random numbers keep the Monte Carlo error correlated

@@ -468,8 +468,8 @@ def test_star_kernels_match_the_two_dimensional_map_bit_for_bit(monkeypatch):
     calls = []
     to_kernel = wg._symbol_to_kernel
 
-    def recording(values, geometry, *args):
-        kern = to_kernel(values, geometry, *args)
+    def recording(values, *args):
+        kern = to_kernel(values, *args)
         calls.append((values.copy(), args, kern.copy()))
         return kern
 
@@ -483,13 +483,10 @@ def test_star_kernels_match_the_two_dimensional_map_bit_for_bit(monkeypatch):
         assert np.array_equal(kern, want)
 
 
-def test_star_product_at_n_256_peaks_below_175_mib():
-    # the kernel geometry is built once per product, only the kept rows are
-    # mapped back and each temporary is freed before the next one is built;
-    # with every temporary alive to the end the product peaked at about 200 MiB.
+def _star_peak_kib(n):
     # VmHWM is the peak of the child's own memory since exec, BLAS on one thread
     code = ("from phasecraft import wigner as wg; "
-            "w = wg.wigner_transform(wg.ho_ground(256, -8.0, 8.0)); "
+            f"w = wg.wigner_transform(wg.ho_ground({n}, -8.0, 8.0)); "
             "wg.star_product(w, w); "
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -498,7 +495,22 @@ def test_star_product_at_n_256_peaks_below_175_mib():
                str(Path(wg.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert int(proc.stdout.split()[-1]) < 175 * 1024  # kB
+    return int(proc.stdout.split()[-1])
+
+
+def test_star_product_at_n_256_peaks_below_175_mib():
+    # each kernel is filled diagonal by diagonal from its FFT table, only the
+    # kept rows are mapped back and each temporary is freed before the next one
+    # is built; with every temporary alive to the end the product peaked at
+    # about 200 MiB
+    assert _star_peak_kib(256) < 175 * 1024
+
+
+def test_star_product_at_n_512_peaks_below_350_mib():
+    # at the peak two 2048 x 2048 complex kernels (64 MiB each) and one
+    # 4096 x 2048 FFT table (128 MiB) are alive; a 2048 x 2048 int64 gather
+    # index (32 MiB) beside them would cross the bound
+    assert _star_peak_kib(512) < 350 * 1024
 
 
 def test_star_grid_mismatch():
