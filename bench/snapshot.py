@@ -57,16 +57,16 @@ def git(checkout: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run(checkout: Path, workload: str, trace: int, seed: int) -> dict:
+def run(checkout: Path, workload: str, trace: int, seed: int, seconds: float = SECONDS) -> dict:
     """One run.py process: its environment line and its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     env = next(line for line in lines if line.startswith("environment: "))
-    return {"workload": workload, "trace": trace, "seed": seed, "seconds": SECONDS,
+    return {"workload": workload, "trace": trace, "seed": seed, "seconds": seconds,
             "environment": json.loads(env[len("environment: "):]),
             "result": json.loads(lines[-1])}
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import check_step, expm, rk4
+from .algebra import _from_checked, check_step, expm, rk4
 from .errors import (ModelMismatch, OrientationReversed, Overflow, Singular,
                      SingularConfiguration)
 
@@ -184,7 +184,10 @@ class InertiaModel:
 class TwoPolarState:
     """Two rotors L, R, log deformation invariants q (descending) and the
     conjugate momenta: p dual to q, antisymmetric M (repulsive) and N
-    (attractive) couplings."""
+    (attractive) couplings.  ValueError, naming the field, unless q is a
+    vector of n entries, L, R, M and N are n x n and p has n entries, every
+    array is finite, L and R are special orthogonal, q descends and M and N
+    are antisymmetric."""
 
     L: np.ndarray
     R: np.ndarray
@@ -195,27 +198,33 @@ class TwoPolarState:
     degenerate: bool = False
 
     def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        R = np.asarray(self.R, dtype=float)
         q = np.asarray(self.q, dtype=float)
+        if q.ndim != 1:
+            raise ValueError(f"q must be a vector, got shape {q.shape}")
         n = len(q)
-        for name, mat in (("L", L), ("R", R)):
+        for name, shape in (("L", (n, n)), ("R", (n, n)), ("q", (n,)), ("p", (n,)),
+                            ("M", (n, n)), ("N", (n, n))):
+            val = getattr(self, name)
+            if val is None and name in ("p", "M", "N"):
+                continue
+            val = np.asarray(val, dtype=float)
+            if val.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {n} invariants, "
+                                 f"got {val.shape}")
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, val)
+        for name in ("L", "R"):
+            mat = getattr(self, name)
             if np.max(np.abs(mat.T @ mat - np.eye(n))) > 1.0e-10:
                 raise ValueError(f"{name} is not orthogonal")
             if np.linalg.det(mat) < 0:
                 raise ValueError(f"{name} must have determinant +1")
         if np.any(np.diff(q) > 0):
             raise ValueError("q must be sorted in descending order")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "q", q)
-        for name in ("p", "M", "N"):
+        for name in ("M", "N"):
             val = getattr(self, name)
-            if val is None:
-                continue
-            val = np.asarray(val, dtype=float)
-            object.__setattr__(self, name, val)
-            if name in ("M", "N") and np.max(np.abs(val + val.T)) > 1.0e-12 * (
+            if val is not None and np.max(np.abs(val + val.T)) > 1.0e-12 * (
                 1.0 + np.max(np.abs(val))
             ):
                 raise ValueError(f"{name} must be antisymmetric")
@@ -507,10 +516,7 @@ def _flat_state(lat: TwoPolarState) -> list:
     """(q, p, M_ab, N_ab for a < b) as one list of floats."""
     if lat.p is None or lat.M is None or lat.N is None:
         raise ValueError("the lattice flow needs p, M and N")
-    y = [*lat.q.tolist(), *lat.p.tolist(), *_upper(lat.M), *_upper(lat.N)]
-    if not all(map(math.isfinite, y)):
-        raise ValueError("q, p, M and N must be finite")
-    return y
+    return [*lat.q.tolist(), *lat.p.tolist(), *_upper(lat.M), *_upper(lat.N)]
 
 
 def _lattice_flow(variant, params, n, dil_k, dil_c):
@@ -586,8 +592,11 @@ def lattice_dynamics(
     invariants collide or cross, Overflow when the state leaves the float64
     range, and ValueError for a ``dt`` that is not finite and positive, a
     ``sample_every`` below 1, a ``steps`` that is not a non-negative
-    integer, a non-finite state, an unknown variant, a missing, zero or
-    non-finite constant or a non-finite well setting.
+    integer, a state without p, M or N, an unknown variant, a missing, zero
+    or non-finite constant or a non-finite well setting.  Each sample after
+    the first shares L, R and ``degenerate`` with ``lat`` and is built without
+    the constructor's checks: the loop checks finiteness and ordering at
+    every step, and ``_unflatten`` makes M and N exactly antisymmetric.
     """
     check_step(dt, sample_every, steps)
     y = _flat_state(lat)
@@ -602,8 +611,8 @@ def lattice_dynamics(
             raise SingularConfiguration("deformation invariants crossed")
         if (k + 1) % sample_every == 0 or k == steps - 1:
             q, p, m_mat, n_mat = _unflatten(n, y)
-            out.append(TwoPolarState(L=lat.L, R=lat.R, q=q, p=p, M=m_mat, N=n_mat,
-                                     degenerate=lat.degenerate))
+            out.append(_from_checked(TwoPolarState, L=lat.L, R=lat.R, q=q, p=p, M=m_mat,
+                                     N=n_mat, degenerate=lat.degenerate))
     return out
 
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _EXP_NORM_BOUND = 1.0e4
+_NON_FINITE_EXPONENT = "non-finite entries in the exponent"
+_LARGE_EXPONENT = f"1-norm of the exponent exceeds {_EXP_NORM_BOUND:g}"
 # Below this angle Rodrigues' coefficients are their Taylor polynomials; the
 # dropped terms (theta^4 / 120 and theta^4 / 720) are under 1e-18.
 _TAYLOR_THETA = 1.0e-4
@@ -339,12 +341,12 @@ def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
     formula gives.  Otherwise scaling and squaring (``scipy.linalg.expm``,
     imported on first use: a free so(3) top and most runs never load scipy)."""
     x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise Overflow("non-finite entries in the exponent")
-    if np.linalg.norm(x, 1) > _EXP_NORM_BOUND:
-        raise Overflow(f"1-norm of the exponent exceeds {_EXP_NORM_BOUND:g}")
     if skew3:
         return _rodrigues(x)
+    if not np.all(np.isfinite(x)):
+        raise Overflow(_NON_FINITE_EXPONENT)
+    if np.linalg.norm(x, 1) > _EXP_NORM_BOUND:
+        raise Overflow(_LARGE_EXPONENT)
     import scipy.linalg
 
     return scipy.linalg.expm(x)
@@ -352,8 +354,17 @@ def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
 
 def _rodrigues(x: np.ndarray) -> np.ndarray:
     """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
-    theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2."""
+    theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2.
+    ``expm``'s guard runs on the three entries of w: the column sums of |K|,
+    whose largest is its 1-norm, are |w_i| + |w_j|."""
     (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
+    a1, a2, a3 = abs(w1), abs(w2), abs(w3)
+    # written so that a NaN fails the test as well
+    if not (a2 + a3 <= _EXP_NORM_BOUND and a1 + a3 <= _EXP_NORM_BOUND
+            and a1 + a2 <= _EXP_NORM_BOUND):
+        if not (math.isfinite(w1) and math.isfinite(w2) and math.isfinite(w3)):
+            raise Overflow(_NON_FINITE_EXPONENT)
+        raise Overflow(_LARGE_EXPONENT)
     t2 = w1 * w1 + w2 * w2 + w3 * w3
     if t2 < _TAYLOR_THETA * _TAYLOR_THETA:
         a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
@@ -368,6 +379,15 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
         [b * w1 * w2 + a * w3, 1.0 - b * (w1 * w1 + w3 * w3), b * w2 * w3 - a * w1],
         [b * w1 * w3 - a * w2, b * w2 * w3 + a * w1, 1.0 - b * (w1 * w1 + w2 * w2)],
     ])
+
+
+def _from_checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without ``__post_init__``: for values built from parts already checked,
+    in the form that its checks would store."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def rk4(rate, y: list, dt: float, steps: int = 1) -> list:

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, adjoint_matrix,
-                      check_step, coadjoint, expm, rk4)
+from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _from_checked,
+                      adjoint_matrix, check_step, coadjoint, expm, rk4)
 from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
 
@@ -187,8 +187,7 @@ def _torque(model: InvariantModel, g: GroupElement, comoving: bool | None = None
     out = np.empty(model.algebra.dim)
     for a, (exp_p, exp_m) in enumerate(model._torque_exps):
         plus, minus = (g_mat @ exp_p, g_mat @ exp_m) if comoving else (exp_p @ g_mat, exp_m @ g_mat)
-        out[a] = -(pot(GroupElement(plus, tag=tag))
-                   - pot(GroupElement(minus, tag=tag))) / (2.0 * _TORQUE_STEP)
+        out[a] = -(pot(_element(plus, tag)) - pot(_element(minus, tag))) / (2.0 * _TORQUE_STEP)
     return out
 
 
@@ -224,14 +223,41 @@ def _project_group(g_mat: np.ndarray, tag: str) -> np.ndarray:
     return u @ vt
 
 
+# The steps build their elements and states from parts that are already checked:
+# a fresh array of the element's shape and tag, and a fresh momentum of the state's
+# length.  They keep the constructors' finiteness checks where a product can
+# overflow, and make each array read-only as the constructors' copies are.
+
+
+def _element(g_mat: np.ndarray, tag: str, may_overflow: bool = False) -> GroupElement:
+    """``g_mat``, computed from a checked element of group ``tag``, as a
+    GroupElement; after the constructor's finiteness check if it ``may_overflow``."""
+    if may_overflow and not np.isfinite(g_mat).all():
+        raise ValueError("group element has non-finite entries")
+    g_mat.setflags(write=False)
+    return _from_checked(GroupElement, matrix=g_mat, tag=tag)
+
+
+def _next_state(g: GroupElement, sigma: np.ndarray, time: float) -> BodyState:
+    """A step's new state, after BodyState's finiteness check on its momentum."""
+    if not np.isfinite(sigma).all():
+        raise ValueError("momentum has non-finite entries")
+    sigma.setflags(write=False)
+    return _from_checked(BodyState, g=g, sigma=sigma, time=time)
+
+
 def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4") -> BodyState:
     """Advance one time step; ``method`` is ``rk4`` or ``lie_midpoint``;
     ValueError for a ``dt`` that is not finite and positive."""
     check_step(dt)
+    return _stepper(method)(model, state, dt)
+
+
+def _stepper(method: str):
     if method == "rk4":
-        return _step_rk4(model, state, dt)
+        return _step_rk4
     if method == "lie_midpoint":
-        return _step_midpoint(model, state, dt)
+        return _step_midpoint
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -241,14 +267,14 @@ def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
     def rate(y):
         g_mat, sigma = y
         rhs = _bracket_term(model, sigma)
-        if model.potential is not None:
-            rhs = rhs + _torque(model, GroupElement(g_mat, tag=tag))
+        if model.potential is not None:  # a stage of an overflowing step may not be finite
+            rhs = rhs + _torque(model, _element(g_mat, tag, may_overflow=True))
         return _configuration_rate(model, g_mat, sigma), rhs
 
     g1, s1 = rk4(rate, [state.g.matrix, state.sigma], dt)
     if not np.isfinite(g1).all():
         raise ValueError("group element has non-finite entries")
-    return BodyState(GroupElement(_project_group(g1, tag), tag=tag), s1, state.time + dt)
+    return _next_state(_element(_project_group(g1, tag), tag), s1, state.time + dt)
 
 
 def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
@@ -265,7 +291,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
             if model.potential is not None:
                 half = expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
                 g_mid = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
-                rhs = rhs + _torque(model, GroupElement(g_mid, tag=g0.tag))
+                rhs = rhs + _torque(model, _element(g_mid, g0.tag, may_overflow=True))
             s_next = s0 + half_dt * rhs
             converged = all(abs(a - b) < tol for a, b in zip(s_next.tolist(), s_mid.tolist()))
             s_mid = s_next
@@ -277,7 +303,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
     s1 = 2.0 * s_mid - s0
     flow = expm(dt * _velocity_matrix(model, s_mid), model._skew3)
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
-    return BodyState(GroupElement(g1_mat, tag=g0.tag), s1, state.time + dt)
+    return _next_state(_element(g1_mat, g0.tag, may_overflow=True), s1, state.time + dt)
 
 
 def integrate(
@@ -290,9 +316,18 @@ def integrate(
 ) -> Trajectory:
     """Run ``n_steps`` steps, sampling every ``sample_every``-th state;
     ValueError for a ``dt`` that is not finite and positive, a
-    ``sample_every`` below 1 or an ``n_steps`` that is not a non-negative
-    integer."""
+    ``sample_every`` below 1, an ``n_steps`` that is not a non-negative
+    integer, an unknown ``method``, or a state whose ``sigma`` or ``g`` does
+    not fit the model's algebra: all checked here, before any step."""
     check_step(dt, sample_every, n_steps)
+    _stepper(method)
+    dim, basis = model.algebra.dim, model.algebra.basis
+    if state.sigma.shape != (dim,):
+        raise ValueError(f"sigma must have the algebra's {dim} components, "
+                         f"got shape {state.sigma.shape}")
+    if basis is not None and state.g.matrix.shape != basis[0].shape:
+        raise ValueError(f"g must have the shape {basis[0].shape} of the algebra's basis, "
+                         f"got {state.g.matrix.shape}")
     states = [state]
     current = state
     for k in range(n_steps):

@@ -22,6 +22,7 @@ from phasecraft.affine import (
     to_two_polar,
     two_polar,
 )
+from phasecraft.algebra import expm
 from phasecraft.errors import (
     ModelMismatch,
     OrientationReversed,
@@ -337,11 +338,10 @@ def test_lattice_singular_configuration():
         lattice_hamiltonian("hyperbolic", {"a": 1.0}, lat)
     with pytest.raises(SingularConfiguration):
         lattice_hamiltonian("calogero", {"I": 1.0}, lat)
-    # a NaN invariant fails the denominator floor as well
-    nan_lat = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([0.5, np.nan]))
+    # a NaN invariant (an RK4 stage; TwoPolarState refuses one) fails the denominator floor
     for variant, params in (("trigonometric", {"a": 1.0}), ("calogero", {"I": 1.0})):
         with pytest.raises(SingularConfiguration):
-            lattice_hamiltonian(variant, params, nan_lat)
+            affine._lattice_model(variant, params, 0.0, 0.0)([0.5, np.nan], [0.0, 0.0])
     far = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([800.0, -800.0]))
     for variant, params in (("hyperbolic", {"a": 1.0}), ("calogero", {"I": 1.0})):
         with pytest.raises(Overflow):
@@ -572,11 +572,11 @@ def test_lattice_flow_is_hamiltonian_flow_of_the_energy(variant, params, n, dila
     (1e-3, 10, 1, [1.0, float("nan")]),
 ], ids=["sample_every_zero", "dt_negative", "dt_nan", "dt_inf", "q_nan"])
 def test_lattice_dynamics_rejects_bad_steps_and_states(dt, steps, sample_every, q):
-    lat = TwoPolarState(
-        L=np.eye(2), R=np.eye(2), q=np.array(q), p=np.zeros(2),
-        M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
-    )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a NaN q is refused by the state itself
+        lat = TwoPolarState(
+            L=np.eye(2), R=np.eye(2), q=np.array(q), p=np.zeros(2),
+            M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.zeros((2, 2)),
+        )
         lattice_dynamics("hyperbolic", {"a": 1.0}, lat, dt, steps, sample_every=sample_every)
 
 
@@ -648,6 +648,56 @@ def test_lattice_model_refuses_a_non_finite_well(well, named):
 def test_affine_state_refuses_non_finite_entries(phi, sigma_hat, named):
     with pytest.raises(ValueError, match=named):
         AffineState(phi=phi, sigma_hat=sigma_hat)
+
+
+_SKEW = np.array([[0.0, 0.7, -0.2], [-0.7, 0.0, 0.4], [0.2, -0.4, 0.0]])
+
+
+@pytest.mark.parametrize("fields,named", [
+    ({"L": np.eye(3)}, "L"),
+    ({"R": np.eye(3)}, "R"),
+    ({"q": np.array([[1.0, -1.0]])}, "q"),
+    ({"p": np.zeros(3)}, "p"),
+    ({"M": np.zeros((3, 3))}, "M"),
+    ({"N": _SKEW}, "N"),
+    ({"q": np.array([0.5, np.nan])}, "q"),
+    ({"p": np.array([np.nan, 0.0])}, "p"),
+    ({"p": np.array([0.0, np.inf])}, "p"),
+    ({"M": np.array([[0.0, np.nan], [np.nan, 0.0]])}, "M"),
+    ({"N": np.array([[0.0, np.inf], [-np.inf, 0.0]])}, "N"),
+    ({"L": np.array([[np.nan, 0.0], [0.0, 1.0]])}, "L"),
+], ids=["L_3x3", "R_3x3", "q_matrix", "p_length_3", "M_3x3", "N_3x3", "q_nan", "p_nan",
+        "p_inf", "M_nan", "N_inf", "L_nan"])
+def test_two_polar_state_names_a_misshapen_or_non_finite_field(fields, named):
+    # a 3 x 3 L used to fail in numpy broadcasting; a 3 x 3 M or N, a NaN q, p
+    # or M, an infinite N and a NaN rotor were stored
+    base = dict(L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+                M=np.zeros((2, 2)), N=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=rf"^{named}\b"):
+        TwoPolarState(**{**base, **fields})
+
+
+@pytest.mark.parametrize("variant,params,q,sample_every", [
+    ("hyperbolic", {"a": 1.0}, [1.5, -1.5], 1),
+    ("trigonometric", {"a": 1.3}, [0.6, 0.0, -0.6], 7),
+    ("calogero", {"I": 0.9}, [0.5, -0.5], 3),
+], ids=["hyperbolic_n2", "trigonometric_n3", "calogero_n2"])
+def test_lattice_samples_equal_their_public_rebuild(variant, params, q, sample_every):
+    # samples skip the constructor's checks; the public constructor accepts each
+    # one and stores the same arrays
+    n = len(q)
+    rotor = expm(_SKEW[:n, :n])
+    lat = TwoPolarState(L=rotor, R=rotor.T, q=np.array(q), p=np.linspace(0.2, -0.1, n),
+                        M=0.5 * _SKEW[:n, :n], N=-0.3 * _SKEW[:n, :n])
+    states = lattice_dynamics(variant, params, lat, 1e-3, 40, sample_every=sample_every)
+    assert len(states) == 1 + -(-40 // sample_every)
+    for got in states:
+        assert got.L is lat.L and got.R is lat.R and got.degenerate is lat.degenerate
+        rebuilt = TwoPolarState(L=got.L, R=got.R, q=got.q, p=got.p, M=got.M, N=got.N,
+                                degenerate=got.degenerate)
+        for name in ("L", "R", "q", "p", "M", "N"):
+            a, b = getattr(got, name), getattr(rebuilt, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.parametrize("p,m12,n12", [

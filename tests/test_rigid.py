@@ -327,6 +327,69 @@ def test_integrate_with_no_steps_returns_the_initial_state():
     npt.assert_array_equal(traj.times, [0.0])
 
 
+def test_integrate_refuses_an_unknown_method_before_any_step():
+    # with no steps to take it used to return the initial state
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="'bogus'"):
+        rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, 0, method="bogus")
+
+
+@pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
+@pytest.mark.parametrize("state,named", [
+    (rigid.BodyState(GroupElement(np.eye(3), tag=SO3), np.array([0.5, 0.1])), "sigma"),
+    (rigid.BodyState(GroupElement(np.eye(4)), np.array([0.5, 0.1, -0.3])), "g"),
+], ids=["sigma_length_2", "g_4x4"])
+def test_integrate_names_a_state_that_does_not_fit_the_algebra(state, named, method):
+    # both used to fail at the first step with numpy's matmul mismatch
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=rf"^{named}\b"):
+        rigid.integrate(model, state, 1e-3, 0, method=method)
+
+
+@pytest.mark.parametrize("potential", [None, trace_potential], ids=["free", "torque"])
+def test_midpoint_step_names_an_overflowing_group_element(potential):
+    # g0 @ exp(dt Om) of a quarter turn about the first axis adds entries of
+    # 1.5e308 (at the half step, a torque's g_mid, already): not finite
+    model = rigid.so3_model((1.0, 1.0, 1.0), potential=potential)
+    state = rigid.BodyState(GroupElement(np.full((3, 3), 1.5e308)), np.array([np.pi / 4, 0.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="group element has non-finite entries"):
+            rigid.step(model, state, 1.0, method="lie_midpoint")
+
+@pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
+@pytest.mark.parametrize("potential", [None, trace_potential], ids=["free", "torque"])
+def test_steps_give_read_only_states_and_potential_arguments(potential, method):
+    seen = []
+
+    def watched(g):
+        seen.append((type(g), g.tag, g.matrix.flags.writeable))
+        return potential(g)
+
+    model = rigid.so3_model((1.0, 2.0, 3.0), potential=watched if potential else None)
+    traj = rigid.integrate(model, identity_state([0.6, -0.5, 0.62]), 1e-3, 5, method=method)
+    for st in traj.states:
+        assert not st.sigma.flags.writeable and not st.g.matrix.flags.writeable
+        assert st.g.tag == SO3
+    if potential:
+        rigid.torque_from_potential(model, traj.states[-1].g)
+    assert bool(seen) == bool(potential)
+    assert set(seen) <= {(GroupElement, SO3, False)}
+
+
+def test_rk4_step_names_an_overflowing_momentum_or_group_element():
+    # a torque of ~8e307 overflows the RK4 sum of the momentum stages, while
+    # moments of 1e305 keep the rotation slow; a fast spin overflows g
+    c, s = np.cos(1.0), np.sin(1.0)
+    tilted = GroupElement(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), tag=SO3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        heavy = rigid.so3_model((1e305,) * 3, potential=lambda g: -5e307 * np.trace(g.matrix))
+        with pytest.raises(ValueError, match="momentum has non-finite entries"):
+            rigid.step(heavy, rigid.BodyState(tilted, np.zeros(3)), 1e-3, method="rk4")
+        with pytest.raises(ValueError, match="group element has non-finite entries"):
+            rigid.step(rigid.so3_model((1.0, 2.0, 3.0)),
+                       rigid.BodyState(tilted, np.full(3, 1e100)), 1e-3, method="rk4")
+
+
 @pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_step_and_integrate_refuse_a_bad_dt(dt, method):
@@ -402,6 +465,34 @@ def test_closed_form_exponential_keeps_the_guard():
     for w in ([1.0e4 + 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
         with pytest.raises(Overflow):
             algebra.expm(so3.matrix_of(w), skew3=True)
+
+
+def test_closed_form_guard_agrees_with_the_general_one():
+    # the closed form checks the three entries of w; the general path checks the
+    # whole matrix: both must refuse the same exponents with the same message
+    from phasecraft.errors import Overflow
+
+    so3 = fixture("so3")
+    rng = np.random.default_rng(11)
+    edge = [[5.0e3, 5.0e3, 0.0], [5.0e3, -5.0e3 - 1e-9, 0.0], [0.0, -1.0e4, 0.0],
+            [0.0, 0.0, np.nextafter(1.0e4, 2.0e4)], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+            [0.0, 0.0, np.nan], [np.nan, np.inf, 1.0], [1e308, 1e308, 0.0]]
+    near = [rng.choice([-1.0, 1.0], 3) * rng.dirichlet([1.0, 1.0, 1.0]) * 1.0e4 * f
+            for f in (0.999999, 1.000001, 1.5, 2.0) for _ in range(10)]
+    for w in edge + near:
+        x = np.zeros((3, 3))  # so3.matrix_of would turn 0 * inf into NaN
+        for (i, j), wk in zip(((2, 1), (0, 2), (1, 0)), w):
+            x[i, j], x[j, i] = wk, -wk
+        outcomes = []
+        for skew3 in (True, False):
+            try:
+                with np.errstate(over="ignore"):  # the general 1-norm of 1e308 entries is inf
+                    algebra.expm(x, skew3=skew3)
+                outcomes.append(None)
+            except Overflow as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], w
+    assert so3.matrix_of([1.0, 0.0, 0.0])[2, 1] == 1.0  # the layout filled above
 
 
 def test_closed_form_chosen_by_the_basis_not_the_label():
