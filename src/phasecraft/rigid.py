@@ -223,10 +223,11 @@ def _project_group(g_mat: np.ndarray, tag: str) -> np.ndarray:
     return u @ vt
 
 
-# The steps build their elements and states from parts that are already checked:
-# a fresh array of the element's shape and tag, and a fresh momentum of the state's
-# length.  They keep the constructors' finiteness checks where a product can
-# overflow, and make each array read-only as the constructors' copies are.
+# A step builds its elements and its new state from parts that are already
+# checked (fresh arrays of the input's shape and tag), so it skips the
+# constructors' copies and shape and tag checks.  It keeps their finiteness
+# checks where a product can overflow, and leaves each array read-only as the
+# constructors' copies are.
 
 
 def _element(g_mat: np.ndarray, tag: str, may_overflow: bool = False) -> GroupElement:

@@ -346,16 +346,6 @@ def test_integrate_names_a_state_that_does_not_fit_the_algebra(state, named, met
         rigid.integrate(model, state, 1e-3, 0, method=method)
 
 
-@pytest.mark.parametrize("potential", [None, trace_potential], ids=["free", "torque"])
-def test_midpoint_step_names_an_overflowing_group_element(potential):
-    # g0 @ exp(dt Om) of a quarter turn about the first axis adds entries of
-    # 1.5e308 (at the half step, a torque's g_mid, already): not finite
-    model = rigid.so3_model((1.0, 1.0, 1.0), potential=potential)
-    state = rigid.BodyState(GroupElement(np.full((3, 3), 1.5e308)), np.array([np.pi / 4, 0.0, 0.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="group element has non-finite entries"):
-            rigid.step(model, state, 1.0, method="lie_midpoint")
-
 @pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
 @pytest.mark.parametrize("potential", [None, trace_potential], ids=["free", "torque"])
 def test_steps_give_read_only_states_and_potential_arguments(potential, method):
@@ -376,18 +366,30 @@ def test_steps_give_read_only_states_and_potential_arguments(potential, method):
     assert set(seen) <= {(GroupElement, SO3, False)}
 
 
-def test_rk4_step_names_an_overflowing_momentum_or_group_element():
+_C, _S = np.cos(1.0), np.sin(1.0)
+_TILTED = GroupElement(np.array([[_C, -_S, 0.0], [_S, _C, 0.0], [0.0, 0.0, 1.0]]), tag=SO3)
+_QUARTER_TURN = np.array([np.pi / 4, 0.0, 0.0])  # with dt = 1 and unit moments
+
+
+@pytest.mark.parametrize("moments,potential,state,method,message", [
     # a torque of ~8e307 overflows the RK4 sum of the momentum stages, while
-    # moments of 1e305 keep the rotation slow; a fast spin overflows g
-    c, s = np.cos(1.0), np.sin(1.0)
-    tilted = GroupElement(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), tag=SO3)
+    # moments of 1e305 keep the rotation slow
+    ((1e305,) * 3, lambda g: -5e307 * np.trace(g.matrix), rigid.BodyState(_TILTED, np.zeros(3)),
+     "rk4", "momentum"),
+    ((1.0, 2.0, 3.0), None, rigid.BodyState(_TILTED, np.full(3, 1e100)), "rk4", "group element"),
+    # g0 @ exp(dt Om) adds entries of 1.5e308 (a torque's g_mid at the half step already)
+    ((1.0,) * 3, None, rigid.BodyState(GroupElement(np.full((3, 3), 1.5e308)), _QUARTER_TURN),
+     "lie_midpoint", "group element"),
+    ((1.0,) * 3, trace_potential,
+     rigid.BodyState(GroupElement(np.full((3, 3), 1.5e308)), _QUARTER_TURN),
+     "lie_midpoint", "group element"),
+], ids=["rk4_momentum", "rk4_group", "midpoint_group", "midpoint_torque_group"])
+def test_steps_name_an_overflowing_momentum_or_group_element(moments, potential, state, method,
+                                                              message):
     with np.errstate(over="ignore", invalid="ignore"):
-        heavy = rigid.so3_model((1e305,) * 3, potential=lambda g: -5e307 * np.trace(g.matrix))
-        with pytest.raises(ValueError, match="momentum has non-finite entries"):
-            rigid.step(heavy, rigid.BodyState(tilted, np.zeros(3)), 1e-3, method="rk4")
-        with pytest.raises(ValueError, match="group element has non-finite entries"):
-            rigid.step(rigid.so3_model((1.0, 2.0, 3.0)),
-                       rigid.BodyState(tilted, np.full(3, 1e100)), 1e-3, method="rk4")
+        model = rigid.so3_model(moments, potential=potential)
+        with pytest.raises(ValueError, match=f"{message} has non-finite entries"):
+            rigid.step(model, state, 1.0 if method == "lie_midpoint" else 1e-3, method=method)
 
 
 @pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
@@ -459,20 +461,14 @@ def test_rodrigues_matches_expm(theta):
 
 
 def test_closed_form_exponential_keeps_the_guard():
+    # the closed form checks the three entries of w; the general path checks the
+    # whole matrix: both must refuse the same exponents with the same message
     from phasecraft.errors import Overflow
 
     so3 = fixture("so3")
     for w in ([1.0e4 + 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
         with pytest.raises(Overflow):
             algebra.expm(so3.matrix_of(w), skew3=True)
-
-
-def test_closed_form_guard_agrees_with_the_general_one():
-    # the closed form checks the three entries of w; the general path checks the
-    # whole matrix: both must refuse the same exponents with the same message
-    from phasecraft.errors import Overflow
-
-    so3 = fixture("so3")
     rng = np.random.default_rng(11)
     edge = [[5.0e3, 5.0e3, 0.0], [5.0e3, -5.0e3 - 1e-9, 0.0], [0.0, -1.0e4, 0.0],
             [0.0, 0.0, np.nextafter(1.0e4, 2.0e4)], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
