@@ -386,7 +386,8 @@ def _from_checked(cls, **fields):
     without ``__post_init__``: for values built from parts already checked,
     in the form that its checks would store."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():  # not __dict__.update: that makes a dict per instance
+        object.__setattr__(obj, name, value)
     return obj
 
 
