@@ -611,8 +611,8 @@ def lattice_dynamics(
             raise SingularConfiguration("deformation invariants crossed")
         if (k + 1) % sample_every == 0 or k == steps - 1:
             q, p, m_mat, n_mat = _unflatten(n, y)
-            out.append(_from_checked(TwoPolarState, L=lat.L, R=lat.R, q=q, p=p, M=m_mat,
-                                     N=n_mat, degenerate=lat.degenerate))
+            out.append(_from_checked(TwoPolarState, lat.L, lat.R, q, p, m_mat, n_mat,
+                                     lat.degenerate))
     return out
 
 

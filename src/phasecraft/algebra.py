@@ -381,12 +381,13 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
     ])
 
 
-def _from_checked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+def _from_checked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass ``cls``, one value per field,
     without ``__post_init__``: for values built from parts already checked,
     in the form that its checks would store."""
     obj = object.__new__(cls)
-    for name, value in fields.items():  # not __dict__.update: that makes a dict per instance
+    # one field at a time: filling obj.__dict__ would give each instance its own dict
+    for name, value in zip(cls.__match_args__, values):
         object.__setattr__(obj, name, value)
     return obj
 

@@ -236,7 +236,7 @@ def _element(g_mat: np.ndarray, tag: str, may_overflow: bool = False) -> GroupEl
     if may_overflow and not np.isfinite(g_mat).all():
         raise ValueError("group element has non-finite entries")
     g_mat.setflags(write=False)
-    return _from_checked(GroupElement, matrix=g_mat, tag=tag)
+    return _from_checked(GroupElement, g_mat, tag)
 
 
 def _next_state(g: GroupElement, sigma: np.ndarray, time: float) -> BodyState:
@@ -244,7 +244,7 @@ def _next_state(g: GroupElement, sigma: np.ndarray, time: float) -> BodyState:
     if not np.isfinite(sigma).all():
         raise ValueError("momentum has non-finite entries")
     sigma.setflags(write=False)
-    return _from_checked(BodyState, g=g, sigma=sigma, time=time)
+    return _from_checked(BodyState, g, sigma, time)
 
 
 def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4") -> BodyState:
