@@ -1,13 +1,15 @@
 """Compare two checkouts' end-to-end metrics in alternating benchmark pairs.
 
     python3 bench/ab.py BASE_DIR CHANGE_DIR [--pairs 10] [--seconds 50]
-                        [--seed 1] [--workload NAME ...]
+                        [--seed 1 ...] [--workload NAME ...]
 
 For each workload (default: every one that either checkout's
 ``BENCHMARK.json`` declares) it runs ``--pairs`` pairs of
 ``perfbench/run.py --trace 0`` processes for ``--seconds`` each, one in each
 checkout, one after the other; the base runs first in even pairs and the
-change in odd ones.  Run nothing else on the host meanwhile.
+change in odd ones.  ``--seed`` may repeat: pair k runs the k-th seed modulo
+their count on both sides, so a slow spell of the host cannot fall on one
+seed's runs alone.  Run nothing else on the host meanwhile.
 
 Per end-to-end metric of the base's ``BENCHMARK.json`` it prints each side's
 median, the base's interquartile range (``statistics.quantiles``, exclusive
@@ -63,26 +65,29 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="root of the checkout to compare")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload seed, repeatable: pair k runs seed k mod count (default 1)")
     parser.add_argument("--workload", action="append",
                         help="workload to run, repeatable (default: every declared one)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    seeds = args.seed or [1]
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or sorted(set().union(*map(declared_workloads, checkouts.values())))
     print(f"base {side(checkouts['base'])}, change {side(checkouts['change'])}; "
-          f"{args.pairs} pairs of {args.seconds:g} s, seed {args.seed}")
+          f"{args.pairs} pairs of {args.seconds:g} s, seeds {', '.join(map(str, seeds))}")
     bad = False
     for workload in workloads:
         values = {"base": [], "change": []}
         for k in range(args.pairs):
             for name in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                result = run(checkouts[name], workload, 0, args.seed, args.seconds)["result"]
+                result = run(checkouts[name], workload, 0, seeds[k % len(seeds)],
+                             args.seconds)["result"]
                 bad |= not result["correct"] or result["failed"] > 0
                 values[name].append({m: v["value"] for m, v in result["metrics"].items()})
-                print(f"{workload} pair {k + 1}/{args.pairs} {name}: "
+                print(f"{workload} pair {k + 1}/{args.pairs} seed {seeds[k % len(seeds)]} {name}: "
                       + ", ".join(f"{m} {v:.4g}" for m, v in values[name][-1].items())
                       + ("" if result["correct"] else " INCORRECT"), file=sys.stderr, flush=True)
         print(f"\n{workload}\n{'metric':<12} {'base':>11} {'change':>11} {'base IQR':>10} "

@@ -187,7 +187,8 @@ class TwoPolarState:
     (attractive) couplings.  ValueError, naming the field, unless q is a
     vector of n entries, L, R, M and N are n x n and p has n entries, every
     array is finite, L and R are special orthogonal, q descends and M and N
-    are antisymmetric."""
+    are antisymmetric.  The state holds read-only float copies of the arrays
+    it is given."""
 
     L: np.ndarray
     R: np.ndarray
@@ -207,12 +208,13 @@ class TwoPolarState:
             val = getattr(self, name)
             if val is None and name in ("p", "M", "N"):
                 continue
-            val = np.asarray(val, dtype=float)
+            val = np.array(val, dtype=float)  # a copy: the caller keeps its array
             if val.shape != shape:
                 raise ValueError(f"{name} must have shape {shape} for {n} invariants, "
                                  f"got {val.shape}")
             if not np.isfinite(val).all():
                 raise ValueError(f"{name} must be finite")
+            val.setflags(write=False)
             object.__setattr__(self, name, val)
         for name in ("L", "R"):
             mat = getattr(self, name)
@@ -220,7 +222,7 @@ class TwoPolarState:
                 raise ValueError(f"{name} is not orthogonal")
             if np.linalg.det(mat) < 0:
                 raise ValueError(f"{name} must have determinant +1")
-        if np.any(np.diff(q) > 0):
+        if np.any(np.diff(self.q) > 0):
             raise ValueError("q must be sorted in descending order")
         for name in ("M", "N"):
             val = getattr(self, name)
@@ -610,9 +612,10 @@ def lattice_dynamics(
         if any(y[a + 1] > y[a] for a in range(n - 1)):
             raise SingularConfiguration("deformation invariants crossed")
         if (k + 1) % sample_every == 0 or k == steps - 1:
-            q, p, m_mat, n_mat = _unflatten(n, y)
-            out.append(_from_checked(TwoPolarState, lat.L, lat.R, q, p, m_mat, n_mat,
-                                     lat.degenerate))
+            fresh = _unflatten(n, y)
+            for arr in fresh:
+                arr.setflags(write=False)
+            out.append(_from_checked(TwoPolarState, lat.L, lat.R, *fresh, lat.degenerate))
     return out
 
 

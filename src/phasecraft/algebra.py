@@ -384,7 +384,13 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
 def _from_checked(cls, *values):
     """``cls(*values)`` for a frozen dataclass ``cls``, one value per field,
     without ``__post_init__``: for values built from parts already checked,
-    in the form that its checks would store."""
+    in the form that its checks would store.
+
+    The ownership rule of the frozen value types: a public constructor
+    copies the arrays it is given, checks the copies and freezes them, so no
+    caller can change a value after its check.  Library code that has just
+    built an array, and holds the only reference to it, freezes it in place
+    (``setflags(write=False)``) and hands it over here, without a copy."""
     obj = object.__new__(cls)
     # one field at a time: filling obj.__dict__ would give each instance its own dict
     for name, value in zip(cls.__match_args__, values):

@@ -210,7 +210,9 @@ class _Artifacts:
         self._register(name, ("\n".join(lines) + "\n").encode())
 
     def write_array(self, name: str, arr: np.ndarray) -> None:
-        self._register(name, np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        """Hash and write the array's own little-endian float64 buffer; a
+        copy only when it has another dtype or layout."""
+        self._register(name, memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
     def finish(self, extra: dict) -> dict:
         """Write manifest.json: every registered file with its hash, plus ``extra``."""
@@ -368,13 +370,11 @@ def _run_ensemble(scn: dict, art: _Artifacts) -> list[dict]:
                        "samples x |flow_time| / flow step", _MAX_POINT_STEPS)
 
     def build_observable(spec):
+        """(H, A): H(z) = z Q z / 2 and its gradient z @ A, A = (Q + Q^T) / 2."""
         if spec == "harmonic":
-            return (lambda z: 0.5 * np.sum(z**2, axis=1)), (lambda z: z.copy())
+            return (lambda z: 0.5 * np.sum(z**2, axis=1)), np.eye(2 * region.n_dof)
         qmat = _shape(spec["quadratic"], "quadratic", (2 * region.n_dof,) * 2)
-        return (
-            lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, qmat, z),
-            lambda z: z @ qmat.T,
-        )
+        return lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, qmat, z), 0.5 * (qmat + qmat.T)
 
     try:  # the constructors' own checks: box rows and order, width, samples, seed
         region = ensembles.PhaseRegion(bounds=scn["box"], hbar=scn["hbar"])

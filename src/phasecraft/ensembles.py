@@ -146,24 +146,50 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
     return {"mean": mean_f, "Z": z_val, "stderr_mean": stderr_f, "stderr_Z": stderr_z}
 
 
-def _flow_rk4(points: np.ndarray, grad: Callable[[np.ndarray], np.ndarray],
-              tau: float) -> np.ndarray:
-    """Hamiltonian flow of the observable, vectorized RK4 on all points in
-    steps of at most FLOW_STEP.  All steps run inside one ``rk4`` call: a
+def _flow_rk4(points: np.ndarray, grad, tau: float) -> np.ndarray:
+    """Hamiltonian flow of the observable, RK4 on all points in steps of at
+    most FLOW_STEP.  ``grad`` maps points to their gradients, or is a finite
+    (2n, 2n) array A of a linear field, grad H(z) = z @ A (ValueError naming
+    ``grad`` otherwise).
+
+    A callable runs all steps inside one ``rk4`` call on the point array: a
     call per step frees the four stage arrays at every return, and mapping
-    their memory afresh made a flow of 20 000 points about twice as slow."""
+    their memory afresh made a flow of 20 000 points about twice as slow.
+    For an array, one ``rk4`` step of the identity rows is the step matrix S
+    (z -> z @ S), and the points take S^steps in one product; only the
+    rounding order differs from stepping the points."""
     n_steps = max(1, int(np.ceil(abs(tau) / FLOW_STEP)))
     n_dof = points.shape[1] // 2
+    if callable(grad):
+        field = grad
+    else:
+        mat = _linear_field(grad, 2 * n_dof)
+        field = lambda z: z @ mat
 
     def vf(y):
-        g = grad(y[0])
+        g = field(y[0])
         return [np.concatenate([g[:, n_dof:], -g[:, :n_dof]], axis=1)]
 
-    return rk4(vf, [points], tau / n_steps, steps=n_steps)[0]
+    if callable(grad):
+        return rk4(vf, [points], tau / n_steps, steps=n_steps)[0]
+    step = rk4(vf, [np.eye(2 * n_dof)], tau / n_steps)[0]
+    return points @ np.linalg.matrix_power(step, n_steps)
 
 
-def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
-                     grad: Callable[[np.ndarray], np.ndarray],
+def _linear_field(a, dim: int) -> np.ndarray:
+    """``a`` as a finite (dim, dim) float array; ValueError naming grad otherwise."""
+    try:
+        mat = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"grad must be a callable or a ({dim}, {dim}) array: {exc}") from exc
+    if mat.shape != (dim, dim):
+        raise ValueError(f"grad must be a callable or a ({dim}, {dim}) array, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("grad must be finite")
+    return mat
+
+
+def invariance_check(shell: ShellEnsemble, region: PhaseRegion, grad,
                      tau: float, *, batches=None) -> dict:
     """Stationarity statistic of the shell under its own generator's flow.
 
@@ -172,7 +198,10 @@ def invariance_check(shell: ShellEnsemble, region: PhaseRegion,
     before and after, binned on 12 cells per axis of the region
     (``_INVARIANCE_BINS``), together with a same-size split-half noise
     reference.  A stationary ensemble satisfies
-    tv_flow <= tv_null_mean + 3 tv_null_std.  ``batches`` are the accepted
+    tv_flow <= tv_null_mean + 3 tv_null_std.  ``grad`` maps points (rows) to
+    the observable's gradients, or is the (2n, 2n) array A of a quadratic
+    observable, grad H(z) = z @ A, whose flow then costs one small matrix
+    product per point (see ``_flow_rk4``).  ``batches`` are the accepted
     points per batch that ``shell_samples(shell, region)`` returns; None
     draws them.
     """

@@ -249,9 +249,23 @@ def _next_state(g: GroupElement, sigma: np.ndarray, time: float) -> BodyState:
 
 def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4") -> BodyState:
     """Advance one time step; ``method`` is ``rk4`` or ``lie_midpoint``;
-    ValueError for a ``dt`` that is not finite and positive."""
+    ValueError for a ``dt`` that is not finite and positive or a state that
+    does not fit the model's algebra (see ``_check_state``)."""
     check_step(dt)
+    _check_state(model, state)
     return _stepper(method)(model, state, dt)
+
+
+def _check_state(model: InvariantModel, state: BodyState) -> None:
+    """ValueError, naming the field, unless ``sigma`` has the algebra's
+    components and ``g`` the shape of its basis matrices."""
+    dim, basis = model.algebra.dim, model.algebra.basis
+    if state.sigma.shape != (dim,):
+        raise ValueError(f"sigma must have the algebra's {dim} components, "
+                         f"got shape {state.sigma.shape}")
+    if basis is not None and state.g.matrix.shape != basis[0].shape:
+        raise ValueError(f"g must have the shape {basis[0].shape} of the algebra's basis, "
+                         f"got {state.g.matrix.shape}")
 
 
 def _stepper(method: str):
@@ -322,13 +336,7 @@ def integrate(
     not fit the model's algebra: all checked here, before any step."""
     check_step(dt, sample_every, n_steps)
     _stepper(method)
-    dim, basis = model.algebra.dim, model.algebra.basis
-    if state.sigma.shape != (dim,):
-        raise ValueError(f"sigma must have the algebra's {dim} components, "
-                         f"got shape {state.sigma.shape}")
-    if basis is not None and state.g.matrix.shape != basis[0].shape:
-        raise ValueError(f"g must have the shape {basis[0].shape} of the algebra's basis, "
-                         f"got {state.g.matrix.shape}")
+    _check_state(model, state)
     states = [state]
     current = state
     for k in range(n_steps):

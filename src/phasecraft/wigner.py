@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .algebra import _from_checked
 from .errors import (
     GridMismatch,
     GridTooCoarse,
@@ -57,6 +58,9 @@ _TAIL_BOUND = 1.0e-8
 _FD_STEP = 1.0e-4
 _GRAD_TOL = 1.0e-8
 _ROW_BLOCK = 32  # rows of wigner_transform's half-correlation per pass: 0.5 MB at N = 512
+# star_product refuses operands whose edge ratios (the largest |W| on the outer
+# rows and columns over the largest |W|) both exceed this
+_EDGE_RATIO_BOUND = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,8 @@ def wigner_transform(psi: GridWavefunction) -> PhaseGrid:
         raise GridTooCoarse(f"wigner_transform: the field has non-finite values "
                             f"(hermiticity residue {imag:.3e})")
     dp = psi.dp
-    return PhaseGrid(values=table, dq=psi.dx, dp=dp, q0=psi.q0, p0=-dp * (n // 2), hbar=hbar)
+    table.setflags(write=False)  # fresh and real: handed over, not copied
+    return _from_checked(PhaseGrid, table, psi.dx, dp, psi.q0, -dp * (n // 2), hbar)
 
 
 def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -402,6 +407,14 @@ def _kernel_to_symbol(kern: np.ndarray, dq, p0, hbar) -> np.ndarray:
     return table[:, ::2] * dq
 
 
+def _edge_ratio(vals: np.ndarray) -> float:
+    """The largest |W| on the outer rows and columns over the largest |W|
+    (0 for a zero field)."""
+    peak = float(np.max(np.abs(vals)))
+    edge = max(float(np.max(np.abs(v))) for v in (vals[0], vals[-1], vals[:, 0], vals[:, -1]))
+    return edge / peak if peak > 0 else 0.0
+
+
 def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     """Noncommutative symbol product representing operator composition.
 
@@ -414,7 +427,11 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     and in p.  Then 1 * A = A * 1 = A, the conjugation rule
     conj(A * B) = conj(B) * conj(A) and trace identities hold to grid
     accuracy; without it they fail (1 * 1 comes back as 4, and
-    e^{-q^2/2} * e^{-q^2/2} is off by 1).  Nothing checks the condition.
+    e^{-q^2/2} * e^{-q^2/2} is off by 1).  So GridTooCoarse is raised when
+    each operand's edge ratio (the largest |W| on its outer rows and columns
+    over its largest |W|) exceeds 1e-6 (``_EDGE_RATIO_BOUND``).  The guard
+    catches that gross failure only; a small ratio does not bound the grid
+    error.
     """
     if not a.same_grid(b):
         raise GridMismatch("star product operands live on different grids")
@@ -423,6 +440,11 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
         raise GridMismatch("star product expects square (N x N) symbols")
     if abs(a.dq * a.dp * n - 2.0 * np.pi * a.hbar) > 1.0e-9 * a.hbar:
         raise GridMismatch("grid must satisfy dq dp = 2 pi hbar / N")
+    ratios = _edge_ratio(a.values), _edge_ratio(b.values)
+    if min(ratios) > _EDGE_RATIO_BOUND:
+        raise GridTooCoarse(f"star product: neither operand decays to the window's edges "
+                            f"(edge ratios {ratios[0]:.3e} and {ratios[1]:.3e}, "
+                            f"one must be at most {_EDGE_RATIO_BOUND:.0e})")
 
     # Internal doubled canonical grid (2N x 2N, dp' = dp/2): padding in q
     # pushes periodic images out of the window, and the refined momentum

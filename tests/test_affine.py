@@ -677,6 +677,20 @@ def test_two_polar_state_names_a_misshapen_or_non_finite_field(fields, named):
         TwoPolarState(**{**base, **fields})
 
 
+def test_two_polar_state_keeps_read_only_copies_of_the_callers_arrays():
+    # the state used to keep the caller's q: changing it afterwards gave a
+    # state whose q ascends
+    given = dict(L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.zeros(2),
+                 M=0.4 * _SKEW[:2, :2], N=np.zeros((2, 2)))
+    lat = TwoPolarState(**given)
+    kept = {name: getattr(lat, name).copy() for name in given}
+    for arr in given.values():
+        arr[0] = -5.0
+    for name in given:
+        npt.assert_array_equal(getattr(lat, name), kept[name])
+        assert not getattr(lat, name).flags.writeable
+
+
 @pytest.mark.parametrize("variant,params,q,sample_every", [
     ("hyperbolic", {"a": 1.0}, [1.5, -1.5], 1),
     ("trigonometric", {"a": 1.3}, [0.6, 0.0, -0.6], 7),

@@ -124,6 +124,30 @@ def test_ensemble_run(tmp_path):
     assert doc["invariance"]["stationary"]
 
 
+def test_ensemble_flows_by_the_symmetric_part_of_an_asymmetric_quadratic(tmp_path):
+    # H = z Q z / 2 is the harmonic observable; the flow used to take z @ Q^T
+    # as its gradient, which drifted the shell (flow_drift 0.999 > 0.100)
+    scen = write(tmp_path, "s.json", {
+        "observable": {"quadratic": [[1.0, 0.6], [-0.6, 1.0]]}, "a": 1.0, "epsilon": 0.3,
+        "box": [[-2.2, 2.2], [-2.2, 2.2]], "samples": 40000, "seed": 3, "flow_time": 1.0,
+    })
+    out = str(tmp_path / "out")
+    assert cli.run("ensemble", scen, out, seed=None) == 0
+    assert read_json(out, "ensemble.json")["invariance"]["stationary"]
+
+
+def test_ensemble_with_an_unstable_flow_leaves_the_float64_range(tmp_path, capsys):
+    # RK4 at dt = 0.01 on H = 1e4 |z|^2 / 2 grows each step about 4e6-fold
+    scen = write(tmp_path, "s.json", {
+        **SHELL, "observable": {"quadratic": [[1e4, 0.0], [0.0, 1e4]]}, "a": 1e4,
+        "epsilon": 3e3, "seed": 3, "flow_time": 1.0,
+    })
+    with pytest.raises(SchemaError, match="float64 range"):
+        cli.run("ensemble", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["ensemble", scen, "--out", str(tmp_path / "o")]) == 2
+    assert "leaves the float64 range" in capsys.readouterr().err
+
+
 def test_ensemble_entropy_is_taken_on_box_cells(tmp_path):
     from phasecraft import ensembles
 

@@ -215,6 +215,52 @@ def test_invariance_bins_as_histogramdd():
     assert out["tv_null_std"] == float(np.std(null, ddof=1))
 
 
+# a symmetric positive-definite Q per degree-of-freedom count, H = z Q z / 2
+QUADRATICS = {
+    1: np.array([[1.3, 0.4], [0.4, 0.9]]),
+    2: np.array([[1.5, 0.3, 0.0, 0.2], [0.3, 1.0, 0.1, 0.0],
+                 [0.0, 0.1, 0.8, 0.0], [0.2, 0.0, 0.0, 1.2]]),
+}
+
+
+def _quadratic_shell(n, q, seed):
+    """A shell of H = z Q z / 2 at 1 +/- 0.15 in a box around it."""
+    half = 1.05 * float(np.sqrt(2.0 * 1.15 / np.linalg.eigvalsh(q)[0]))
+    region = ens.PhaseRegion(bounds=np.array([[-half, half]] * (2 * n)))
+    shell = ens.ShellEnsemble(observable=lambda z: 0.5 * np.einsum("zi,ij,zj->z", z, q, z),
+                              center=1.0, epsilon=0.3, samples=4_000 * 4**n, seed=seed)
+    return shell, region
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("tau", [0.37, -0.52, 0.0])
+@pytest.mark.parametrize("kind", ["harmonic", "quadratic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_matrix_flow_matches_the_callable_flow(n, kind, tau, seed):
+    # 24 shells: the one-product flow of a linear field against stepping the points
+    q = np.eye(2 * n) if kind == "harmonic" else QUADRATICS[n]
+    shell, region = _quadratic_shell(n, q, seed)
+    grad = (lambda z: z.copy()) if kind == "harmonic" else (lambda z: z @ q)
+    batches = ens.shell_samples(shell, region)
+    before = np.concatenate(batches)
+    by_matrix = ens._flow_rk4(before, q, tau)
+    by_steps = ens._flow_rk4(before, grad, tau)
+    assert np.max(np.abs(by_matrix - by_steps)) <= 1e-12
+    assert (ens.invariance_check(shell, region, q, tau, batches=batches)
+            == ens.invariance_check(shell, region, grad, tau, batches=batches))
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(3), np.eye(4), np.ones(2), [[1.0, 0.0], [0.0, np.nan]],
+    [[1.0, np.inf], [0.0, 1.0]], [["a", "b"], ["c", "d"]], [[1.0, 0.0], [0.0]],
+], ids=["3x3", "4x4", "vector", "nan", "inf", "text", "ragged"])
+def test_invariance_refuses_a_bad_field_matrix(bad):
+    shell = ens.ShellEnsemble(observable=harmonic, center=1.0, epsilon=0.3,
+                              samples=3_200, seed=3)
+    with pytest.raises(ValueError, match="grad"):
+        ens.invariance_check(shell, box(2.2), bad, 0.3)
+
+
 def test_invariance_free_on_torus():
     # free streaming with periodic wrap in q preserves the uniform shell
     region = ens.PhaseRegion(bounds=np.array([[0.0, 1.0], [0.5, 1.5]]), hbar=1.0)

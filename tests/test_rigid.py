@@ -347,6 +347,18 @@ def test_integrate_names_a_state_that_does_not_fit_the_algebra(state, named, met
 
 
 @pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
+@pytest.mark.parametrize("state,named", [
+    (rigid.BodyState(GroupElement(np.eye(3), tag=SO3), np.array([0.5, 0.1])), "sigma"),
+    (rigid.BodyState(GroupElement(np.eye(4)), np.array([0.5, 0.1, -0.3])), "g"),
+], ids=["sigma_length_2", "g_4x4"])
+def test_step_names_a_state_that_does_not_fit_the_algebra(state, named, method):
+    # a single step used to end in numpy's matmul mismatch
+    model = rigid.so3_model((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=rf"^{named}\b"):
+        rigid.step(model, state, 1e-3, method=method)
+
+
+@pytest.mark.parametrize("method", ["rk4", "lie_midpoint"])
 @pytest.mark.parametrize("potential", [None, trace_potential], ids=["free", "torque"])
 def test_steps_give_read_only_states_and_potential_arguments(potential, method):
     seen = []

@@ -513,6 +513,34 @@ def test_star_product_at_n_512_peaks_below_350_mib():
     assert _star_peak_kib(512) < 350 * 1024
 
 
+def _on_window(w, values):
+    return wg.PhaseGrid(values, w.dq, w.dp, w.q0, w.p0, w.hbar)
+
+
+def test_star_refuses_operands_that_reach_the_window_edges():
+    # each used to come back silently wrong: 1 * 1 as 4 everywhere, the two
+    # Gaussians off by 1.0
+    w = wg.wigner_transform(wg.ho_ground(64, -8.0, 8.0))
+    q, p = np.meshgrid(w.q_grid, w.p_grid, indexing="ij")
+    one = wg.phase_grid_constant(1.0, w)
+    for a in (one, _on_window(w, np.exp(-0.5 * q**2)), _on_window(w, np.exp(-0.5 * p**2))):
+        with pytest.raises(GridTooCoarse, match=r"edge ratios 1\.000e\+00 and 1\.000e\+00"):
+            wg.star_product(a, a)
+    # one decaying operand is enough, on either side
+    for prod in (wg.star_product(one, w), wg.star_product(w, one)):
+        assert np.max(np.abs(prod.values - w.values)) <= 1e-8
+
+
+def test_transform_hands_over_a_read_only_grid_equal_to_its_public_rebuild():
+    w = wg.wigner_transform(wg.cat_state(4.0, 128, -12.0, 12.0))
+    assert not w.values.flags.writeable
+    rebuilt = wg.PhaseGrid(w.values, w.dq, w.dp, w.q0, w.p0, w.hbar)
+    assert np.array_equal(rebuilt.values, w.values)
+    assert rebuilt.values.dtype == w.values.dtype == np.float64
+    assert (rebuilt.dq, rebuilt.dp, rebuilt.q0, rebuilt.p0, rebuilt.hbar) == (
+        w.dq, w.dp, w.q0, w.p0, w.hbar)
+
+
 def test_star_grid_mismatch():
     a = wg.wigner_transform(wg.ho_ground(256, -8.0, 8.0))
     b = wg.wigner_transform(wg.ho_ground(256, -9.0, 9.0))
