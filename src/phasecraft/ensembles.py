@@ -35,6 +35,9 @@ _SEED_LIMIT = 2**48
 # RK4 step of the flow in invariance_check, and its bins per phase-space axis
 FLOW_STEP = 0.01
 _INVARIANCE_BINS = 12
+# the observable's gradient: a map of points (rows) to gradients, or the
+# (2n, 2n) array A of a linear field, grad H(z) = z @ A
+Gradient = Callable[[np.ndarray], np.ndarray] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def shell_probability(shell: ShellEnsemble, region: PhaseRegion,
     return {"mean": mean_f, "Z": z_val, "stderr_mean": stderr_f, "stderr_Z": stderr_z}
 
 
-def _flow_rk4(points: np.ndarray, grad, tau: float) -> np.ndarray:
+def _flow_rk4(points: np.ndarray, grad: Gradient, tau: float) -> np.ndarray:
     """Hamiltonian flow of the observable, RK4 on all points in steps of at
     most FLOW_STEP.  ``grad`` maps points to their gradients, or is a finite
     (2n, 2n) array A of a linear field, grad H(z) = z @ A (ValueError naming
@@ -189,7 +192,7 @@ def _linear_field(a, dim: int) -> np.ndarray:
     return mat
 
 
-def invariance_check(shell: ShellEnsemble, region: PhaseRegion, grad,
+def invariance_check(shell: ShellEnsemble, region: PhaseRegion, grad: Gradient,
                      tau: float, *, batches=None) -> dict:
     """Stationarity statistic of the shell under its own generator's flow.
 

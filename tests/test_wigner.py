@@ -518,14 +518,16 @@ def _on_window(w, values):
 
 
 def test_star_refuses_operands_that_reach_the_window_edges():
-    # each used to come back silently wrong: 1 * 1 as 4 everywhere, the two
-    # Gaussians off by 1.0
+    # each used to come back silently wrong: 1 * 1 as 4 everywhere, the others
+    # off by 1.0
     w = wg.wigner_transform(wg.ho_ground(64, -8.0, 8.0))
     q, p = np.meshgrid(w.q_grid, w.p_grid, indexing="ij")
     one = wg.phase_grid_constant(1.0, w)
-    for a in (one, _on_window(w, np.exp(-0.5 * q**2)), _on_window(w, np.exp(-0.5 * p**2))):
+    gauss_q = _on_window(w, np.exp(-0.5 * q**2))
+    gauss_p = _on_window(w, np.exp(-0.5 * p**2))
+    for a, b in ((one, one), (gauss_q, gauss_q), (gauss_p, gauss_p), (one, gauss_q)):
         with pytest.raises(GridTooCoarse, match=r"edge ratios 1\.000e\+00 and 1\.000e\+00"):
-            wg.star_product(a, a)
+            wg.star_product(a, b)
     # one decaying operand is enough, on either side
     for prod in (wg.star_product(one, w), wg.star_product(w, one)):
         assert np.max(np.abs(prod.values - w.values)) <= 1e-8
