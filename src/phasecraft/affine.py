@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import _from_checked, check_step, expm, rk4
+from .algebra import _from_checked, _frozen, check_step, expm, rk4
 from .errors import (ModelMismatch, OrientationReversed, Overflow, Singular,
                      SingularConfiguration)
 
@@ -71,26 +71,19 @@ class AffineState:
     p: np.ndarray | None = None
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = _frozen(np.array(self.phi, dtype=float), "phi")
         n = phi.shape[0]
         if phi.shape != (n, n):
             raise ValueError("phi must be square")
-        if not np.isfinite(phi).all():
-            raise ValueError("phi has non-finite entries")
         if abs(np.linalg.det(phi)) < 1.0e-12:
             raise Singular("phi is numerically singular")
-        sh = np.asarray(self.sigma_hat, dtype=float)
+        sh = _frozen(np.array(self.sigma_hat, dtype=float), "sigma_hat")
         if sh.shape != (n, n):
             raise ValueError("sigma_hat must match phi in shape")
-        if not np.isfinite(sh).all():
-            raise ValueError("sigma_hat has non-finite entries")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma_hat", sh)
         if self.p is not None:
-            p = np.asarray(self.p, dtype=float)
-            if not np.isfinite(p).all():
-                raise ValueError("p has non-finite entries")
-            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "p", _frozen(np.array(self.p, dtype=float), "p"))
 
     @property
     def n(self) -> int:
@@ -125,9 +118,7 @@ class InertiaModel:
         if self.kind == "standard":
             if not (math.isfinite(self.m) and self.m > 0):
                 raise ValueError(f"mass m must be finite and positive, got {self.m!r}")
-            j = np.asarray(self.J, dtype=float)
-            if not np.isfinite(j).all():
-                raise ValueError("J has non-finite entries")
+            j = _frozen(np.array(self.J, dtype=float), "J")
             try:
                 np.linalg.cholesky(j)
             except np.linalg.LinAlgError as exc:
@@ -142,7 +133,7 @@ class InertiaModel:
 
     @staticmethod
     def standard(m: float, J) -> "InertiaModel":
-        return InertiaModel(kind="standard", m=m, J=np.asarray(J, dtype=float))
+        return InertiaModel(kind="standard", m=m, J=J)
 
     @staticmethod
     def affine(
@@ -208,13 +199,10 @@ class TwoPolarState:
             val = getattr(self, name)
             if val is None and name in ("p", "M", "N"):
                 continue
-            val = np.array(val, dtype=float)  # a copy: the caller keeps its array
+            val = _frozen(np.array(val, dtype=float), name)
             if val.shape != shape:
                 raise ValueError(f"{name} must have shape {shape} for {n} invariants, "
                                  f"got {val.shape}")
-            if not np.isfinite(val).all():
-                raise ValueError(f"{name} must be finite")
-            val.setflags(write=False)
             object.__setattr__(self, name, val)
         for name in ("L", "R"):
             mat = getattr(self, name)

@@ -79,11 +79,10 @@ class LieAlgebraSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        c = np.asarray(self.structure, dtype=float)
+        # checked first: NaN would pass every tolerance test below
+        c = _frozen(np.array(self.structure, dtype=float), "structure")
         if c.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure tensor must have shape {(self.dim,) * 3}")
-        if not np.isfinite(c).all():  # NaN would pass every tolerance test below
-            raise ValueError("structure constants must be finite")
         anti_defect = float(np.max(np.abs(c + np.swapaxes(c, 1, 2))))
         if anti_defect > 1.0e-12 * (1.0 + float(np.max(np.abs(c)))):
             raise ValueError(
@@ -91,8 +90,7 @@ class LieAlgebraSpec:
             )
         # Bit-exact antisymmetry: the i < j entries are authoritative.
         upper = np.triu(np.ones((self.dim, self.dim)), k=1)[None, :, :]
-        c = c * upper - np.swapaxes(c * upper, 1, 2)
-        c.setflags(write=False)
+        c = _frozen(c * upper - np.swapaxes(c * upper, 1, 2), "structure")
         object.__setattr__(self, "structure", c)
 
         scale = max(1.0, float(np.max(np.abs(c))) ** 3)
@@ -101,13 +99,9 @@ class LieAlgebraSpec:
             raise ValueError(f"Jacobi identity violated, residual {resid:.3e}")
 
         if self.basis is not None:
-            mats = tuple(np.array(m) for m in self.basis)  # own copies, read-only like structure
+            mats = tuple(_frozen(np.array(m), "basis") for m in self.basis)
             if len(mats) != self.dim:
                 raise ValueError("basis must contain dim matrices")
-            if not all(np.isfinite(m).all() for m in mats):
-                raise ValueError("basis matrices must be finite")
-            for m in mats:
-                m.setflags(write=False)
             object.__setattr__(self, "basis", mats)
             mscale = max(1.0, max(float(np.max(np.abs(m))) for m in mats) ** 2)
             for i in range(self.dim):
@@ -160,13 +154,12 @@ class BilinearForm:
     inverse: np.ndarray | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.coeffs, dtype=float)
+        g = _frozen(np.array(self.coeffs, dtype=float), "coeffs")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("coeffs must be a square matrix")
         if np.max(np.abs(g - g.T)) > 1.0e-12 * (1.0 + np.max(np.abs(g))):
             raise ValueError("coeffs must be symmetric")
-        g = 0.5 * (g + g.T)
-        g.setflags(write=False)
+        g = _frozen(0.5 * (g + g.T), "coeffs")
         object.__setattr__(self, "coeffs", g)
         inv = None
         if abs(np.linalg.det(g)) > np.finfo(float).tiny:
@@ -210,15 +203,11 @@ class GroupElement:
     tag: str = "general-linear"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
+        m = _frozen(np.array(self.matrix), "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("group element must be a square matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("group element has non-finite entries")
         if self.tag not in _GROUP_TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -381,16 +370,28 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
     ])
 
 
+def _frozen(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, set read-only, after a ``ValueError`` ("<name> has non-finite
+    entries") unless every entry is finite.  ``arr`` belongs to the caller:
+    a constructor's own copy, or an array that library code has just built."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
 def _from_checked(cls, *values):
     """``cls(*values)`` for a frozen dataclass ``cls``, one value per field,
     without ``__post_init__``: for values built from parts already checked,
     in the form that its checks would store.
 
     The ownership rule of the frozen value types: a public constructor
-    copies the arrays it is given, checks the copies and freezes them, so no
-    caller can change a value after its check.  Library code that has just
-    built an array, and holds the only reference to it, freezes it in place
-    (``setflags(write=False)``) and hands it over here, without a copy."""
+    stores each array field as ``_frozen(np.array(value, dtype), name)``, a
+    copy that is checked finite and read-only, so no caller can change a
+    value after its check.  Library code that has just built an array, and
+    holds the only reference to it, freezes it in place (``_frozen``, or
+    ``setflags(write=False)`` where no product can overflow) and hands it
+    over here, without a copy."""
     obj = object.__new__(cls)
     # one field at a time: filling obj.__dict__ would give each instance its own dict
     for name, value in zip(cls.__match_args__, values):

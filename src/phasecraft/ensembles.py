@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import rk4
+from .algebra import _frozen, rk4
 from .errors import EmptyShell, NotNormalized, SingularMetric
 
 __all__ = [
@@ -48,15 +48,13 @@ class PhaseRegion:
     hbar: float = 1.0
 
     def __post_init__(self):
-        b = np.asarray(self.bounds, dtype=float)
+        b = _frozen(np.array(self.bounds, dtype=float), "bounds")
         if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] % 2 != 0:
             raise ValueError("bounds must be a (2n, 2) array")
-        if not np.all(np.isfinite(b)) or np.any(b[:, 1] <= b[:, 0]):
-            raise ValueError("box must be finite and nonempty")
-        if self.hbar <= 0:
+        if np.any(b[:, 1] <= b[:, 0]):
+            raise ValueError("box must be nonempty")
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
-        b = b.copy()
-        b.setflags(write=False)
         object.__setattr__(self, "bounds", b)
 
     @property

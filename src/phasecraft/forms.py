@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec
+from .algebra import LieAlgebraSpec, _frozen
 from .errors import DegreeOverflow, NotSubalgebra
 
 __all__ = [
@@ -49,9 +49,8 @@ class KForm:
 
     def __post_init__(self):
         w = np.asarray(self.coeffs, dtype=float)
-        if self.degree == 0:
-            w = np.asarray(float(w))
-        elif w.shape != (w.shape[0],) * self.degree:
+        w = _frozen(np.array(float(w) if self.degree == 0 else w), "coeffs")
+        if self.degree != 0 and w.shape != (w.shape[0],) * self.degree:
             raise ValueError("coefficient tensor shape disagrees with degree")
         if self.degree >= 1 and self.degree > w.shape[0]:
             raise ValueError("degree exceeds algebra dimension")
@@ -59,8 +58,6 @@ class KForm:
             swapped = np.swapaxes(w, *axes)
             if not np.array_equal(swapped, -w):
                 raise ValueError("coefficients are not antisymmetric")
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "coeffs", w)
 
     @property

@@ -15,12 +15,13 @@ conserves quadratic invariants of the momentum equation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _from_checked,
+from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _from_checked, _frozen,
                       adjoint_matrix, check_step, coadjoint, expm, rk4)
 from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
@@ -104,8 +105,8 @@ def so3_model(
 ) -> InvariantModel:
     """Rigid body about a fixed point: gamma = diag(I1, I2, I3) on so(3)."""
     moments = tuple(float(i) for i in principal_moments)
-    if len(moments) != 3 or any(i <= 0 for i in moments):
-        raise ValueError("principal moments must be three positive reals")
+    if len(moments) != 3 or not all(0 < i < math.inf for i in moments):
+        raise ValueError("principal moments must be three finite positive reals")
     return InvariantModel(
         algebra=fixture("so3"),
         metric=BilinearForm(np.diag(moments)),
@@ -124,12 +125,7 @@ class BodyState:
     time: float = 0.0
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not np.isfinite(sigma).all():
-            raise ValueError("momentum has non-finite entries")
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _frozen(np.array(self.sigma, dtype=float), "sigma"))
 
 
 @dataclass
@@ -226,25 +222,18 @@ def _project_group(g_mat: np.ndarray, tag: str) -> np.ndarray:
 # A step builds its elements and its new state from parts that are already
 # checked (fresh arrays of the input's shape and tag), so it skips the
 # constructors' copies and shape and tag checks.  It keeps their finiteness
-# checks where a product can overflow, and leaves each array read-only as the
-# constructors' copies are.
+# checks where a product can overflow ("group element" and "momentum" have
+# non-finite entries), and leaves each array read-only as the constructors'
+# copies are.
 
 
 def _element(g_mat: np.ndarray, tag: str, may_overflow: bool = False) -> GroupElement:
     """``g_mat``, computed from a checked element of group ``tag``, as a
-    GroupElement; after the constructor's finiteness check if it ``may_overflow``."""
-    if may_overflow and not np.isfinite(g_mat).all():
-        raise ValueError("group element has non-finite entries")
+    GroupElement; after the finiteness check if it ``may_overflow``."""
+    if may_overflow:
+        _frozen(g_mat, "group element")
     g_mat.setflags(write=False)
     return _from_checked(GroupElement, g_mat, tag)
-
-
-def _next_state(g: GroupElement, sigma: np.ndarray, time: float) -> BodyState:
-    """A step's new state, after BodyState's finiteness check on its momentum."""
-    if not np.isfinite(sigma).all():
-        raise ValueError("momentum has non-finite entries")
-    sigma.setflags(write=False)
-    return _from_checked(BodyState, g, sigma, time)
 
 
 def step(model: InvariantModel, state: BodyState, dt: float, method: str = "rk4") -> BodyState:
@@ -287,9 +276,8 @@ def _step_rk4(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
         return _configuration_rate(model, g_mat, sigma), rhs
 
     g1, s1 = rk4(rate, [state.g.matrix, state.sigma], dt)
-    if not np.isfinite(g1).all():
-        raise ValueError("group element has non-finite entries")
-    return _next_state(_element(_project_group(g1, tag), tag), s1, state.time + dt)
+    g1 = _element(_project_group(_frozen(g1, "group element"), tag), tag)
+    return _from_checked(BodyState, g1, _frozen(s1, "momentum"), state.time + dt)
 
 
 def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodyState:
@@ -318,7 +306,8 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
     s1 = 2.0 * s_mid - s0
     flow = expm(dt * _velocity_matrix(model, s_mid), model._skew3)
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
-    return _next_state(_element(g1_mat, g0.tag, may_overflow=True), s1, state.time + dt)
+    return _from_checked(BodyState, _element(g1_mat, g0.tag, may_overflow=True),
+                         _frozen(s1, "momentum"), state.time + dt)
 
 
 def integrate(

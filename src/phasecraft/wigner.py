@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _from_checked
+from .algebra import _from_checked, _frozen
 from .errors import (
     GridMismatch,
     GridTooCoarse,
@@ -74,16 +74,12 @@ class GridWavefunction:
     mass: float = 1.0
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex)
+        psi = _frozen(np.array(self.psi, dtype=complex), "psi")
         n = len(psi)
         if n < 4 or n & (n - 1):
             raise ValueError("grid length must be a power of two (>= 4)")
-        if self.dx <= 0 or self.hbar <= 0 or self.mass <= 0:
+        if not (self.dx > 0 and self.hbar > 0 and self.mass > 0):
             raise ValueError("dx, hbar and mass must be positive")
-        if not np.isfinite(psi).all():
-            raise ValueError("wave-function samples must be finite")
-        psi = psi.copy()
-        psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
 
     @property
@@ -159,9 +155,8 @@ class PhaseGrid:
             imag = float(np.max(np.abs(vals.imag)))
             if imag <= 1.0e-10 * max(1.0, float(np.max(np.abs(vals.real)))):
                 vals = vals.real
-        vals = vals.astype(complex if np.iscomplexobj(vals) else float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = np.array(vals, dtype=complex if np.iscomplexobj(vals) else float)
+        object.__setattr__(self, "values", _frozen(vals, "values"))
 
     @property
     def q_grid(self) -> np.ndarray:

@@ -691,6 +691,24 @@ def test_two_polar_state_keeps_read_only_copies_of_the_callers_arrays():
         assert not getattr(lat, name).flags.writeable
 
 
+def test_affine_state_and_standard_inertia_keep_read_only_copies_of_the_callers_arrays():
+    # both used to keep the caller's arrays: a later edit made phi singular and J
+    # indefinite under a checked state and model
+    given = dict(phi=np.diag([2.0, 0.5]), sigma_hat=np.array([[0.0, 0.3], [-0.1, 0.0]]),
+                 p=np.array([0.2, -0.4]))
+    state = AffineState(**given)
+    j = np.diag([1.0, 2.0])
+    model = InertiaModel.standard(1.5, j)
+    kept = {name: getattr(state, name).copy() for name in given}
+    for arr in (*given.values(), j):
+        arr[0] = 0.0
+    for name in given:
+        npt.assert_array_equal(getattr(state, name), kept[name])
+        assert not getattr(state, name).flags.writeable
+    npt.assert_array_equal(model.J, np.diag([1.0, 2.0]))
+    assert not model.J.flags.writeable
+
+
 @pytest.mark.parametrize("variant,params,q,sample_every", [
     ("hyperbolic", {"a": 1.0}, [1.5, -1.5], 1),
     ("trigonometric", {"a": 1.3}, [0.6, 0.0, -0.6], 7),

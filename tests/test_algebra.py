@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from phasecraft import algebra as alg
+from phasecraft.affine import AffineState, InertiaModel, TwoPolarState
 from phasecraft.algebra import (
     BilinearForm,
     GroupElement,
@@ -18,8 +19,12 @@ from phasecraft.algebra import (
     so_basis,
     structure_from_basis,
 )
+from phasecraft.ensembles import PhaseRegion
 from phasecraft.errors import Degenerate, NotClosed, Overflow
 from phasecraft.fixtures import eps3, fixture, fixture_names
+from phasecraft.forms import KForm
+from phasecraft.rigid import BodyState
+from phasecraft.wigner import GridWavefunction, PhaseGrid
 
 
 def test_gl2_flatland_matrices():
@@ -286,6 +291,15 @@ def test_bilinear_form_inverse_cached():
         BilinearForm(np.eye(2), inverse=np.eye(2))
 
 
+@pytest.mark.parametrize("coeffs", [np.diag([1.0, np.nan, 1.0]), np.diag([1.0, np.inf, 1.0]),
+                                    np.full((2, 2), np.nan)], ids=["nan", "inf", "all_nan"])
+def test_bilinear_form_refuses_non_finite_coefficients(coeffs):
+    # a NaN form used to pass as positive-definite, and diag(1, inf, 1) got the
+    # inverse diag(1, 0, 1)
+    with pytest.raises(ValueError, match="^coeffs has non-finite entries"):
+        BilinearForm(coeffs)
+
+
 def test_group_membership_orthogonal_tag():
     g = GroupElement(np.eye(3) * 1.001, tag="special-orthogonal")
     assert g.membership_residual() > 1e-9
@@ -395,3 +409,53 @@ def test_rk4_is_the_classical_scheme(rate, y0):
         stepped = alg.rk4(rate, stepped, dt)
     for got, want in zip(alg.rk4(rate, y0, dt, steps=n), stepped):
         assert np.array_equal(got, want)
+
+
+# --- one array rule for every value type ---------------------------------------------
+
+def _so3_parts():
+    so3 = fixture("so3")
+    return dict(dim=3, structure=np.array(so3.structure), basis=tuple(map(np.array, so3.basis)))
+
+
+_VALUE_TYPES = [  # (type, fresh valid arguments, its array fields)
+    (AffineState, lambda: dict(phi=np.diag([2.0, 0.5]), sigma_hat=np.ones((2, 2)),
+                               p=np.ones(2)), ("phi", "sigma_hat", "p")),
+    (InertiaModel, lambda: dict(kind="standard", J=np.diag([1.0, 2.0])), ("J",)),
+    (TwoPolarState, lambda: dict(L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]),
+                                 p=np.ones(2), M=np.zeros((2, 2)), N=np.zeros((2, 2))),
+     ("L", "R", "q", "p", "M", "N")),
+    (alg.LieAlgebraSpec, _so3_parts, ("structure", "basis")),
+    (BilinearForm, lambda: dict(coeffs=np.diag([1.0, 2.0, 3.0])), ("coeffs",)),
+    (GroupElement, lambda: dict(matrix=np.eye(3)), ("matrix",)),
+    (KForm, lambda: dict(degree=1, coeffs=np.array([1.0, 2.0])), ("coeffs",)),
+    (BodyState, lambda: dict(g=GroupElement(np.eye(3)), sigma=np.ones(3)), ("sigma",)),
+    (GridWavefunction, lambda: dict(psi=np.ones(8, dtype=complex), dx=0.5, q0=-2.0), ("psi",)),
+    (PhaseGrid, lambda: dict(values=np.ones((4, 4)), dq=1.0, dp=1.0, q0=0.0, p0=0.0),
+     ("values",)),
+    (PhaseRegion, lambda: dict(bounds=np.array([[0.0, 1.0], [-1.0, 1.0]])), ("bounds",)),
+]
+
+
+def _first_array(value):
+    """The array itself, or the first matrix of a basis."""
+    return value[0] if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("cls,arguments,field", [
+    (cls, arguments, field) for cls, arguments, fields in _VALUE_TYPES for field in fields
+], ids=[f"{cls.__name__}.{field}" for cls, _, fields in _VALUE_TYPES for field in fields])
+def test_value_types_refuse_nan_and_keep_read_only_copies(cls, arguments, field):
+    # AffineState and InertiaModel kept the caller's arrays; BilinearForm, KForm
+    # of degree 1 and PhaseGrid accepted NaN; GroupElement, KForm of degree 2 and
+    # up, BodyState, GridWavefunction and PhaseRegion did not name the field
+    given = arguments()
+    _first_array(given[field]).flat[0] = np.nan
+    with pytest.raises(ValueError, match=rf"^{field} has non-finite entries"):
+        cls(**given)
+    given = arguments()
+    stored = _first_array(getattr(cls(**given), field))
+    kept = stored.copy()
+    _first_array(given[field]).flat[0] = 7.0
+    npt.assert_array_equal(stored, kept)
+    assert not stored.flags.writeable

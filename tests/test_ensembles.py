@@ -29,6 +29,12 @@ def test_liouville_angle_action_box():
     assert ens.liouville_volume(region) == pytest.approx(1.0)
 
 
+def test_phase_region_refuses_a_nan_hbar():
+    # a NaN hbar used to pass the test hbar <= 0 and made every volume NaN
+    with pytest.raises(ValueError, match="^hbar"):
+        box(1.0, hbar=float("nan"))
+
+
 def test_liouville_product_factorizes():
     r1 = ens.PhaseRegion(bounds=np.array([[0.0, 2.0], [0.0, 3.0]]), hbar=0.7)
     r2 = ens.PhaseRegion(

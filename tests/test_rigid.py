@@ -43,6 +43,14 @@ def test_singular_metric_rejected():
         rigid.InvariantModel(fixture("so3"), BilinearForm(np.diag([1.0, 1.0, 0.0])), "left")
 
 
+@pytest.mark.parametrize("moment", [float("nan"), float("inf")])
+def test_so3_model_refuses_a_non_finite_moment(moment):
+    # a NaN moment used to build a model whose metric passed as positive-definite,
+    # and an infinite one a model whose inverse metric had a zero on the diagonal
+    with pytest.raises(ValueError, match="principal moments must be three finite positive reals"):
+        rigid.so3_model((1.0, moment, 3.0))
+
+
 def test_spherical_rhs_vanishes():
     model = rigid.so3_model((2.0, 2.0, 2.0))
     rng = np.random.default_rng(1)

@@ -283,6 +283,15 @@ def test_ho_excited_refuses_turning_points_off_the_window_before_any_work():
     assert wg.wigner_transform(psi.normalized()).values.shape == (64, 64)
 
 
+@pytest.mark.parametrize("field", ["dx", "hbar", "mass"])
+def test_grid_wavefunction_refuses_a_nan_scale(field):
+    # a NaN used to pass the test x <= 0 and gave a NaN momentum grid
+    psi = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2).astype(complex)
+    given = {"dx": 0.125, "hbar": 1.0, "mass": 1.0, field: float("nan")}
+    with pytest.raises(ValueError, match=field):
+        wg.GridWavefunction(psi, q0=-4.0, **given)
+
+
 def test_nonfinite_samples_are_rejected():
     psi = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2).astype(complex)
     psi[7] = np.nan
@@ -317,6 +326,17 @@ def test_phase_grid_keeps_only_a_genuine_imaginary_part():
     assert w.values.dtype == np.complex128 and not w.values.flags.writeable
     npt.assert_array_equal(w.values, complex_field)
     assert w.integral() == complex_field.sum() * 0.25
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)], ids=["nan", "inf", "complex_nan"])
+def test_phase_grid_refuses_one_non_finite_value(bad):
+    # one NaN entry used to be stored, and a star product with the grid came
+    # back NaN in every entry
+    w = wg.wigner_transform(wg.ho_ground(32, -8.0, 8.0))
+    values = np.array(w.values, dtype=type(bad))
+    values[16, 16] = bad
+    with pytest.raises(ValueError, match="^values has non-finite entries"):
+        wg.PhaseGrid(values, w.dq, w.dp, w.q0, w.p0, w.hbar)
 
 
 def test_generic_star_product_is_complex_phase_grid():
