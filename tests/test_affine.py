@@ -693,7 +693,7 @@ def test_two_polar_state_keeps_read_only_copies_of_the_callers_arrays():
 
 def test_affine_state_and_standard_inertia_keep_read_only_copies_of_the_callers_arrays():
     # both used to keep the caller's arrays: a later edit made phi singular and J
-    # indefinite under a checked state and model
+    # not positive-definite under a checked state and model
     given = dict(phi=np.diag([2.0, 0.5]), sigma_hat=np.array([[0.0, 0.3], [-0.1, 0.0]]),
                  p=np.array([0.2, -0.4]))
     state = AffineState(**given)

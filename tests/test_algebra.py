@@ -413,6 +413,7 @@ def test_rk4_is_the_classical_scheme(rate, y0):
 
 # --- one array rule for every value type ---------------------------------------------
 
+
 def _so3_parts():
     so3 = fixture("so3")
     return dict(dim=3, structure=np.array(so3.structure), basis=tuple(map(np.array, so3.basis)))
@@ -447,8 +448,8 @@ def _first_array(value):
 ], ids=[f"{cls.__name__}.{field}" for cls, _, fields in _VALUE_TYPES for field in fields])
 def test_value_types_refuse_nan_and_keep_read_only_copies(cls, arguments, field):
     # AffineState and InertiaModel kept the caller's arrays; BilinearForm, KForm
-    # of degree 1 and PhaseGrid accepted NaN; GroupElement, KForm of degree 2 and
-    # up, BodyState, GridWavefunction and PhaseRegion did not name the field
+    # of degree 1 and PhaseGrid accepted NaN; the other types' messages did not
+    # begin with the field's name
     given = arguments()
     _first_array(given[field]).flat[0] = np.nan
     with pytest.raises(ValueError, match=rf"^{field} has non-finite entries"):

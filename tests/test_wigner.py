@@ -328,7 +328,8 @@ def test_phase_grid_keeps_only_a_genuine_imaginary_part():
     assert w.integral() == complex_field.sum() * 0.25
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)], ids=["nan", "inf", "complex_nan"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)],
+                         ids=["nan", "inf", "complex_nan"])
 def test_phase_grid_refuses_one_non_finite_value(bad):
     # one NaN entry used to be stored, and a star product with the grid came
     # back NaN in every entry
