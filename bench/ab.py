@@ -2,6 +2,7 @@
 
     python3 bench/ab.py BASE_DIR CHANGE_DIR [--pairs 10] [--seconds 50]
                         [--seed 1 ...] [--workload NAME ...]
+    python3 bench/ab.py BASE_DIR CHANGE_DIR --kernels [--pairs 10] [--seed 1 ...]
 
 For each workload (default: every one that either checkout's
 ``BENCHMARK.json`` declares) it runs ``--pairs`` pairs of
@@ -20,19 +21,70 @@ its median is better by more than the base's interquartile range, ``worse``
 when its median is worse by more than the metric's bound (a share of the
 base's median), and ``-`` otherwise.  Progress goes to stderr, one line per
 run.  Exits 1 when a run reports a failed operation or an incorrect result,
-else 0.  Standard library only.
+else 0.
+
+``--kernels`` times the rigid-body kernels instead: ``--pairs`` pairs of
+fresh processes, one on each checkout's ``src`` and ``perfbench``, BLAS on
+one thread, in the same alternating order.  Each process takes, per kernel,
+the best of ``ROUNDS`` rounds of ``CALLS`` calls: ``rigid.step`` on the
+midpoint rule for the free so(3), torqued so(3) and so(1,3) tops that the
+``bodies`` workload builds for the seed, and ``algebra.expm`` on the so(1,3)
+top's step matrix.  The table has the same columns, in microseconds per
+call; a kernel has no bound, so its verdict is ``gain`` or ``-``.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
 from identity import declared_workloads
-from snapshot import git, run
+from snapshot import ONE_THREAD, TIMEOUT_S, git, run
+
+ROUNDS, CALLS = 5, 20
+# one process of --kernels, run in a checkout with its src and perfbench on the path;
+# its last line is a JSON object of microseconds per call, by kernel
+KERNELS = """
+import json, sys
+from time import perf_counter
+import numpy as np
+from phasecraft import algebra, rigid
+from phasecraft.algebra import BilinearForm, GroupElement
+from phasecraft.fixtures import fixture
+import workloads
+seed, rounds, calls = map(int, sys.argv[1:])
+tops, so13 = workloads.rigid_tops(seed), workloads.general_bodies(seed)[2].params["scenario"]
+free = tops[0].params["scenario"]
+bodies = {
+    "step_free_so3": (rigid.so3_model(free["principal_moments"]), rigid.BodyState(
+        GroupElement(np.eye(3), tag="special-orthogonal"), np.asarray(free["initial"]["sigma"]))),
+    "step_torque_so3": workloads.torque_top_model(tops[2].params),
+    "step_so13": (rigid.InvariantModel(fixture("so13"), BilinearForm(np.asarray(so13["metric"]))),
+                  rigid.BodyState(GroupElement(np.eye(4)), np.asarray(so13["initial"]["sigma"]))),
+}
+kernels = {name: (lambda m=model, s=state: rigid.step(m, s, workloads.DT, method="lie_midpoint"))
+           for name, (model, state) in bodies.items()}
+model, state = bodies["step_so13"]
+x = workloads.DT * model.algebra.matrix_of(rigid.legendre_inv(model, state.sigma))
+kernels["expm_so13"] = lambda: algebra.expm(x)
+best = {}
+for name, fn in kernels.items():
+    fn()
+    times = []
+    for _ in range(rounds):
+        start = perf_counter()
+        for _ in range(calls):
+            fn()
+        times.append((perf_counter() - start) / calls)
+    best[name] = 1e6 * min(times)
+print(json.dumps(best))
+"""
 
 
 def side(checkout: Path) -> str:
@@ -51,12 +103,47 @@ def summary(metric: dict, base: list, change: list) -> str:
     move = (med_c - med_b) / med_b if med_b else 0.0
     if wins >= 0.9 * len(base) and gain > q3 - q1:
         verdict = "gain"
-    elif -gain > metric["bound"] * abs(med_b):
+    elif "bound" in metric and -gain > metric["bound"] * abs(med_b):
         verdict = "worse"
     else:
         verdict = "-"
     return (f"{metric['name']:<12} {med_b:>11.4g} {med_c:>11.4g} {q3 - q1:>10.3g} "
             f"{move:>+8.1%} {wins:>3}/{len(base):<3} {verdict} ({metric['unit']})")
+
+
+def kernel_times(checkout: Path, seed: int) -> dict:
+    """Microseconds per call of each kernel, from one fresh process."""
+    path = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", KERNELS, str(seed), str(ROUNDS), str(CALLS)],
+                          cwd=checkout, env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"kernel timing in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def paired(checkouts: dict, pairs: int, seeds: list, label: str, measure) -> dict:
+    """``measure(checkout, seed)``, a dict of values, per side and pair: the
+    base first in even pairs and the change first in odd ones."""
+    values = {"base": [], "change": []}
+    for k in range(pairs):
+        seed = seeds[k % len(seeds)]
+        for name in ("base", "change") if k % 2 == 0 else ("change", "base"):
+            values[name].append(measure(checkouts[name], seed))
+            print(f"{label} pair {k + 1}/{pairs} seed {seed} {name}: "
+                  + ", ".join(f"{m} {v:.4g}" for m, v in values[name][-1].items()),
+                  file=sys.stderr, flush=True)
+    return values
+
+
+def table(label: str, metrics: list, values: dict) -> None:
+    """Print a heading and one ``summary`` row per metric."""
+    print(f"\n{label}\n{'metric':<12} {'base':>11} {'change':>11} {'base IQR':>10} "
+          f"{'move':>8} {'wins':<7} verdict")
+    for metric in metrics:
+        name = metric["name"]
+        print(summary(metric, [v[name] for v in values["base"]],
+                      [v[name] for v in values["change"]]))
 
 
 def main(argv=None) -> int:
@@ -69,33 +156,36 @@ def main(argv=None) -> int:
                         help="workload seed, repeatable: pair k runs seed k mod count (default 1)")
     parser.add_argument("--workload", action="append",
                         help="workload to run, repeatable (default: every declared one)")
+    parser.add_argument("--kernels", action="store_true",
+                        help="time the rigid-body kernels instead of the workloads")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
     seeds = args.seed or [1]
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
+    what = (f"kernel processes, best of {ROUNDS} x {CALLS} calls" if args.kernels
+            else f"{args.seconds:g} s")
+    print(f"base {side(checkouts['base'])}, change {side(checkouts['change'])}; "
+          f"{args.pairs} pairs of {what}, seeds {', '.join(map(str, seeds))}")
+    if args.kernels:
+        values = paired(checkouts, args.pairs, seeds, "kernels", kernel_times)
+        table("kernels", [{"name": name, "unit": "us", "better": "lower"}
+                          for name in values["base"][0]], values)
+        return 0
     spec = json.loads((checkouts["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or sorted(set().union(*map(declared_workloads, checkouts.values())))
-    print(f"base {side(checkouts['base'])}, change {side(checkouts['change'])}; "
-          f"{args.pairs} pairs of {args.seconds:g} s, seeds {', '.join(map(str, seeds))}")
     bad = False
     for workload in workloads:
-        values = {"base": [], "change": []}
-        for k in range(args.pairs):
-            for name in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                result = run(checkouts[name], workload, 0, seeds[k % len(seeds)],
-                             args.seconds)["result"]
-                bad |= not result["correct"] or result["failed"] > 0
-                values[name].append({m: v["value"] for m, v in result["metrics"].items()})
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seeds[k % len(seeds)]} {name}: "
-                      + ", ".join(f"{m} {v:.4g}" for m, v in values[name][-1].items())
-                      + ("" if result["correct"] else " INCORRECT"), file=sys.stderr, flush=True)
-        print(f"\n{workload}\n{'metric':<12} {'base':>11} {'change':>11} {'base IQR':>10} "
-              f"{'move':>8} {'wins':<7} verdict")
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            print(summary(metric, [v[name] for v in values["base"]],
-                          [v[name] for v in values["change"]]))
+        def measure(checkout: Path, seed: int) -> dict:
+            nonlocal bad
+            result = run(checkout, workload, 0, seed, args.seconds)["result"]
+            if not result["correct"] or result["failed"] > 0:
+                bad = True
+                print(f"{workload} seed {seed} in {checkout}: {result['failed']} failed"
+                      + ("" if result["correct"] else ", INCORRECT"), file=sys.stderr, flush=True)
+            return {m: v["value"] for m, v in result["metrics"].items()}
+
+        table(workload, spec["end_to_end"], paired(checkouts, args.pairs, seeds, workload, measure))
     return 1 if bad else 0
 
 

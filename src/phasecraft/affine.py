@@ -121,6 +121,9 @@ class InertiaModel:
             j = _frozen(np.array(self.J, dtype=float), "J")
             try:
                 np.linalg.cholesky(j)
+                # cholesky reads the lower triangle only; the symmetry test is BilinearForm's
+                if j.ndim != 2 or np.max(np.abs(j - j.T)) > 1.0e-12 * (1.0 + np.max(np.abs(j))):
+                    raise np.linalg.LinAlgError
             except np.linalg.LinAlgError as exc:
                 raise ValueError("J must be symmetric positive-definite") from exc
             object.__setattr__(self, "J", j)

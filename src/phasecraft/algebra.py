@@ -9,6 +9,7 @@ operations (exponential, adjoint action, reconstruction of motion).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,16 @@ _LARGE_EXPONENT = f"1-norm of the exponent exceeds {_EXP_NORM_BOUND:g}"
 # Below this angle Rodrigues' coefficients are their Taylor polynomials; the
 # dropped terms (theta^4 / 120 and theta^4 / 720) are under 1e-18.
 _TAYLOR_THETA = 1.0e-4
+# Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): the
+# diagonal Pade approximant of degree m is accurate to double precision for a
+# 1-norm up to theta_m; above theta_13 the exponent is scaled by 2^-s first.
+# _PADE[m][j] = (2m - j)! / (j! (m - j)!): the numerator's coefficient of x^j,
+# scaled so that that of x^m is 1.
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
+_PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+             for j in range(m + 1)] for m in (3, 5, 7, 9, 13)}
 
 
 def jacobi_residual_tensor(c: np.ndarray) -> float:
@@ -327,18 +338,69 @@ def killing_tensor(alg: LieAlgebraSpec, lam: float = 1.0, mu: float = 0.0) -> Bi
 def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
     """Matrix exponential after the finite and 1-norm guard; ``skew3`` says
     that x is a real antisymmetric 3x3 matrix, whose exponential Rodrigues'
-    formula gives.  Otherwise scaling and squaring (``scipy.linalg.expm``,
-    imported on first use: a free so(3) top and most runs never load scipy)."""
+    formula gives.  Otherwise scaling and squaring on the 1-norm that the
+    guard computes."""
     x = np.asarray(x)
     if skew3:
         return _rodrigues(x)
-    if not np.all(np.isfinite(x)):
-        raise Overflow(_NON_FINITE_EXPONENT)
-    if np.linalg.norm(x, 1) > _EXP_NORM_BOUND:
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"the exponent must be a square matrix, got shape {x.shape}")
+    # on Python numbers: for the small matrices of a step, cheaper than numpy's reductions
+    sums = [sum(map(abs, col)) for col in zip(*x.tolist())]
+    norm = max(sums, default=0.0)
+    # written so that a NaN fails the test as well: max() may pass over one, sum() cannot
+    if not (norm <= _EXP_NORM_BOUND and sum(sums) <= math.inf):
+        if not np.isfinite(x).all():
+            raise Overflow(_NON_FINITE_EXPONENT)
         raise Overflow(_LARGE_EXPONENT)
-    import scipy.linalg
+    return _scaling_squaring(x.astype(complex if x.dtype.kind == "c" else float, copy=False),
+                             norm)
 
-    return scipy.linalg.expm(x)
+
+def _scaling_squaring(a: np.ndarray, norm: float) -> np.ndarray:
+    """e^a for a float or complex square matrix a of 1-norm ``norm``: the
+    Pade approximant of the lowest degree whose theta_m bounds the norm, or
+    of degree 13 on a / 2^s, squared s times."""
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            return _pade(a, m)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    r = _pade(a * 2.0 ** -s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The diagonal Pade approximant (V - U)^-1 (V + U) of degree m to e^a,
+    with U its odd and V its even terms, evaluated as I + 2 (V - U)^-1 U."""
+    b = _PADE[m]
+    ident = _identity(len(a), a.dtype)
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        odd, v = b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
+        power = a2
+        for j in range(4, m, 2):  # the terms in a^4, ..., a^(m-1)
+            power = power @ a2
+            odd += b[j + 1] * power
+            v += b[j] * power
+        u = a @ odd
+    return ident + 2.0 * np.linalg.solve(v - u, u)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only n x n identity of ``dtype``, built once per size."""
+    ident = np.eye(n, dtype=dtype)
+    ident.setflags(write=False)
+    return ident
 
 
 def _rodrigues(x: np.ndarray) -> np.ndarray:
@@ -424,7 +486,7 @@ def check_step(dt: float, sample_every: int = 1, steps: int = 0) -> None:
 
 
 def group_exp(x: np.ndarray, tag: str = "general-linear") -> GroupElement:
-    """Matrix exponential (scaling-and-squaring) wrapped as a group element."""
+    """Matrix exponential (``expm``) wrapped as a group element."""
     return GroupElement(expm(x), tag=tag)
 
 

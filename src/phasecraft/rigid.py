@@ -396,10 +396,10 @@ class SpinCriticalSet:
 def stationary_spins_so3(moments, s: float) -> SpinCriticalSet:
     """All critical points of sum S_a^2 / 2 I_a on the sphere |S| = s."""
     i1, i2, i3 = (float(v) for v in moments)
-    if min(i1, i2, i3) <= 0:
-        raise ValueError("principal moments must be positive")
-    if s < 0:
-        raise ValueError("spin magnitude must be nonnegative")
+    if not all(0 < i < math.inf for i in (i1, i2, i3)):
+        raise ValueError("principal moments must be finite and positive")
+    if not 0 <= s < math.inf:
+        raise ValueError("spin magnitude must be finite and nonnegative")
     if s == 0.0:
         return SpinCriticalSet(points=(np.zeros(3),), radius=0.0)
 

@@ -150,6 +150,13 @@ class PhaseGrid:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name in ("dq", "dp", "hbar"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # written so that a NaN fails the test as well
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("q0", "p0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         vals = np.asarray(self.values)
         if np.iscomplexobj(vals):
             imag = float(np.max(np.abs(vals.imag)))

@@ -281,6 +281,17 @@ def test_non_finite_momentum_and_inertia_are_refused(build, named):
         build()
 
 
+@pytest.mark.parametrize("j", [
+    [[1.0, 5.0], [0.0, 1.0]], [[2.0, 1e-9], [0.0, 2.0]], np.stack([np.eye(2), np.eye(2)]),
+], ids=["upper", "slightly", "stacked"])
+def test_inertia_refuses_a_non_symmetric_j(j):
+    # cholesky reads the lower triangle only: each of these used to be stored
+    with pytest.raises(ValueError, match="J must be symmetric positive-definite"):
+        InertiaModel.standard(1.0, j)
+    near = np.array([[2.0, 1e-13], [0.0, 2.0]])  # within BilinearForm's tolerance
+    npt.assert_array_equal(InertiaModel.standard(1.0, near).J, near)
+
+
 def test_model_mismatch_errors():
     std = InertiaModel.standard(1.0, np.eye(2))
     aff = InertiaModel.affine("affine_left", a=1.0)

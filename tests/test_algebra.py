@@ -232,6 +232,51 @@ def test_group_exp_overflow():
         group_exp(2.0e4 * np.eye(2))
 
 
+EPS = np.finfo(float).eps
+
+
+def _exponent_families(rng):
+    """One matrix of each kind that ``expm`` is tested on, as a function of
+    the random generator: real and complex n = 2...5 and combinations of the
+    so(1,3) and gl(3) bases."""
+    so13, gl3 = fixture("so13").basis, gl_basis(3)
+    for n in range(2, 6):
+        yield rng.normal(size=(n, n))
+        yield rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for basis in (so13, gl3):
+        yield sum(c * e for c, e in zip(rng.normal(size=len(basis)), basis))
+
+
+@pytest.mark.parametrize("norm,degree,squarings", [
+    (1e-8, 3, 0), (1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.0, 9, 0), (3.0, 13, 0),
+    (10.0, 13, 1), (50.0, 13, 4),
+])
+def test_expm_matches_a_50_digit_reference(monkeypatch, norm, degree, squarings):
+    mpmath = pytest.importorskip("mpmath")
+    import scipy.linalg
+
+    pade = alg._pade
+    seen = []
+    monkeypatch.setattr(alg, "_pade", lambda a, m: seen.append((m, a)) or pade(a, m))
+    rng = np.random.default_rng(23)
+    with mpmath.workdps(50):
+        for _ in range(3):  # 30 matrices per norm
+            for x in _exponent_families(rng):
+                x = x * (norm / np.linalg.norm(x, 1))
+                seen.clear()
+                got = alg.expm(x)
+                (m, a), = seen
+                assert m == degree
+                npt.assert_allclose(np.linalg.norm(x, 1) / np.linalg.norm(a, 1), 2.0 ** squarings,
+                                    rtol=1e-12)
+                ref = np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=complex)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 8 * EPS * max(1.0, norm) * scale
+                if norm <= 1.0:
+                    assert np.max(np.abs(got - scipy.linalg.expm(x))) <= 8 * EPS * scale
+                assert got.dtype == (complex if np.iscomplexobj(x) else float)
+
+
 def test_adjoint_identity_map():
     spec = fixture("so3")
     g = GroupElement(np.eye(3), tag="special-orthogonal")

@@ -334,6 +334,22 @@ def test_step_budget_boundary():
 FREE_TOP = {"principal_moments": [1.0, 2.0, 3.0], "t_end": 0.01}
 
 
+@pytest.mark.parametrize("scenario", [
+    {"algebra": "so13", "metric": np.eye(6).tolist(),
+     "initial": {"sigma": [0.1, -0.2, 0.05, 0.2, 0.1, -0.1]}, "t_end": 0.01},
+    {**FREE_TOP, "initial": {"sigma": [1.0, 1.0, 1.0]}, "potential": "trace_alignment"},
+], ids=["so13", "so3_trace_alignment"])
+def test_general_and_torque_exponentials_leave_scipy_unloaded(tmp_path, scenario):
+    # the scaling-and-squaring exponential and the torque table are phasecraft's own
+    scen = write(tmp_path, "top.json", scenario)
+    code = ("import sys; from phasecraft import cli; "
+            f"assert cli.main(['euler', {scen!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 @pytest.mark.parametrize("initial", [
     {"sigma": [1.0, "x", 0.0]}, {"sigma": [1.0, 0.0]}, {"sigma": [[1.0, 0.0, 0.0]]},
     {"sigma": [1.0, float("inf"), 0.0]}, {},

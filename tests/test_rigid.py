@@ -296,6 +296,16 @@ def test_stationary_spins_symmetric_and_spherical():
     npt.assert_array_equal(origin.points[0], np.zeros(3))
 
 
+@pytest.mark.parametrize("moments,s", [
+    ((np.nan, 2.0, 3.0), 1.0), ((1.0, np.nan, 3.0), 1.0), ((1.0, 2.0, np.nan), 1.0),
+    ((1.0, np.inf, 3.0), 1.0), ((1.0, 2.0, 3.0), np.nan), ((1.0, 2.0, 3.0), np.inf),
+], ids=["nan_first", "nan_second", "nan_third", "inf", "spin_nan", "spin_inf"])
+def test_stationary_spins_refuse_bad_moments_and_spins(moments, s):
+    # each used to pass: min() <= 0 and s < 0 are False for NaN and inf
+    with pytest.raises(ValueError, match="principal moments|spin magnitude"):
+        rigid.stationary_spins_so3(moments, s)
+
+
 def test_conservation_report_empty():
     model = rigid.so3_model((1.0, 2.0, 3.0))
     traj = rigid.Trajectory(times=np.array([]), states=[])
@@ -528,11 +538,12 @@ def test_closed_form_chosen_by_the_basis_not_the_label():
 def test_torque_exponentials_come_from_the_table(monkeypatch):
     model = rigid.so3_model((1.0, 2.0, 3.0), potential=trace_potential)
     for (exp_p, exp_m), e in zip(model._torque_exps, model.algebra.basis):
-        assert np.array_equal(exp_p, scipy.linalg.expm(rigid._TORQUE_STEP * e))
-        assert np.array_equal(exp_m, scipy.linalg.expm(-rigid._TORQUE_STEP * e))
+        assert np.array_equal(exp_p, algebra.expm(rigid._TORQUE_STEP * e))
+        assert np.array_equal(exp_m, algebra.expm(-rigid._TORQUE_STEP * e))
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda x: calls.append(1) or expm(x))
+    general = algebra._scaling_squaring
+    monkeypatch.setattr(algebra, "_scaling_squaring",
+                        lambda a, norm: calls.append(1) or general(a, norm))
     rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, 20)
     assert calls == []  # the flow of so(3) is Rodrigues', the torque's from the table
 

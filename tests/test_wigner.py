@@ -340,6 +340,17 @@ def test_phase_grid_refuses_one_non_finite_value(bad):
         wg.PhaseGrid(values, w.dq, w.dp, w.q0, w.p0, w.hbar)
 
 
+@pytest.mark.parametrize("field,bad", [
+    (field, bad) for field in ("dq", "dp", "hbar") for bad in (np.nan, np.inf, 0.0, -1.0)
+] + [(field, bad) for field in ("q0", "p0") for bad in (np.nan, np.inf, -np.inf)])
+def test_phase_grid_refuses_bad_scalars(field, bad):
+    # each used to be stored: a NaN dq gave a NaN integral, dq = 0 an integral of 0
+    given = dict(values=np.ones((4, 4)), dq=0.5, dp=0.5, q0=-1.0, p0=-1.0, hbar=1.0)
+    wg.PhaseGrid(**given)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        wg.PhaseGrid(**{**given, field: bad})
+
+
 def test_generic_star_product_is_complex_phase_grid():
     n = 64
     w0 = wg.wigner_transform(wg.ho_ground(n, -8.0, 8.0))
