@@ -23,14 +23,17 @@ base's median), and ``-`` otherwise.  Progress goes to stderr, one line per
 run.  Exits 1 when a run reports a failed operation or an incorrect result,
 else 0.
 
-``--kernels`` times the rigid-body kernels instead: ``--pairs`` pairs of
-fresh processes, one on each checkout's ``src`` and ``perfbench``, BLAS on
-one thread, in the same alternating order.  Each process takes, per kernel,
-the best of ``ROUNDS`` rounds of ``CALLS`` calls: ``rigid.step`` on the
-midpoint rule for the free so(3), torqued so(3) and so(1,3) tops that the
-``bodies`` workload builds for the seed, and ``algebra.expm`` on the so(1,3)
-top's step matrix.  The table has the same columns, in microseconds per
-call; a kernel has no bound, so its verdict is ``gain`` or ``-``.
+``--kernels`` times kernels instead: ``--pairs`` pairs of fresh processes,
+one on each checkout's ``src`` and ``perfbench``, BLAS on one thread, in the
+same alternating order.  Each process takes, per kernel, the best of
+``ROUNDS`` rounds of ``CALLS`` calls: ``rigid.step`` on the midpoint rule for
+the free so(3), torqued so(3) and so(1,3) tops that the ``bodies`` workload
+builds for the seed, ``algebra.expm`` on the so(1,3) top's step matrix,
+``forms.coboundary_matrix(alg, 2)`` on the galilei, heisenberg_rot, gl3 and
+so13 fixtures and ``forms.cohomology_dim(alg, 2)`` on so13, gl3 and
+heisenberg_rot (the rows that ``perfbench/kernels.py`` names).  The table
+has the same columns, in microseconds per call; a kernel has no bound, so
+its verdict is ``gain`` or ``-``.
 Standard library only.
 """
 
@@ -54,7 +57,7 @@ KERNELS = """
 import json, sys
 from time import perf_counter
 import numpy as np
-from phasecraft import algebra, rigid
+from phasecraft import algebra, forms, rigid
 from phasecraft.algebra import BilinearForm, GroupElement
 from phasecraft.fixtures import fixture
 import workloads
@@ -73,6 +76,10 @@ kernels = {name: (lambda m=model, s=state: rigid.step(m, s, workloads.DT, method
 model, state = bodies["step_so13"]
 x = workloads.DT * model.algebra.matrix_of(rigid.legendre_inv(model, state.sigma))
 kernels["expm_so13"] = lambda: algebra.expm(x)
+for name in ("galilei", "heisenberg_rot", "gl3", "so13"):
+    kernels[f"coboundary_{name}_k2"] = lambda alg=fixture(name): forms.coboundary_matrix(alg, 2)
+for name in ("so13", "gl3", "heisenberg_rot"):
+    kernels[f"cohomology_{name}_k2"] = lambda alg=fixture(name): forms.cohomology_dim(alg, 2)
 best = {}
 for name, fn in kernels.items():
     fn()
@@ -107,7 +114,7 @@ def summary(metric: dict, base: list, change: list) -> str:
         verdict = "worse"
     else:
         verdict = "-"
-    return (f"{metric['name']:<12} {med_b:>11.4g} {med_c:>11.4g} {q3 - q1:>10.3g} "
+    return (f"{metric['name']:<28} {med_b:>11.4g} {med_c:>11.4g} {q3 - q1:>10.3g} "
             f"{move:>+8.1%} {wins:>3}/{len(base):<3} {verdict} ({metric['unit']})")
 
 
@@ -138,7 +145,7 @@ def paired(checkouts: dict, pairs: int, seeds: list, label: str, measure) -> dic
 
 def table(label: str, metrics: list, values: dict) -> None:
     """Print a heading and one ``summary`` row per metric."""
-    print(f"\n{label}\n{'metric':<12} {'base':>11} {'change':>11} {'base IQR':>10} "
+    print(f"\n{label}\n{'metric':<28} {'base':>11} {'change':>11} {'base IQR':>10} "
           f"{'move':>8} {'wins':<7} verdict")
     for metric in metrics:
         name = metric["name"]
@@ -157,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="workload to run, repeatable (default: every declared one)")
     parser.add_argument("--kernels", action="store_true",
-                        help="time the rigid-body kernels instead of the workloads")
+                        help="time the kernels instead of the workloads")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")

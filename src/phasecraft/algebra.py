@@ -442,6 +442,18 @@ def _frozen(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _check_scalars(obj, positive=(), finite=()) -> None:
+    """``ValueError`` ("<name> must be ...") unless each field of ``obj`` named
+    in ``positive`` lies in (0, inf) and each named in ``finite`` is finite."""
+    for name in positive:
+        value = getattr(obj, name)
+        if not 0 < value < math.inf:  # written so that a NaN fails the test as well
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    for name in finite:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
 def _from_checked(cls, *values):
     """``cls(*values)`` for a frozen dataclass ``cls``, one value per field,
     without ``__post_init__``: for values built from parts already checked,

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _frozen, rk4
+from .algebra import _check_scalars, _frozen, rk4
 from .errors import EmptyShell, NotNormalized, SingularMetric
 
 __all__ = [
@@ -53,8 +53,7 @@ class PhaseRegion:
             raise ValueError("bounds must be a (2n, 2) array")
         if np.any(b[:, 1] <= b[:, 0]):
             raise ValueError("box must be nonempty")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        _check_scalars(self, positive=("hbar",))
         object.__setattr__(self, "bounds", b)
 
     @property
@@ -84,6 +83,10 @@ class ShellEnsemble:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("shell width must be positive")
+        for name in ("samples", "seed"):  # np.uint64(1.5) would put seed 1.5 on seed 1's streams
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < _N_BATCHES:
             raise ValueError(f"need at least {_N_BATCHES} samples")
         if not 0 <= self.seed < _SEED_LIMIT:

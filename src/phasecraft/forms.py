@@ -77,8 +77,8 @@ class KForm:
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
         w = self.coeffs
-        for v in vectors:
-            w = np.tensordot(w, np.asarray(v), axes=([0], [0]))
+        for v in reversed(vectors):
+            w = w @ np.asarray(v)
         return float(w)
 
 
@@ -125,24 +125,10 @@ def _perm_sign(perm) -> int:
 
 def coboundary(alg: LieAlgebraSpec, f: KForm) -> KForm:
     """Coboundary of a k-form; raises DegreeOverflow at top degree."""
-    n = alg.dim
-    k = f.degree
+    n, k = alg.dim, f.degree
     if k >= n:
         raise DegreeOverflow(f"cannot raise degree {k} on a {n}-dimensional algebra")
-    if k == 0:
-        return KForm(1, np.zeros(n))
-    c = alg.structure
-    # base[x, y, r1..r_{k-1}] = C^c_{xy} w_{c r1..}
-    base = np.tensordot(c, f.coeffs, axes=([0], [0]))
-    dense = np.zeros((n,) * (k + 1))
-    for i, j in itertools.combinations(range(k + 1), 2):
-        rest = [m for m in range(k + 1) if m not in (i, j)]
-        term = np.moveaxis(base, range(k + 1), [i, j] + rest)
-        dense = dense + ((-1) ** (i + j)) * term
-    # keep the strictly increasing entries and mirror them with exact signs;
-    # adding 0.0 turns every signed zero into +0.0
-    _, strict = _mirror_table(n, k + 1)[0]
-    return KForm(k + 1, _antisymmetric(dense.reshape(-1)[strict], n, k + 1) + 0.0)
+    return form_from_vector(coboundary_matrix(alg, k) @ form_to_vector(f), n, k + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,7 +136,7 @@ def _mirror_table(n: int, k: int):
     """For each permutation of the k slots, identity first: its sign and the
     flat positions of the strictly increasing multi-indices of (n, k) in
     that slot order."""
-    sets = _strict_index_sets(n, k)
+    sets = list(itertools.combinations(range(n), k))
     strict = np.array(sets, dtype=np.intp).reshape(len(sets), k)
     strides = n ** np.arange(k - 1, -1, -1)
     return [
@@ -168,10 +154,6 @@ def _antisymmetric(strict_values: np.ndarray, n: int, k: int) -> np.ndarray:
     return out.reshape((n,) * k)
 
 
-def _strict_index_sets(n: int, k: int):
-    return list(itertools.combinations(range(n), k))
-
-
 def form_to_vector(f: KForm) -> np.ndarray:
     """Components on the strictly increasing multi-index basis."""
     _, strict = _mirror_table(f.dim, f.degree)[0]
@@ -184,16 +166,28 @@ def form_from_vector(v: np.ndarray, n: int, k: int) -> KForm:
 
 
 def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
-    """Matrix of delta_k in the strictly increasing multi-index bases."""
+    """Matrix of delta_k in the strictly increasing multi-index bases.
+
+    By the Leibniz rule, slot m of the basis form dX^{a_0} ^ .. ^ dX^{a_{k-1}}
+    contributes -(-1)^m C^{a_m}_ij dX^i ^ dX^j (i < j) in place of dX^{a_m},
+    reordered with its permutation sign.  From degree n on it has no rows.
+    """
     n = alg.dim
-    rows = _strict_index_sets(n, k + 1)
-    cols = _strict_index_sets(n, k)
+    rows = {idx: row for row, idx in enumerate(itertools.combinations(range(n), k + 1))}
+    cols = list(itertools.combinations(range(n), k))
+    terms = [[(i, j, c_ij[i, j]) for i, j in np.argwhere(np.triu(c_ij, 1)).tolist()]
+             for c_ij in alg.structure]
     mat = np.zeros((len(rows), len(cols)))
     for col, idx in enumerate(cols):
-        basis_form = np.zeros(len(cols))
-        basis_form[col] = 1.0
-        image = coboundary(alg, form_from_vector(basis_form, n, k))
-        mat[:, col] = form_to_vector(image)
+        for m, c in enumerate(idx):
+            rest = idx[:m] + idx[m + 1:]
+            for i, j, value in terms[c]:
+                if i in rest or j in rest:
+                    continue
+                seq = rest[:m] + (i, j) + rest[m:]
+                order = sorted(range(k + 1), key=seq.__getitem__)
+                sign = (-1) ** m * _perm_sign(order)
+                mat[rows[tuple(seq[p] for p in order)], col] -= sign * value
     return mat
 
 
@@ -201,22 +195,16 @@ def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     """Orthonormal basis of Z^k = Ker delta_k (SVD rank cutoff 1e-10)."""
     if k not in (1, 2):
         raise ValueError("cocycle_space supports k in {1, 2}")
-    n = alg.dim
-    if k > n:
-        return []
-    if k == n:  # top degree: everything is closed
-        return [form_from_vector(np.ones(1), n, k)]
     _, null = _spaces(coboundary_matrix(alg, k))
-    return [form_from_vector(null[:, i], n, k) for i in range(null.shape[1])]
+    return [form_from_vector(null[:, i], alg.dim, k) for i in range(null.shape[1])]
 
 
 def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     """Orthonormal basis of B^k = Im delta_{k-1}."""
-    n = alg.dim
-    if k < 1 or k - 1 >= n:
+    if k < 1:
         return []
     img, _ = _spaces(coboundary_matrix(alg, k - 1))
-    return [form_from_vector(img[:, i], n, k) for i in range(img.shape[1])]
+    return [form_from_vector(img[:, i], alg.dim, k) for i in range(img.shape[1])]
 
 
 def cohomology_dim(alg: LieAlgebraSpec, k: int) -> int:

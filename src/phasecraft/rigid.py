@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _from_checked, _frozen,
-                      adjoint_matrix, check_step, coadjoint, expm, rk4)
+from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _check_scalars, _from_checked,
+                      _frozen, adjoint_matrix, check_step, coadjoint, expm, rk4)
 from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
 
@@ -125,6 +125,7 @@ class BodyState:
     time: float = 0.0
 
     def __post_init__(self):
+        _check_scalars(self, finite=("time",))
         object.__setattr__(self, "sigma", _frozen(np.array(self.sigma, dtype=float), "sigma"))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _from_checked, _frozen
+from .algebra import _check_scalars, _from_checked, _frozen
 from .errors import (
     GridMismatch,
     GridTooCoarse,
@@ -78,8 +78,7 @@ class GridWavefunction:
         n = len(psi)
         if n < 4 or n & (n - 1):
             raise ValueError("grid length must be a power of two (>= 4)")
-        if not (self.dx > 0 and self.hbar > 0 and self.mass > 0):
-            raise ValueError("dx, hbar and mass must be positive")
+        _check_scalars(self, positive=("dx", "hbar", "mass"), finite=("q0",))
         object.__setattr__(self, "psi", psi)
 
     @property
@@ -150,13 +149,7 @@ class PhaseGrid:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("dq", "dp", "hbar"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # written so that a NaN fails the test as well
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("q0", "p0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_scalars(self, positive=("dq", "dp", "hbar"), finite=("q0", "p0"))
         vals = np.asarray(self.values)
         if np.iscomplexobj(vals):
             imag = float(np.max(np.abs(vals.imag)))

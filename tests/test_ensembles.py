@@ -99,6 +99,26 @@ def test_shell_seed_outside_philox_key_range_rejected():
     assert len(ens.shell_samples(largest, box(2.2))) == 16
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", "3"),
+    ("samples", 1600.5), ("samples", 3200.0), ("samples", np.True_),
+])
+def test_shell_refuses_a_seed_or_sample_count_that_is_no_integer(field, bad):
+    # seed 1.5 drew seed 1's batches (np.uint64 truncates it), and samples
+    # 1600.5 ended in a bare TypeError from the generator
+    given = dict(observable=harmonic, center=1.0, epsilon=0.3, samples=3_200, seed=1)
+    ens.ShellEnsemble(**{**given, field: np.int64(given[field])})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        ens.ShellEnsemble(**{**given, field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_region_refuses_an_hbar_outside_zero_to_infinity(bad):
+    # hbar = inf was stored, and shell_probability then read Z = 0.0 with no error
+    with pytest.raises(ValueError, match="^hbar must be finite and positive"):
+        box(2.2, hbar=bad)
+
+
 def test_empty_shell_raises():
     shell = ens.ShellEnsemble(observable=harmonic, center=50.0, epsilon=0.01,
                               samples=2_000, seed=0)

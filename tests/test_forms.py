@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +11,7 @@ from phasecraft.forms import (
     KForm,
     basis_one_form,
     coboundary,
+    coboundary_matrix,
     coboundary_space,
     cocycle_space,
     cohomology_dim,
@@ -218,3 +222,74 @@ def test_radical_rejects_non_cocycle():
     omega = wedge(basis_one_form(4, 0), basis_one_form(4, 3))
     with pytest.raises(NotSubalgebra):
         radical(gl2, omega)
+
+
+# --- an independent oracle for delta -------------------------------------------
+
+
+def _delta_by_loops(alg, w):
+    """The module docstring's components, (delta w)_{b_0..b_k} =
+    sum_{i<j} (-1)^{i+j} C^c_{b_i b_j} w_{c, b_0 .. ^b_i .. ^b_j .. b_k},
+    on the strictly increasing b, summed in plain loops."""
+    n, k = alg.dim, w.degree
+    out = []
+    for b in itertools.combinations(range(n), k + 1):
+        total = 0.0
+        for i, j in itertools.combinations(range(k + 1), 2):
+            rest = b[:i] + b[i + 1:j] + b[j + 1:]
+            for c in range(n):
+                total += (-1) ** (i + j) * alg.structure[c, b[i], b[j]] * w.coeffs[(c,) + rest]
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_coboundary_matches_the_component_formula(name):
+    alg = fixture(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for k in range(min(3, alg.dim - 1) + 1):
+        for _ in range(5):
+            f = random_form(alg, k, rng) if k else KForm(0, rng.normal())
+            want = _delta_by_loops(alg, f)
+            got = form_to_vector(coboundary(alg, f))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-15 * (1.0 + np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_coboundary_matrix_columns_are_the_formula_on_basis_forms(name):
+    alg = fixture(name)
+    for k in range(min(2, alg.dim - 1) + 1):
+        mat = coboundary_matrix(alg, k)
+        cols = math.comb(alg.dim, k)
+        assert mat.shape == (math.comb(alg.dim, k + 1), cols)
+        for col, e in enumerate(np.eye(cols)):
+            npt.assert_array_equal(mat[:, col], _delta_by_loops(alg, form_from_vector(e, alg.dim, k)))
+
+
+def test_top_degree_answers():
+    # every top form is closed, and above the top degree there are no forms
+    for name in ("abelian1", "abelian2"):
+        alg = fixture(name)
+        (z,) = cocycle_space(alg, alg.dim)
+        npt.assert_array_equal(form_to_vector(z), [1.0])
+    assert cocycle_space(fixture("abelian1"), 2) == []
+    for name in fixture_names():
+        alg = fixture(name)
+        assert coboundary_space(alg, alg.dim + 1) == []
+
+
+def test_coboundary_matrix_at_the_top_degree_has_no_rows():
+    for name in fixture_names():
+        alg = fixture(name)
+        assert coboundary_matrix(alg, alg.dim).shape == (0, 1)
+        assert coboundary_matrix(alg, alg.dim + 1).shape == (0, 0)
+
+
+def test_kform_evaluates_on_vectors_in_slot_order():
+    rng = np.random.default_rng(8)
+    f = random_form(fixture("gl2"), 3, rng)
+    u, v, w = rng.normal(size=(3, 4))
+    want = np.einsum("abc,a,b,c->", f.coeffs, u, v, w)
+    assert f(u, v, w) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    assert f(*np.eye(4)[[0, 2, 3]]) == f.coeffs[0, 2, 3]
+    assert KForm(0, 2.5)() == 2.5

@@ -337,6 +337,14 @@ def test_integrate_refuses_a_bad_step_count(n_steps):
         rigid.integrate(model, identity_state([0.5, 0.1, -0.3]), 1e-3, n_steps)
 
 
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+def test_body_state_refuses_a_non_finite_time(time):
+    # a NaN time was stored, and integrate then failed with "sample times
+    # must be strictly increasing"
+    with pytest.raises(ValueError, match="^time must be finite"):
+        rigid.BodyState(GroupElement(np.eye(3), tag=SO3), np.array([0.5, 0.1, -0.3]), time)
+
+
 def test_integrate_with_no_steps_returns_the_initial_state():
     model = rigid.so3_model((1.0, 2.0, 3.0))
     state = identity_state([0.5, 0.1, -0.3])

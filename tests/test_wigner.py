@@ -292,6 +292,25 @@ def test_grid_wavefunction_refuses_a_nan_scale(field):
         wg.GridWavefunction(psi, q0=-4.0, **given)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("dx", np.inf), ("hbar", np.inf), ("mass", np.inf),
+    ("q0", np.nan), ("q0", np.inf), ("q0", -np.inf),
+])
+def test_grid_wavefunction_refuses_a_non_finite_scalar(field, bad):
+    # each was stored, and wigner_transform handed it to PhaseGrid past its checks
+    psi = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2).astype(complex)
+    given = dict(dx=0.125, q0=-4.0, hbar=1.0, mass=1.0)
+    wg.GridWavefunction(psi, **given)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        wg.GridWavefunction(psi, **{**given, field: bad})
+
+
+def test_wigner_transform_of_a_nan_q0_is_refused():
+    # it returned a grid whose q0 was NaN
+    with pytest.raises(ValueError, match="^q0 must be finite"):
+        wg.wigner_transform(wg.GridWavefunction(wg.ho_ground(32, -8, 8).psi, 0.5, q0=np.nan))
+
+
 def test_nonfinite_samples_are_rejected():
     psi = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2).astype(complex)
     psi[7] = np.nan
