@@ -31,7 +31,12 @@ the free so(3), torqued so(3) and so(1,3) tops that the ``bodies`` workload
 builds for the seed, ``algebra.expm`` on the so(1,3) top's step matrix,
 ``forms.coboundary_matrix(alg, 2)`` on the galilei, heisenberg_rot, gl3 and
 so13 fixtures and ``forms.cohomology_dim(alg, 2)`` on so13, gl3 and
-heisenberg_rot (the rows that ``perfbench/kernels.py`` names).  The table
+heisenberg_rot (the rows that ``perfbench/kernels.py`` names),
+``wigner.wigner_transform`` at N = 256 and 512 and ``star_product(1, W)``
+at N = 128 on the first state of each size in the ``phase_grid`` workload
+of the seed, ``affine.lattice_dynamics`` for 100 steps on the n = 2 and
+n = 3 hyperbolic lattices of the ``bodies`` workload, and ``cli.run`` of
+``scenarios/ho_ground_wigner.json`` into a temporary directory.  The table
 has the same columns, in microseconds per call; a kernel has no bound, so
 its verdict is ``gain`` or ``-``.
 Standard library only.
@@ -54,10 +59,10 @@ ROUNDS, CALLS = 5, 20
 # one process of --kernels, run in a checkout with its src and perfbench on the path;
 # its last line is a JSON object of microseconds per call, by kernel
 KERNELS = """
-import json, sys
+import json, sys, tempfile
 from time import perf_counter
 import numpy as np
-from phasecraft import algebra, forms, rigid
+from phasecraft import affine, algebra, cli, forms, rigid, wigner
 from phasecraft.algebra import BilinearForm, GroupElement
 from phasecraft.fixtures import fixture
 import workloads
@@ -80,6 +85,25 @@ for name in ("galilei", "heisenberg_rot", "gl3", "so13"):
     kernels[f"coboundary_{name}_k2"] = lambda alg=fixture(name): forms.coboundary_matrix(alg, 2)
 for name in ("so13", "gl3", "heisenberg_rot"):
     kernels[f"cohomology_{name}_k2"] = lambda alg=fixture(name): forms.cohomology_dim(alg, 2)
+states = {}  # the first state of each grid size in the phase_grid workload
+for spec in workloads.phase_grid(seed):
+    params = spec.params.get("scenario", spec.params)
+    states.setdefault(params.get("grid", {}).get("N"), params)
+for n in (256, 512):
+    psi = workloads.psi_of(states[n]["state"], states[n]["grid"])
+    kernels[f"transform_N{n}"] = lambda psi=psi: wigner.wigner_transform(psi)
+w = wigner.wigner_transform(workloads.psi_of(states[128]["state"], states[128]["grid"]))
+kernels["star_N128"] = lambda one=wigner.phase_grid_constant(1.0, w): wigner.star_product(one, w)
+for tag, spec in (("n2", workloads.lattice_pairs(seed)[0]),
+                  ("n3", workloads.general_bodies(seed)[0])):
+    init = spec.params["scenario"]["initial"]
+    lat = affine.TwoPolarState(L=np.eye(len(init["q"])), R=np.eye(len(init["q"])),
+                               **{key: np.asarray(init[key]) for key in ("q", "p", "M", "N")})
+    kernels[f"lattice_100_steps_{tag}"] = lambda lat=lat: affine.lattice_dynamics(
+        "hyperbolic", {"a": 1.0}, lat, workloads.DT, 100, sample_every=100)
+out = tempfile.TemporaryDirectory()  # removed when the process exits
+kernels["cli_wigner_ho_ground"] = lambda: cli.run("wigner", "scenarios/ho_ground_wigner.json",
+                                                  out.name, None)
 best = {}
 for name, fn in kernels.items():
     fn()

@@ -72,8 +72,8 @@ class ScalarField:
         return ScalarField(self.arity, lambda z: f(z) * g(z), grad)
 
 
-def _central_gradient(fun, z: np.ndarray) -> np.ndarray:
-    h = _FD_BASE_STEP * (1.0 + np.linalg.norm(z))
+def _central_gradient(fun, z: np.ndarray, step: float = _FD_BASE_STEP) -> np.ndarray:
+    h = step * (1.0 + np.linalg.norm(z))
     out = np.empty_like(z)
     for i in range(len(z)):
         zp, zm = z.copy(), z.copy()
@@ -148,15 +148,7 @@ def jacobi_residual(structure: PoissonStructure, f, g, h, points) -> float:
 
     def nested(a, b, c, z):
         # {{a, b}, c}(z) with the outer gradient by finite differences
-        step = _JACOBI_OUTER_STEP * (1.0 + np.linalg.norm(z))
-        grad_ab = np.empty(structure.dim)
-        for i in range(structure.dim):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += step
-            zm[i] -= step
-            grad_ab[i] = (bracket(structure, a, b, zp) - bracket(structure, a, b, zm)) / (
-                2.0 * step
-            )
+        grad_ab = _central_gradient(lambda w: bracket(structure, a, b, w), z, _JACOBI_OUTER_STEP)
         return float(grad_ab @ structure.matrix(z) @ c.grad(z))
 
     worst = 0.0

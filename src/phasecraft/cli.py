@@ -15,6 +15,7 @@ library error (``PhasecraftError``), 3 an internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -182,43 +183,45 @@ def _shape(arr, key: str, shape: tuple, default=None):
 
 
 class _Artifacts:
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.made = False
-        self.records = []
+    """A run's files, kept in memory by name until ``finish`` writes them, so a
+    run that raises writes nothing and a refused scenario leaves no directory."""
 
-    def _write(self, name: str, payload: bytes) -> None:
-        """Write one file; the directory is made at the first write, so a
-        refused scenario leaves none behind."""
-        if not self.made:
-            os.makedirs(self.out_dir, exist_ok=True)
-            self.made = True
-        with open(os.path.join(self.out_dir, name), "wb") as fh:
-            fh.write(payload)
-
-    def _register(self, name: str, payload: bytes):
-        self._write(name, payload)
-        self.records.append({"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
-                             "bytes": len(payload)})
+    def __init__(self):
+        self.files = {}
 
     def write_json(self, name: str, doc) -> None:
-        self._register(name, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        self.files[name] = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
-        row_fmt = ",".join([_FLOAT_FMT] * len(header))
-        lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows]
-        self._register(name, ("\n".join(lines) + "\n").encode())
+    def write_csv(self, name: str, columns: dict) -> None:
+        """One column per header name, every value as ``%.17g``."""
+        row_fmt = ",".join([_FLOAT_FMT] * len(columns))
+        rows = np.column_stack(list(columns.values())).tolist()
+        lines = [",".join(columns)] + [row_fmt % tuple(row) for row in rows]
+        self.files[name] = ("\n".join(lines) + "\n").encode()
 
     def write_array(self, name: str, arr: np.ndarray) -> None:
-        """Hash and write the array's own little-endian float64 buffer; a
-        copy only when it has another dtype or layout."""
-        self._register(name, memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+        """Keep the array's own little-endian float64 buffer; a copy only when
+        it has another dtype or layout."""
+        self.files[name] = memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
 
-    def finish(self, extra: dict) -> dict:
-        """Write manifest.json: every registered file with its hash, plus ``extra``."""
-        manifest = {"files": sorted(self.records, key=lambda r: r["name"]), **extra}
+    def finish(self, out_dir: str, extra: dict) -> dict:
+        """Write every file into ``out_dir``, then manifest.json: every file with
+        its hash, plus ``extra``.  An old manifest is removed first, so a write
+        stopped part-way leaves no manifest rather than a wrong one."""
+        files = sorted(self.files.items())
+        records = [{"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
+                    "bytes": len(payload)} for name, payload in files]
+        manifest = {"files": records, **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        self._write("manifest.json", text.encode())
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "manifest.json"))
+            for name, payload in [*files, ("manifest.json", text.encode())]:
+                with open(os.path.join(out_dir, name), "wb") as fh:
+                    fh.write(payload)
+        except OSError as exc:
+            raise IoError(f"cannot write the run to {out_dir!r}: {exc}") from exc
         return manifest
 
 
@@ -273,23 +276,17 @@ def _run_euler(scn: dict, art: _Artifacts) -> list[dict]:
     traj = rigid.integrate(model, state, dt, steps, method=scn["method"], sample_every=sample_every)
     report = rigid.conservation_report(model, traj)
 
-    n = model.algebra.dim
-    header = ["t"] + [f"sigma_{i+1}" for i in range(n)] + ["energy"]
+    sigmas = np.array([st.sigma for st in traj.states])
+    energy, momenta = traj.diagnostics["energy"], traj.diagnostics["momentum_map"]
+    columns = {"t": traj.times, **{f"sigma_{i+1}": sigmas[:, i] for i in range(model.algebra.dim)},
+               "energy": energy}
     has_casimir = "casimir" in traj.diagnostics
     if has_casimir:
-        header.append("casimir_1")
-    header += ["energy_drift", "momentum_drift"]
-    rows = []
-    e_series, m_series = traj.diagnostics["energy"], traj.diagnostics["momentum_map"]
-    e_scale, m_scale = 1.0 + abs(e_series[0]), 1.0 + float(np.max(np.abs(m_series[0])))
-    for k, st in enumerate(traj.states):
-        row = [st.time, *st.sigma, e_series[k]]
-        if has_casimir:
-            row.append(traj.diagnostics["casimir"][k])
-        row.append(abs(e_series[k] - e_series[0]) / e_scale)
-        row.append(float(np.max(np.abs(m_series[k] - m_series[0]))) / m_scale)
-        rows.append(row)
-    art.write_csv("euler.csv", header, rows)
+        columns["casimir_1"] = traj.diagnostics["casimir"]
+    columns["energy_drift"] = np.abs(energy - energy[0]) / (1.0 + abs(energy[0]))
+    columns["momentum_drift"] = (np.max(np.abs(momenta - momenta[0]), axis=1)
+                                 / (1.0 + np.max(np.abs(momenta[0]))))
+    art.write_csv("euler.csv", columns)
 
     checks = [check("energy_drift", report["energy_drift"], tol["energy_drift"])]
     # a torque breaks both symmetries: their drifts stay in the report only
@@ -338,16 +335,14 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     params = {"I" if variant == "calogero" else "a": constants[strength]}
 
     states = affine.lattice_dynamics(variant, params, lat, dt, steps, sample_every=sample_every)
-    n = lat.n
-    header = ["t"] + [f"q_{i+1}" for i in range(n)] + ["energy", "m_norm", "n_norm"]
+    n, q = lat.n, np.array([s.q for s in states])
     energies = [affine.lattice_hamiltonian(variant, params, s) for s in states]
     # states are sampled at steps 0, sample_every, 2 sample_every, ... and steps
-    step_of = [sample_every * k for k in range(len(states) - 1)] + [steps]
-    times = [dt * k for k in step_of]
-    rows = []
-    for t, s, e in zip(times, states, energies):
-        rows.append([t, *s.q, e, float(np.linalg.norm(s.M)), float(np.linalg.norm(s.N))])
-    art.write_csv("affine.csv", header, rows)
+    art.write_csv("affine.csv", {
+        "t": dt * np.append(sample_every * np.arange(len(states) - 1), steps),
+        **{f"q_{i+1}": q[:, i] for i in range(n)}, "energy": energies,
+        "m_norm": [np.linalg.norm(s.M) for s in states],
+        "n_norm": [np.linalg.norm(s.N) for s in states]})
 
     e_drift = max(abs(e - energies[0]) for e in energies) / (1.0 + abs(energies[0]))
     checks = [check("energy_drift", e_drift / max(t_end, 1.0), tol["energy_rate"])]
@@ -437,11 +432,8 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
         "shape": list(w.values.shape), "dq": w.dq, "dp": w.dp, "q0": w.q0, "p0": w.p0,
         "hbar": w.hbar, "layout": "row-major float64 little-endian, q index first",
     })
-    art.write_csv(
-        "marginals.csv",
-        ["q", "position_density", "p", "momentum_density"],
-        np.column_stack([w.q_grid, pos, w.p_grid, mom]).tolist(),
-    )
+    art.write_csv("marginals.csv", {"q": w.q_grid, "position_density": pos, "p": w.p_grid,
+                                    "momentum_density": mom})
     pos_err = float(np.max(np.abs(pos - np.abs(psi.psi) ** 2)))
     mom_err = float(np.max(np.abs(mom - np.abs(psi.fourier()) ** 2)))
     checks = [
@@ -529,7 +521,7 @@ _RUNNERS = {"euler": _run_euler, "affine": _run_affine, "ensemble": _run_ensembl
 
 
 def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | None) -> int:
-    art = _Artifacts(out_dir)
+    art = _Artifacts()
     extra = {"subcommand": subcommand}
     if subcommand == "selftest":
         if seed is not None:
@@ -547,7 +539,7 @@ def run(subcommand: str, scenario_path: str | None, out_dir: str, seed: int | No
         except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
             raise SchemaError(f"the run leaves the float64 range ({exc}); "
                               "the scenario's values are too large or too small") from exc
-    art.finish(extra)
+    art.finish(out_dir, extra)
     bad = [c for c in checks if not c["pass"]]
     for c in bad:
         print(f"FAIL {c['name']}: value {c['value']:.3e} exceeds bound {c['bound']:.3e}",

@@ -81,8 +81,7 @@ class ShellEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("shell width must be positive")
+        _check_scalars(self, positive=("epsilon",), finite=("center",))
         for name in ("samples", "seed"):  # np.uint64(1.5) would put seed 1.5 on seed 1's streams
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebraSpec, _frozen
-from .errors import DegreeOverflow, NotSubalgebra
+from .errors import DegreeOverflow, DimensionMismatch, NotSubalgebra
 
 __all__ = [
     "KForm",
@@ -124,8 +124,12 @@ def _perm_sign(perm) -> int:
 
 
 def coboundary(alg: LieAlgebraSpec, f: KForm) -> KForm:
-    """Coboundary of a k-form; raises DegreeOverflow at top degree."""
+    """Coboundary of a k-form; raises DimensionMismatch for a form of
+    degree >= 1 on another dimension than ``alg``, DegreeOverflow at top degree."""
     n, k = alg.dim, f.degree
+    if k >= 1 and f.dim != n:
+        raise DimensionMismatch(f"a {k}-form on {f.dim} dimensions does not fit "
+                                f"a {n}-dimensional algebra")
     if k >= n:
         raise DegreeOverflow(f"cannot raise degree {k} on a {n}-dimensional algebra")
     return form_from_vector(coboundary_matrix(alg, k) @ form_to_vector(f), n, k + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -733,3 +734,56 @@ def test_wigner_cat_and_excited_states(tmp_path):
         assert cli.run("wigner", scen, out, seed=None) == 0
         doc = read_json(out, "wigner_checks.json")
         assert all(chk["pass"] for chk in doc["checks"])
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _manifest_matches(out: Path) -> bool:
+    records = read_json(out, "manifest.json")["files"]
+    return all(hashlib.sha256((out / r["name"]).read_bytes()).hexdigest() == r["sha256"]
+               for r in records)
+
+
+def test_interrupted_run_leaves_the_previous_run_untouched(tmp_path, monkeypatch):
+    # stopped while it assembled its marginals, a second run used to leave its
+    # wigner.f64 beside the first run's manifest, whose hash it no longer matched
+    shipped = str(Path(__file__).resolve().parents[1] / "scenarios" / "ho_ground_wigner.json")
+    out = tmp_path / "D"
+    assert cli.main(["wigner", shipped, "--out", str(out)]) == 0
+    before = _tree(out)
+    excited = write(tmp_path, "excited.json", {**read_json(*os.path.split(shipped)),
+                                               "state": {"kind": "ho-excited", "k": 3}})
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli._Artifacts, "write_csv", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["wigner", excited, "--out", str(out)])
+    assert _tree(out) == before
+    assert _manifest_matches(out)
+
+
+def test_run_stopped_while_writing_leaves_no_manifest(tmp_path, capsys):
+    scen = write(tmp_path, "w.json", WIGNER_64)
+    out = tmp_path / "D"
+    assert cli.main(["wigner", scen, "--out", str(out)]) == 0
+    (out / "wigner.json").unlink()
+    (out / "wigner.json").mkdir()  # a file that cannot be written
+    assert cli.main(["wigner", scen, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write the run to {str(out)!r}")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a_file", "below_a_file"])
+def test_out_that_names_a_file_exits_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory")
+    out = blocker / sub if sub else blocker
+    assert cli.main(["wigner", write(tmp_path, "w.json", WIGNER_64), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert blocker.read_text() == "not a directory"

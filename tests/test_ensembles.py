@@ -112,6 +112,18 @@ def test_shell_refuses_a_seed_or_sample_count_that_is_no_integer(field, bad):
         ens.ShellEnsemble(**{**given, field: bad})
 
 
+@pytest.mark.parametrize("field,bad,rule", [
+    ("center", np.nan, "finite"), ("center", np.inf, "finite"), ("center", -np.inf, "finite"),
+    ("epsilon", np.inf, "finite and positive"), ("epsilon", np.nan, "finite and positive"),
+])
+def test_shell_refuses_a_center_or_width_that_is_not_finite(field, bad, rule):
+    # center = nan ended in EmptyShell ("widen it or enlarge samples"), and
+    # epsilon = inf averaged over the whole box and called it a shell
+    given = dict(observable=harmonic, center=1.0, epsilon=0.3, samples=3_200, seed=1)
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got"):
+        ens.ShellEnsemble(**{**given, field: bad})
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
 def test_region_refuses_an_hbar_outside_zero_to_infinity(bad):
     # hbar = inf was stored, and shell_probability then read Z = 0.0 with no error

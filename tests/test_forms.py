@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phasecraft.errors import DegreeOverflow, NotSubalgebra
+from phasecraft.errors import DegreeOverflow, DimensionMismatch, NotSubalgebra
 from phasecraft.fixtures import fixture, fixture_names
 from phasecraft.forms import (
     KForm,
@@ -81,6 +81,15 @@ def test_degree_overflow():
     top = form_from_vector(np.array([1.0]), 3, 3)
     with pytest.raises(DegreeOverflow):
         coboundary(so3, top)
+
+
+@pytest.mark.parametrize("form", [basis_one_form(4, 0), form_from_vector(np.ones(1), 2, 2),
+                                  form_from_vector(np.ones(4), 4, 3)],
+                         ids=["one_form_on_4", "two_form_on_2", "top_form_on_4"])
+def test_coboundary_names_a_form_of_another_dimension(form):
+    # a one-form on 4 dimensions ended in numpy's raw matmul ValueError
+    with pytest.raises(DimensionMismatch, match=rf"on {form.dim} dimensions does not fit a 3-dim"):
+        coboundary(fixture("so3"), form)
 
 
 def test_cocycle_dimensions():
