@@ -1,4 +1,4 @@
-"""Compare two checkouts' end-to-end metrics in alternating benchmark pairs.
+"""Compare two checkouts in alternating benchmark pairs.
 
     python3 bench/ab.py BASE_DIR CHANGE_DIR [--pairs 10] [--seconds 50]
                         [--seed 1 ...] [--workload NAME ...]
@@ -16,12 +16,16 @@ Per end-to-end metric of the base's ``BENCHMARK.json`` it prints each side's
 median, the base's interquartile range (``statistics.quantiles``, exclusive
 method), the relative move of the medians, and how many pairs the change won
 in the metric's ``better`` direction (ties count for neither side).  The
-verdict is ``gain`` when the change won at least nine tenths of the pairs and
-its median is better by more than the base's interquartile range, ``worse``
-when its median is worse by more than the metric's bound (a share of the
-base's median), and ``-`` otherwise.  Progress goes to stderr, one line per
-run.  Exits 1 when a run reports a failed operation or an incorrect result,
-else 0.
+verdict is ``gain`` when at least ``MIN_PAIRS`` pairs ran, the change won at
+least nine tenths of them and its median is better by more than the base's
+interquartile range, ``worse`` when its median is worse by more than the
+metric's bound (a share of the base's median), and ``-`` otherwise.
+Progress goes to stderr, one line per run.  The last line of standard output
+is one JSON object, the run's record: each side's SHA and whether its tracked
+files differ from it, the pair count, the seeds, the run length (``null``
+under ``--kernels``) and, per table and metric, the row: every pair's values
+on each side, both medians, the base IQR, the move, the wins and the verdict.
+Exits 1 when a run reports a failed operation or an incorrect result, else 0.
 
 ``--kernels`` times kernels instead: ``--pairs`` pairs of fresh processes,
 one on each checkout's ``src`` and ``perfbench``, BLAS on one thread, in the
@@ -36,9 +40,10 @@ heisenberg_rot (the rows that ``perfbench/kernels.py`` names),
 at N = 128 on the first state of each size in the ``phase_grid`` workload
 of the seed, ``affine.lattice_dynamics`` for 100 steps on the n = 2 and
 n = 3 hyperbolic lattices of the ``bodies`` workload, and ``cli.run`` of
-``scenarios/ho_ground_wigner.json`` into a temporary directory.  The table
-has the same columns, in microseconds per call; a kernel has no bound, so
-its verdict is ``gain`` or ``-``.
+``scenarios/ho_ground_wigner.json`` into a temporary directory (microseconds
+per call).  Then the same side times one fresh process of each entry of
+``identity.CLI_COMMANDS`` (wall seconds, row ``cli.<name>``).  A kernel or
+command has no bound, so its verdict is ``gain`` or ``-``.
 Standard library only.
 """
 
@@ -50,14 +55,15 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-from identity import declared_workloads
-from snapshot import ONE_THREAD, TIMEOUT_S, git, run
+from identity import CLI_COMMANDS, ONE_THREAD, TIMEOUT_S, cli, declared_workloads
 
 ROUNDS, CALLS = 5, 20
-# one process of --kernels, run in a checkout with its src and perfbench on the path;
-# its last line is a JSON object of microseconds per call, by kernel
+# below ten pairs the base IQR can be 0, and any win would read as a gain
+MIN_PAIRS = 10
 KERNELS = """
 import json, sys, tempfile
 from time import perf_counter
@@ -118,39 +124,66 @@ print(json.dumps(best))
 """
 
 
-def side(checkout: Path) -> str:
-    """The checkout's SHA, flagged when tracked files differ from it."""
-    dirty = git(checkout, "status", "--porcelain", "--untracked-files=no")
-    return f"{git(checkout, 'rev-parse', '--short', 'HEAD')}{' + tracked changes' if dirty else ''}"
+
+def git(checkout: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def summary(metric: dict, base: list, change: list) -> str:
-    """One table row: medians, base IQR, move, wins and verdict."""
+def side(checkout: Path) -> dict:
+    """The checkout's SHA and whether tracked files differ from it."""
+    return {"sha": git(checkout, "rev-parse", "HEAD"),
+            "tracked_changes": bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))}
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one ``perfbench/run.py --trace 0`` process."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd[1:])} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summary(metric: dict, base: list, change: list) -> dict:
+    """One row: every pair's values, both medians, base IQR, move, wins and verdict."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     med_b, med_c = statistics.median(base), statistics.median(change)
     q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
     gain = sign * (med_b - med_c)  # > 0: the change is better
-    move = (med_c - med_b) / med_b if med_b else 0.0
-    if wins >= 0.9 * len(base) and gain > q3 - q1:
+    if len(base) >= MIN_PAIRS and wins >= 0.9 * len(base) and gain > q3 - q1:
         verdict = "gain"
     elif "bound" in metric and -gain > metric["bound"] * abs(med_b):
         verdict = "worse"
     else:
         verdict = "-"
-    return (f"{metric['name']:<28} {med_b:>11.4g} {med_c:>11.4g} {q3 - q1:>10.3g} "
-            f"{move:>+8.1%} {wins:>3}/{len(base):<3} {verdict} ({metric['unit']})")
+    return {"unit": metric["unit"], "base": base, "change": change, "median_base": med_b,
+            "median_change": med_c, "base_iqr": q3 - q1,
+            "move": (med_c - med_b) / med_b if med_b else 0.0, "wins": wins, "verdict": verdict}
 
 
 def kernel_times(checkout: Path, seed: int) -> dict:
-    """Microseconds per call of each kernel, from one fresh process."""
+    """Microseconds per call of each kernel, from one fresh process, and the
+    wall seconds of one fresh process of each command, as ``cli.<name>``."""
     path = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
     proc = subprocess.run([sys.executable, "-c", KERNELS, str(seed), str(ROUNDS), str(CALLS)],
                           cwd=checkout, env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"kernel timing in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    times = json.loads(proc.stdout.splitlines()[-1])
+    for name, args in CLI_COMMANDS.items():
+        with tempfile.TemporaryDirectory() as out:
+            start = time.perf_counter()
+            proc = cli(checkout, args, Path(out))
+            times[f"cli.{name}"] = time.perf_counter() - start
+        if proc.returncode != 0:
+            raise SystemExit(f"{name} in {checkout} exited {proc.returncode}:\n"
+                             f"{proc.stderr.decode()}")
+    return times
 
 
 def paired(checkouts: dict, pairs: int, seeds: list, label: str, measure) -> dict:
@@ -167,14 +200,18 @@ def paired(checkouts: dict, pairs: int, seeds: list, label: str, measure) -> dic
     return values
 
 
-def table(label: str, metrics: list, values: dict) -> None:
-    """Print a heading and one ``summary`` row per metric."""
-    print(f"\n{label}\n{'metric':<28} {'base':>11} {'change':>11} {'base IQR':>10} "
+def table(label: str, metrics: list, values: dict) -> dict:
+    """Print a heading and one ``summary`` row per metric; return the rows by name."""
+    rows = {m["name"]: summary(m, [v[m["name"]] for v in values["base"]],
+                               [v[m["name"]] for v in values["change"]]) for m in metrics}
+    width = max(map(len, ["metric", *rows]))
+    print(f"\n{label}\n{'metric':<{width}} {'base':>11} {'change':>11} {'base IQR':>10} "
           f"{'move':>8} {'wins':<7} verdict")
-    for metric in metrics:
-        name = metric["name"]
-        print(summary(metric, [v[name] for v in values["base"]],
-                      [v[name] for v in values["change"]]))
+    for name, row in rows.items():
+        print(f"{name:<{width}} {row['median_base']:>11.4g} {row['median_change']:>11.4g} "
+              f"{row['base_iqr']:>10.3g} {row['move']:>+8.1%} {row['wins']:>3}/"
+              f"{len(row['base']):<3} {row['verdict']} ({row['unit']})")
+    return rows
 
 
 def main(argv=None) -> int:
@@ -194,29 +231,37 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1 and --seconds positive")
     seeds = args.seed or [1]
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
-    what = (f"kernel processes, best of {ROUNDS} x {CALLS} calls" if args.kernels
-            else f"{args.seconds:g} s")
-    print(f"base {side(checkouts['base'])}, change {side(checkouts['change'])}; "
-          f"{args.pairs} pairs of {what}, seeds {', '.join(map(str, seeds))}")
+    record = {"base": side(checkouts["base"]), "change": side(checkouts["change"]),
+              "pairs": args.pairs, "seeds": seeds,
+              "seconds": None if args.kernels else args.seconds, "tables": {}}
+    what = (f"kernel and command processes, best of {ROUNDS} x {CALLS} kernel calls"
+            if args.kernels else f"{args.seconds:g} s")
+    print(f"base {record['base']}, change {record['change']}; {args.pairs} pairs of {what}, "
+          f"seeds {', '.join(map(str, seeds))}")
+    bad = False
     if args.kernels:
         values = paired(checkouts, args.pairs, seeds, "kernels", kernel_times)
-        table("kernels", [{"name": name, "unit": "us", "better": "lower"}
-                          for name in values["base"][0]], values)
-        return 0
-    spec = json.loads((checkouts["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or sorted(set().union(*map(declared_workloads, checkouts.values())))
-    bad = False
-    for workload in workloads:
-        def measure(checkout: Path, seed: int) -> dict:
-            nonlocal bad
-            result = run(checkout, workload, 0, seed, args.seconds)["result"]
-            if not result["correct"] or result["failed"] > 0:
-                bad = True
-                print(f"{workload} seed {seed} in {checkout}: {result['failed']} failed"
-                      + ("" if result["correct"] else ", INCORRECT"), file=sys.stderr, flush=True)
-            return {m: v["value"] for m, v in result["metrics"].items()}
+        record["tables"]["kernels"] = table("kernels", [
+            {"name": name, "unit": "s" if name.startswith("cli.") else "us", "better": "lower"}
+            for name in values["base"][0]], values)
+    else:
+        spec = json.loads((checkouts["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        declared = set().union(*map(declared_workloads, checkouts.values()))
+        workloads = args.workload or sorted(declared)
+        for workload in workloads:
+            def measure(checkout: Path, seed: int) -> dict:
+                nonlocal bad
+                result = run(checkout, workload, seed, args.seconds)
+                if not result["correct"] or result["failed"] > 0:
+                    bad = True
+                    print(f"{workload} seed {seed} in {checkout}: {result['failed']} failed"
+                          + ("" if result["correct"] else ", INCORRECT"),
+                          file=sys.stderr, flush=True)
+                return {m: v["value"] for m, v in result["metrics"].items()}
 
-        table(workload, spec["end_to_end"], paired(checkouts, args.pairs, seeds, workload, measure))
+            values = paired(checkouts, args.pairs, seeds, workload, measure)
+            record["tables"][workload] = table(workload, spec["end_to_end"], values)
+    print(json.dumps(record))
     return 1 if bad else 0
 
 

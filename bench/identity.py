@@ -2,7 +2,7 @@
 
     python3 bench/identity.py BASE_DIR CHANGE_DIR
 
-Runs every command of ``snapshot.CLI_COMMANDS`` (each shipped
+Runs every command of ``CLI_COMMANDS`` but the bare import (each shipped
 ``scenarios/*.json`` with its subcommand, and ``selftest --seed 0``) as
 ``python -m phasecraft.cli ... --out DIR`` in both checkouts, each on its own
 ``src``, with BLAS on one thread, and compares the sha256 of every file the
@@ -30,8 +30,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from snapshot import CLI_COMMANDS, ONE_THREAD, TIMEOUT_S
-
+TIMEOUT_S = 900
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# name -> arguments of ``python -m phasecraft.cli``, to which each run adds ``--out`` and
+# a fresh temporary directory; ``import`` is ``python -c "import phasecraft.cli"``
+CLI_COMMANDS = {
+    "euler.free_top": ["euler", "scenarios/free_top.json"],
+    "affine.sutherland_bound_pair": ["affine", "scenarios/sutherland_bound_pair.json"],
+    "ensemble.harmonic_shell": ["ensemble", "scenarios/harmonic_shell.json"],
+    "wigner.ho_ground_wigner": ["wigner", "scenarios/ho_ground_wigner.json"],
+    "cohomology.galilei_cohomology": ["cohomology", "scenarios/galilei_cohomology.json"],
+    "cohomology.so3_cocycle_radical": ["cohomology", "scenarios/so3_cocycle_radical.json"],
+    "selftest": ["selftest", "--seed", "0"],
+    "import": None,
+}
 COMMANDS = {name: args for name, args in CLI_COMMANDS.items() if args is not None}
 SEEDS = (1, 2)
 # one pass of a workload, run in the checkout with its src and perfbench on the path;
@@ -53,11 +65,18 @@ print(json.dumps(rows))
 """
 
 
+def cli(checkout: Path, args: list | None, out: Path) -> subprocess.CompletedProcess:
+    """One fresh process of a ``CLI_COMMANDS`` entry on the checkout's ``src``,
+    BLAS on one thread, writing to ``out``."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
+    cmd = ([sys.executable, "-c", "import phasecraft.cli"] if args is None
+           else [sys.executable, "-m", "phasecraft.cli", *args, "--out", str(out)])
+    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, timeout=TIMEOUT_S)
+
+
 def outputs(checkout: Path, args: list, out: Path) -> tuple[int, dict]:
     """Exit code of one command and the sha256 of each file it wrote, by relative path."""
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-m", "phasecraft.cli", *args, "--out", str(out)],
-                          cwd=checkout, env=env, capture_output=True, timeout=TIMEOUT_S)
+    proc = cli(checkout, args, out)
     hashes = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
               for path in sorted(out.rglob("*")) if path.is_file()}
     return proc.returncode, hashes

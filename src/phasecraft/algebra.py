@@ -128,10 +128,6 @@ class LieAlgebraSpec:
         """Coordinates of ``[x, y]`` for coordinate vectors ``x``, ``y``."""
         return np.einsum("kij,i,j->k", self.structure, x, y)
 
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ``ad_x = [x, .]`` acting on coordinates."""
-        return np.einsum("kij,i->kj", self.structure, x)
-
     def matrix_of(self, x: np.ndarray) -> np.ndarray:
         """Matrix realization of the coordinate vector ``x``."""
         if self.basis is None:
@@ -335,14 +331,10 @@ def killing_tensor(alg: LieAlgebraSpec, lam: float = 1.0, mu: float = 0.0) -> Bi
     return BilinearForm(0.5 * (gamma + gamma.T))
 
 
-def expm(x: np.ndarray, skew3: bool = False) -> np.ndarray:
-    """Matrix exponential after the finite and 1-norm guard; ``skew3`` says
-    that x is a real antisymmetric 3x3 matrix, whose exponential Rodrigues'
-    formula gives.  Otherwise scaling and squaring on the 1-norm that the
-    guard computes."""
+def expm(x: np.ndarray) -> np.ndarray:
+    """Matrix exponential after the finite and 1-norm guard: scaling and
+    squaring on the 1-norm that the guard computes."""
     x = np.asarray(x)
-    if skew3:
-        return _rodrigues(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"the exponent must be a square matrix, got shape {x.shape}")
     # on Python numbers: for the small matrices of a step, cheaper than numpy's reductions
@@ -406,7 +398,8 @@ def _identity(n: int, dtype: np.dtype) -> np.ndarray:
 def _rodrigues(x: np.ndarray) -> np.ndarray:
     """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
     theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2.
-    ``expm``'s guard runs on the three entries of w: the column sums of |K|,
+    The caller knows that x is such a matrix.  ``expm``'s guard runs on the
+    three entries of w: the column sums of |K|,
     whose largest is its 1-norm, are |w_i| + |w_j|."""
     (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
     a1, a2, a3 = abs(w1), abs(w2), abs(w3)

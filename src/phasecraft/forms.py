@@ -197,8 +197,8 @@ def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
 
 def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     """Orthonormal basis of Z^k = Ker delta_k (SVD rank cutoff 1e-10)."""
-    if k not in (1, 2):
-        raise ValueError("cocycle_space supports k in {1, 2}")
+    if k < 0:
+        return []
     _, null = _spaces(coboundary_matrix(alg, k))
     return [form_from_vector(null[:, i], alg.dim, k) for i in range(null.shape[1])]
 
@@ -212,8 +212,13 @@ def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
 
 
 def cohomology_dim(alg: LieAlgebraSpec, k: int) -> int:
-    """dim H^k = dim Z^k - dim B^k with SVD rank decisions."""
-    return len(cocycle_space(alg, k)) - len(coboundary_space(alg, k))
+    """dim H^k = dim Z^k - dim B^k with SVD rank decisions, read off the
+    matrices of delta_k and delta_{k-1}: no form is built (a k-form holds
+    n^k coefficients)."""
+    if k < 0:
+        return 0
+    cocycles = _spaces(coboundary_matrix(alg, k))[1].shape[1]
+    return cocycles - (_spaces(coboundary_matrix(alg, k - 1))[0].shape[1] if k else 0)
 
 
 def radical(alg: LieAlgebraSpec, omega: KForm):

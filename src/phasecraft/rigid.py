@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (BilinearForm, GroupElement, LieAlgebraSpec, _check_scalars, _from_checked,
-                      _frozen, adjoint_matrix, check_step, coadjoint, expm, rk4)
+                      _frozen, _rodrigues, adjoint_matrix, check_step, coadjoint, expm, rk4)
 from .errors import NoConvergence, NoPotential, SingularMetric
 from .fixtures import fixture
 
@@ -285,6 +285,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
     g0, s0 = state.g, state.sigma
     tol = _MIDPOINT_TOL * (1.0 + float(np.abs(s0).max()))
     half_dt = 0.5 * dt
+    exp = _rodrigues if model._skew3 else expm
     s_mid = s0
     # An iterate that overflows (a diverging iteration, or a potential that
     # does) turns to inf and NaN, never passes the tolerance test and ends in
@@ -293,7 +294,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
         for _ in range(_MIDPOINT_MAX_ITER):
             rhs = _bracket_term(model, s_mid)
             if model.potential is not None:
-                half = expm(half_dt * _velocity_matrix(model, s_mid), model._skew3)
+                half = exp(half_dt * _velocity_matrix(model, s_mid))
                 g_mid = g0.matrix @ half if model.chirality == "left" else half @ g0.matrix
                 rhs = rhs + _torque(model, _element(g_mid, g0.tag, may_overflow=True))
             s_next = s0 + half_dt * rhs
@@ -305,7 +306,7 @@ def _step_midpoint(model: InvariantModel, state: BodyState, dt: float) -> BodySt
             raise NoConvergence("implicit midpoint iteration did not converge")
 
     s1 = 2.0 * s_mid - s0
-    flow = expm(dt * _velocity_matrix(model, s_mid), model._skew3)
+    flow = exp(dt * _velocity_matrix(model, s_mid))
     g1_mat = g0.matrix @ flow if model.chirality == "left" else flow @ g0.matrix
     return _from_checked(BodyState, _element(g1_mat, g0.tag, may_overflow=True),
                          _frozen(s1, "momentum"), state.time + dt)

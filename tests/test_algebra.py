@@ -209,6 +209,13 @@ def test_group_exp_identity():
     npt.assert_allclose(g.matrix, np.eye(3), atol=1e-15)
 
 
+def test_expm_takes_no_closed_form_switch():
+    # the closed form is the rigid step's choice, made once per model from its basis
+    with pytest.raises(TypeError):
+        alg.expm(np.eye(3), True)
+    npt.assert_allclose(alg.expm(np.eye(3)), np.e * np.eye(3), rtol=1e-15, atol=0)
+
+
 def test_group_exp_rodrigues():
     theta = 0.73
     g = group_exp(theta * eps3()[2], tag="special-orthogonal")

@@ -302,3 +302,50 @@ def test_kform_evaluates_on_vectors_in_slot_order():
     assert f(u, v, w) == pytest.approx(want, rel=1e-14, abs=1e-14)
     assert f(*np.eye(4)[[0, 2, 3]]) == f.coeffs[0, 2, 3]
     assert KForm(0, 2.5)() == 2.5
+
+
+def _poly(*factors):
+    """Coefficients of the product of polynomials given by their coefficients."""
+    out = [1]
+    for factor in factors:
+        out = np.convolve(out, factor).tolist()
+    return out
+
+
+# Betti numbers b_0 .. b_dim by fixture; None: unimodular with no closed form
+# here, so Poincare duality and a vanishing Euler characteristic are checked
+_BETTI = {
+    "so3": _poly([1, 0, 0, 1]),
+    "sl2": _poly([1, 0, 0, 1]),
+    "so13": _poly([1, 0, 0, 1], [1, 0, 0, 1]),
+    "euclidean3": _poly([1, 0, 0, 1], [1, 0, 0, 1]),
+    "gl2": _poly([1, 1], [1, 0, 0, 1]),
+    "gl3": _poly([1, 1], [1, 0, 0, 1], [1, 0, 0, 0, 0, 1]),
+    "heisenberg": [1, 6, 14, 14, 14, 14, 6, 1],
+    "abelian1": [math.comb(1, k) for k in range(2)],
+    "abelian2": [math.comb(2, k) for k in range(3)],
+    "galilei": None,
+    "heisenberg_rot": None,
+}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_cohomology_in_every_degree(name):
+    alg = fixture(name)
+    betti = [cohomology_dim(alg, k) for k in range(alg.dim + 1)]
+    assert cohomology_dim(alg, -1) == cohomology_dim(alg, alg.dim + 1) == 0
+    if _BETTI[name] is None:
+        assert betti == betti[::-1]
+        assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0
+    else:
+        assert betti == _BETTI[name]
+
+
+@pytest.mark.parametrize("name", ["so3", "gl2", "so13"])
+def test_cocycle_space_answers_every_degree(name):
+    # the forms span what the ranks that cohomology_dim reads say
+    alg = fixture(name)
+    assert cocycle_space(alg, -1) == []
+    for k in range(alg.dim + 2):
+        z, b = cocycle_space(alg, k), coboundary_space(alg, k)
+        assert len(z) - len(b) == cohomology_dim(alg, k)
