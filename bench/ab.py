@@ -64,6 +64,8 @@ from identity import CLI_COMMANDS, ONE_THREAD, TIMEOUT_S, cli, declared_workload
 ROUNDS, CALLS = 5, 20
 # below ten pairs the base IQR can be 0, and any win would read as a gain
 MIN_PAIRS = 10
+# one process of --kernels, run in a checkout with its src and perfbench on the path;
+# its last line is a JSON object of microseconds per call, by kernel
 KERNELS = """
 import json, sys, tempfile
 from time import perf_counter

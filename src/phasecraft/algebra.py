@@ -399,8 +399,8 @@ def _rodrigues(x: np.ndarray) -> np.ndarray:
     """exp(K) = I + a K + b K^2 for K antisymmetric 3x3, K v = w x v, with
     theta = |w|, a = sin(theta) / theta and b = (1 - cos(theta)) / theta^2.
     The caller knows that x is such a matrix.  ``expm``'s guard runs on the
-    three entries of w: the column sums of |K|,
-    whose largest is its 1-norm, are |w_i| + |w_j|."""
+    three entries of w: the column sums of |K|, whose largest is its 1-norm,
+    are |w_i| + |w_j|."""
     (_, _, w2), (w3, _, _), (_, w1, _) = x.tolist()
     a1, a2, a3 = abs(w1), abs(w2), abs(w3)
     # written so that a NaN fails the test as well
