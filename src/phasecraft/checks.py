@@ -225,7 +225,7 @@ def criterion_08_cohomology_fixtures(seed, quick):
                          axis_defect + abs(codim - 2), 1.0e-12))
 
     hr = fixture("heisenberg_rot")
-    omega2 = forms.KForm(2, np.zeros((10, 10)))
+    omega2 = forms.KForm(10, 2, np.zeros(45))
     for j in range(3):
         omega2 = omega2 + 1.0 * forms.wedge(
             forms.basis_one_form(10, 4 + j), forms.basis_one_form(10, 1 + j)
@@ -250,9 +250,7 @@ def criterion_08_cohomology_fixtures(seed, quick):
             if k + 2 > alg.dim:  # delta^2 needs two degrees of headroom
                 continue
             for _ in range(25):
-                f = forms.form_from_vector(
-                    rng.normal(size=math.comb(alg.dim, k)), alg.dim, k
-                )
+                f = forms.KForm(alg.dim, k, rng.normal(size=math.comb(alg.dim, k)))
                 dd = forms.coboundary(alg, forms.coboundary(alg, f))
                 worst = max(worst, float(np.max(np.abs(dd.coeffs))))
                 total += 1

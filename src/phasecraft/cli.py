@@ -207,22 +207,39 @@ class _Artifacts:
     def finish(self, out_dir: str, extra: dict) -> dict:
         """Write every file into ``out_dir``, then manifest.json: every file with
         its hash, plus ``extra``.  An old manifest is removed first, so a write
-        stopped part-way leaves no manifest rather than a wrong one."""
+        stopped part-way leaves no manifest rather than a wrong one, and so are
+        the files that it lists and this run does not write."""
         files = sorted(self.files.items())
         records = [{"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
                     "bytes": len(payload)} for name, payload in files]
         manifest = {"files": records, **extra}
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        old_manifest = os.path.join(out_dir, "manifest.json")
         try:
             os.makedirs(out_dir, exist_ok=True)
+            stale = _listed_files(old_manifest) - self.files.keys()
             with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, "manifest.json"))
+                os.remove(old_manifest)
+            for name in stale:
+                if os.path.isfile(os.path.join(out_dir, name)):
+                    os.remove(os.path.join(out_dir, name))
             for name, payload in [*files, ("manifest.json", text.encode())]:
                 with open(os.path.join(out_dir, name), "wb") as fh:
                     fh.write(payload)
         except OSError as exc:
             raise IoError(f"cannot write the run to {out_dir!r}: {exc}") from exc
         return manifest
+
+
+def _listed_files(manifest_path: str) -> set:
+    """The plain file names (no directory part, not the manifest) that a
+    manifest lists; none when it cannot be read or is malformed."""
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            names = {record["name"] for record in json.load(fh)["files"]}
+        return {name for name in names if os.path.basename(name) == name and name != "manifest.json"}
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +466,12 @@ def _two_form(pairs: list, dim: int) -> forms.KForm:
     """The scenario's ``omega = {"pairs": [[i, j, value], ...]}``."""
     coeffs = np.zeros((dim, dim))
     for i, j, val in pairs:
-        if not (i < dim and j < dim):
-            raise SchemaError(f"omega pair {[i, j, val]} needs indices in [0, {dim})")
+        if not (i < dim and j < dim) or i == j:
+            raise SchemaError(f"omega pair {[i, j, val]} needs two distinct indices in [0, {dim})")
         coeffs[i, j], coeffs[j, i] = val, -val
     try:
-        return forms.KForm(2, coeffs)  # rejects i == j and dim < 2
+        # the upper triangle row by row holds the pairs i < j in component order
+        return forms.KForm(dim, 2, coeffs[np.triu_indices(dim, 1)])  # rejects dim < 2
     except ValueError as exc:
         raise SchemaError(f"bad omega {pairs!r}: {exc}") from exc
 

@@ -1,12 +1,16 @@
 """Coboundary calculus on a Lie algebra: Z^k, B^k, H^k and two-form radicals.
 
-Forms are stored as fully antisymmetric coefficient tensors over the dual
-basis {dX^i}.  The coboundary is the antiderivation fixed by
-``delta(dX^k) = -1/2 C^k_ij dX^i ^ dX^j``; on a k-form with components
-``w_{a_1..a_k}`` it reads
+A k-form on an n-dimensional algebra is the vector of its C(n, k)
+components ``w_{a_1..a_k}`` on the basis forms dX^{a_1} ^ .. ^ dX^{a_k},
+a_1 < .. < a_k, in ``itertools.combinations`` order.  The coboundary is the
+antiderivation fixed by ``delta(dX^k) = -1/2 C^k_ij dX^i ^ dX^j``; on the
+increasing b_0 < .. < b_k it reads
 
     (delta w)_{b_0..b_k} = sum_{i<j} (-1)^{i+j} C^c_{b_i b_j}
-                           w_{c, b_0 .. ^b_i .. ^b_j .. b_k}.
+                           w_{c, b_0 .. ^b_i .. ^b_j .. b_k},
+
+where w_{c, rest} is the component of the sorted indices times the sign of
+that sort, and 0 when c repeats an index.
 
 The null space of a closed two-form, checked to be a subalgebra, is the
 isotropy algebra whose quotient carries the symplectic structure.
@@ -14,8 +18,8 @@ isotropy algebra whose quotient carries the symplectic structure.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +37,6 @@ __all__ = [
     "coboundary_space",
     "cohomology_dim",
     "radical",
-    "form_to_vector",
-    "form_from_vector",
 ]
 
 _RANK_CUTOFF = 1.0e-10
@@ -42,131 +44,96 @@ _RANK_CUTOFF = 1.0e-10
 
 @dataclass(frozen=True)
 class KForm:
-    """Antisymmetric rank-k coefficient tensor over the dual basis."""
+    """A k-form on ``dim`` dimensions: its C(dim, degree) components on the
+    basis forms dX^{a_1} ^ .. ^ dX^{a_k}, a_1 < .. < a_k, in
+    ``itertools.combinations`` order."""
 
+    dim: int
     degree: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.coeffs, dtype=float)
-        w = _frozen(np.array(float(w) if self.degree == 0 else w), "coeffs")
-        if self.degree != 0 and w.shape != (w.shape[0],) * self.degree:
-            raise ValueError("coefficient tensor shape disagrees with degree")
-        if self.degree >= 1 and self.degree > w.shape[0]:
-            raise ValueError("degree exceeds algebra dimension")
-        for axes in itertools.combinations(range(self.degree), 2):
-            swapped = np.swapaxes(w, *axes)
-            if not np.array_equal(swapped, -w):
-                raise ValueError("coefficients are not antisymmetric")
+        if not 0 <= self.degree <= self.dim:
+            raise ValueError(f"degree must lie in [0, dim = {self.dim}], got {self.degree}")
+        w = _frozen(np.array(self.coeffs, dtype=float), "coeffs")
+        size = math.comb(self.dim, self.degree)
+        if w.shape != (size,):
+            raise ValueError(f"a {self.degree}-form on {self.dim} dimensions has {size} "
+                             f"components, got an array of shape {w.shape}")
         object.__setattr__(self, "coeffs", w)
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.degree == 0 else self.coeffs.shape[0]
-
     def __add__(self, other: "KForm") -> "KForm":
+        _check_fits(self.dim, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        return KForm(self.degree, self.coeffs + other.coeffs)
+        return KForm(self.dim, self.degree, self.coeffs + other.coeffs)
 
     def __rmul__(self, scalar: float) -> "KForm":
-        return KForm(self.degree, scalar * self.coeffs)
+        return KForm(self.dim, self.degree, scalar * self.coeffs)
 
     def __call__(self, *vectors) -> float:
-        """Evaluate on k coordinate vectors."""
+        """Evaluate on k coordinate vectors v_1 .. v_k: sum_I w_I det(v[:, I])
+        with v_s the rows of v."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
-        w = self.coeffs
-        for v in reversed(vectors):
-            w = w @ np.asarray(v)
-        return float(w)
+        if any(np.shape(v) != (self.dim,) for v in vectors):
+            raise ValueError(f"each vector needs dim = {self.dim} components")
+        v = np.array(vectors, dtype=float).reshape(self.degree, self.dim)
+        sets = np.array(list(itertools.combinations(range(self.dim), self.degree)),
+                        dtype=np.intp).reshape(self.coeffs.size, self.degree)
+        return float(self.coeffs @ np.linalg.det(np.moveaxis(v[:, sets], 1, 0)))
+
+
+def _check_fits(n: int, f: KForm) -> None:
+    if f.dim != n:
+        raise DimensionMismatch(f"a {f.degree}-form on {f.dim} dimensions does not fit "
+                                f"a {n}-dimensional algebra")
 
 
 def basis_one_form(dim: int, index: int) -> KForm:
     """The dual basis covector dX^index."""
-    w = np.zeros(dim)
-    w[index] = 1.0
-    return KForm(1, w)
+    if not 0 <= index < dim:
+        raise ValueError(f"index must lie in [0, dim = {dim}), got {index}")
+    return KForm(dim, 1, np.eye(dim)[index])
+
+
+def _positions(n: int, k: int) -> dict:
+    """Increasing multi-index of (n, k) -> its component's position."""
+    return {idx: pos for pos, idx in enumerate(itertools.combinations(range(n), k))}
+
+
+def _sorted_sign(seq: tuple) -> tuple[tuple, int]:
+    """``seq`` sorted, and the sign of the permutation that sorts it: 0 when an
+    index repeats."""
+    if len(set(seq)) < len(seq):
+        return (), 0
+    inversions = sum(x > y for x, y in itertools.combinations(seq, 2))
+    return tuple(sorted(seq)), -1 if inversions % 2 else 1
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Wedge product by shuffle-sign expansion of the antisymmetrizer."""
-    p, q = a.degree, b.degree
-    if p == 0:
-        return float(a.coeffs) * b
-    if q == 0:
-        return float(b.coeffs) * a
-    n = a.dim
-    out = np.zeros((n,) * (p + q))
-    raw = np.multiply.outer(a.coeffs, b.coeffs)
-    for shuffle in itertools.combinations(range(p + q), p):
-        rest = [i for i in range(p + q) if i not in shuffle]
-        perm = list(shuffle) + rest
-        sign = _perm_sign(perm)
-        out += sign * np.transpose(raw, axes=np.argsort(perm))
-    return KForm(p + q, out)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Wedge product as the shuffle sum over index sets: a_I b_J goes to the
+    sorted union of disjoint I and J, times the sign of that sort."""
+    _check_fits(a.dim, b)
+    n, p, q = a.dim, a.degree, b.degree
+    rows = _positions(n, p + q)
+    out = np.zeros(len(rows))
+    for (I, a_I), (J, b_J) in itertools.product(zip(itertools.combinations(range(n), p), a.coeffs),
+                                                zip(itertools.combinations(range(n), q), b.coeffs)):
+        idx, sign = _sorted_sign(I + J)
+        if sign:
+            out[rows[idx]] += sign * a_I * b_J
+    return KForm(n, p + q, out)
 
 
 def coboundary(alg: LieAlgebraSpec, f: KForm) -> KForm:
-    """Coboundary of a k-form; raises DimensionMismatch for a form of
-    degree >= 1 on another dimension than ``alg``, DegreeOverflow at top degree."""
+    """Coboundary of a k-form; raises DimensionMismatch for a form on another
+    dimension than ``alg``, DegreeOverflow at top degree."""
     n, k = alg.dim, f.degree
-    if k >= 1 and f.dim != n:
-        raise DimensionMismatch(f"a {k}-form on {f.dim} dimensions does not fit "
-                                f"a {n}-dimensional algebra")
+    _check_fits(n, f)
     if k >= n:
         raise DegreeOverflow(f"cannot raise degree {k} on a {n}-dimensional algebra")
-    return form_from_vector(coboundary_matrix(alg, k) @ form_to_vector(f), n, k + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_table(n: int, k: int):
-    """For each permutation of the k slots, identity first: its sign and the
-    flat positions of the strictly increasing multi-indices of (n, k) in
-    that slot order."""
-    sets = list(itertools.combinations(range(n), k))
-    strict = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-    strides = n ** np.arange(k - 1, -1, -1)
-    return [
-        (float(_perm_sign(list(perm))), strict[:, perm] @ strides)
-        for perm in itertools.permutations(range(k))
-    ]
-
-
-def _antisymmetric(strict_values: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Tensor whose strictly increasing entries are ``strict_values``,
-    mirrored with exact permutation signs so antisymmetry holds bit-for-bit."""
-    out = np.zeros(n**k)
-    for sign, flat in _mirror_table(n, k):
-        out[flat] = sign * strict_values
-    return out.reshape((n,) * k)
-
-
-def form_to_vector(f: KForm) -> np.ndarray:
-    """Components on the strictly increasing multi-index basis."""
-    _, strict = _mirror_table(f.dim, f.degree)[0]
-    return f.coeffs.reshape(-1)[strict]
-
-
-def form_from_vector(v: np.ndarray, n: int, k: int) -> KForm:
-    """Inverse of :func:`form_to_vector`."""
-    return KForm(k, _antisymmetric(np.asarray(v, dtype=float), n, k))
+    return KForm(n, k + 1, coboundary_matrix(alg, k) @ f.coeffs)
 
 
 def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
@@ -177,7 +144,7 @@ def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
     reordered with its permutation sign.  From degree n on it has no rows.
     """
     n = alg.dim
-    rows = {idx: row for row, idx in enumerate(itertools.combinations(range(n), k + 1))}
+    rows = _positions(n, k + 1)
     cols = list(itertools.combinations(range(n), k))
     terms = [[(i, j, c_ij[i, j]) for i, j in np.argwhere(np.triu(c_ij, 1)).tolist()]
              for c_ij in alg.structure]
@@ -186,12 +153,9 @@ def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
         for m, c in enumerate(idx):
             rest = idx[:m] + idx[m + 1:]
             for i, j, value in terms[c]:
-                if i in rest or j in rest:
-                    continue
-                seq = rest[:m] + (i, j) + rest[m:]
-                order = sorted(range(k + 1), key=seq.__getitem__)
-                sign = (-1) ** m * _perm_sign(order)
-                mat[rows[tuple(seq[p] for p in order)], col] -= sign * value
+                row, sign = _sorted_sign(rest[:m] + (i, j) + rest[m:])
+                if sign:
+                    mat[rows[row], col] -= (-1) ** m * sign * value
     return mat
 
 
@@ -200,7 +164,7 @@ def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     if k < 0:
         return []
     _, null = _spaces(coboundary_matrix(alg, k))
-    return [form_from_vector(null[:, i], alg.dim, k) for i in range(null.shape[1])]
+    return [KForm(alg.dim, k, col) for col in null.T]
 
 
 def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
@@ -208,13 +172,12 @@ def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     if k < 1:
         return []
     img, _ = _spaces(coboundary_matrix(alg, k - 1))
-    return [form_from_vector(img[:, i], alg.dim, k) for i in range(img.shape[1])]
+    return [KForm(alg.dim, k, col) for col in img.T]
 
 
 def cohomology_dim(alg: LieAlgebraSpec, k: int) -> int:
     """dim H^k = dim Z^k - dim B^k with SVD rank decisions, read off the
-    matrices of delta_k and delta_{k-1}: no form is built (a k-form holds
-    n^k coefficients)."""
+    matrices of delta_k and delta_{k-1}: no form is built."""
     if k < 0:
         return 0
     cocycles = _spaces(coboundary_matrix(alg, k))[1].shape[1]
@@ -227,11 +190,12 @@ def radical(alg: LieAlgebraSpec, omega: KForm):
     Returns ``(basis_vectors, codim)`` where the basis columns span
     ``{X : omega(X, .) = 0}`` and ``codim = rank(omega)`` (always even).
     Raises NotSubalgebra when bracket-closure fails, which signals a form
-    outside Z^2.
+    outside Z^2, and DimensionMismatch for a form on another dimension.
     """
     if omega.degree != 2:
         raise ValueError("radical is defined for two-forms")
-    _, null = _spaces(omega.coeffs)
+    _check_fits(alg.dim, omega)
+    _, null = _spaces(_two_form_matrix(omega))
     codim = alg.dim - null.shape[1]
 
     # closure: [u, v] must fall back into the span for all basis pairs
@@ -245,6 +209,13 @@ def radical(alg: LieAlgebraSpec, omega: KForm):
                     "null space is not a subalgebra; the form is not closed"
                 )
     return [span[:, i] for i in range(span.shape[1])], codim
+
+
+def _two_form_matrix(omega: KForm) -> np.ndarray:
+    """The antisymmetric n x n matrix omega(e_i, e_j) of a two-form."""
+    mat = np.zeros((omega.dim, omega.dim))
+    mat[np.triu_indices(omega.dim, 1)] = omega.coeffs
+    return mat - mat.T
 
 
 def _spaces(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -481,7 +481,7 @@ _VALUE_TYPES = [  # (type, fresh valid arguments, its array fields)
     (alg.LieAlgebraSpec, _so3_parts, ("structure", "basis")),
     (BilinearForm, lambda: dict(coeffs=np.diag([1.0, 2.0, 3.0])), ("coeffs",)),
     (GroupElement, lambda: dict(matrix=np.eye(3)), ("matrix",)),
-    (KForm, lambda: dict(degree=1, coeffs=np.array([1.0, 2.0])), ("coeffs",)),
+    (KForm, lambda: dict(dim=2, degree=1, coeffs=np.array([1.0, 2.0])), ("coeffs",)),
     (BodyState, lambda: dict(g=GroupElement(np.eye(3)), sigma=np.ones(3)), ("sigma",)),
     (GridWavefunction, lambda: dict(psi=np.ones(8, dtype=complex), dx=0.5, q0=-2.0), ("psi",)),
     (PhaseGrid, lambda: dict(values=np.ones((4, 4)), dq=1.0, dp=1.0, q0=0.0, p0=0.0),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -245,10 +246,12 @@ def test_cohomology_accepts_bare_algebra_document(tmp_path):
 @pytest.mark.parametrize("algebra,pairs", [
     ("abelian1", [[0, 0, 1.0]]),  # no two-forms on a line
     ("so3", [[0, 3, 1.0]]),       # index outside the algebra
+    ("so3", [[1, 1, 1.0]]),       # a two-form has no diagonal component
+    ("so3", [[1, 1, 0.0]]),       # not even a zero one
 ])
 def test_cohomology_bad_omega_is_schema_error(tmp_path, algebra, pairs):
     scen = write(tmp_path, "c.json", {"algebra": algebra, "omega": {"pairs": pairs}})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=re.escape(f"omega pair {pairs[0]}")):
         cli.run("cohomology", scen, str(tmp_path / "out"), seed=None)
     assert cli.main(["cohomology", scen, "--out", str(tmp_path / "o")]) == 2
 
@@ -766,6 +769,31 @@ def test_interrupted_run_leaves_the_previous_run_untouched(tmp_path, monkeypatch
         cli.main(["wigner", excited, "--out", str(out)])
     assert _tree(out) == before
     assert _manifest_matches(out)
+
+
+def test_a_second_run_removes_the_files_that_only_the_old_manifest_lists(tmp_path):
+    # an euler run and then a wigner run into one directory left euler.csv and
+    # conservation.json there, listed by no manifest
+    euler = write(tmp_path, "e.json", {"principal_moments": [1.0, 2.0, 3.0],
+                                       "initial": {"sigma": [1.0, 1.0, 1.0]}, "t_end": 0.1})
+    wigner = write(tmp_path, "w.json", WIGNER_64)
+    out = tmp_path / "D"
+    assert cli.main(["euler", euler, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("no manifest lists this")
+    assert cli.main(["wigner", wigner, "--out", str(out)]) == 0
+    listed = {r["name"] for r in read_json(out, "manifest.json")["files"]}
+    assert set(_tree(out)) == listed | {"manifest.json", "notes.txt"}
+    assert _manifest_matches(out)
+    # only plain names: a listed path, or a manifest that cannot be read, removes nothing
+    (tmp_path / "outside.txt").write_text("x")
+    (out / "sub").mkdir()
+    (out / "sub" / "f").write_text("x")
+    for old in ({"files": [{"name": "../outside.txt"}, {"name": "sub/f"}, {"name": "sub"}]},
+                {"files": [{"name": "notes.txt"}, "not a record"]}, "[not json"):
+        (out / "manifest.json").write_text(old if isinstance(old, str) else json.dumps(old))
+        assert cli.main(["euler", euler, "--out", str(out)]) == 0
+    assert (tmp_path / "outside.txt").exists()
+    assert {"notes.txt", "sub/f", "wigner.f64", "euler.csv"} <= set(_tree(out))
 
 
 def test_run_stopped_while_writing_leaves_no_manifest(tmp_path, capsys):
