@@ -208,7 +208,8 @@ class _Artifacts:
         """Write every file into ``out_dir``, then manifest.json: every file with
         its hash, plus ``extra``.  An old manifest is removed first, so a write
         stopped part-way leaves no manifest rather than a wrong one, and so are
-        the files that it lists and this run does not write."""
+        the files that it lists, this run does not write and that still hold
+        the bytes it recorded."""
         files = sorted(self.files.items())
         records = [{"name": name, "sha256": hashlib.sha256(payload).hexdigest(),
                     "bytes": len(payload)} for name, payload in files]
@@ -217,12 +218,12 @@ class _Artifacts:
         old_manifest = os.path.join(out_dir, "manifest.json")
         try:
             os.makedirs(out_dir, exist_ok=True)
-            stale = _listed_files(old_manifest) - self.files.keys()
+            stale = [os.path.join(out_dir, name) for name, sha in _listed_files(old_manifest).items()
+                     if name not in self.files and _sha256_of(os.path.join(out_dir, name)) == sha]
             with contextlib.suppress(FileNotFoundError):
                 os.remove(old_manifest)
-            for name in stale:
-                if os.path.isfile(os.path.join(out_dir, name)):
-                    os.remove(os.path.join(out_dir, name))
+            for path in stale:
+                os.remove(path)
             for name, payload in [*files, ("manifest.json", text.encode())]:
                 with open(os.path.join(out_dir, name), "wb") as fh:
                     fh.write(payload)
@@ -231,15 +232,25 @@ class _Artifacts:
         return manifest
 
 
-def _listed_files(manifest_path: str) -> set:
+def _listed_files(manifest_path: str) -> dict:
     """The plain file names (no directory part, not the manifest) that a
-    manifest lists; none when it cannot be read or is malformed."""
+    manifest lists, each with its recorded sha256; none when it cannot be
+    read or is malformed."""
     try:
         with open(manifest_path, encoding="utf-8") as fh:
-            names = {record["name"] for record in json.load(fh)["files"]}
-        return {name for name in names if os.path.basename(name) == name and name != "manifest.json"}
+            listed = {record["name"]: record["sha256"] for record in json.load(fh)["files"]}
+        return {name: sha for name, sha in listed.items()
+                if os.path.basename(name) == name and name != "manifest.json"}
     except (OSError, ValueError, TypeError, KeyError):
-        return set()
+        return {}
+
+
+def _sha256_of(path: str) -> str | None:
+    """The hex SHA-256 of a plain file's bytes; None when it is no plain file."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +475,8 @@ def _run_wigner(scn: dict, art: _Artifacts) -> list[dict]:
 
 def _two_form(pairs: list, dim: int) -> forms.KForm:
     """The scenario's ``omega = {"pairs": [[i, j, value], ...]}``."""
-    coeffs = np.zeros((dim, dim))
-    for i, j, val in pairs:
-        if not (i < dim and j < dim) or i == j:
-            raise SchemaError(f"omega pair {[i, j, val]} needs two distinct indices in [0, {dim})")
-        coeffs[i, j], coeffs[j, i] = val, -val
-    try:
-        # the upper triangle row by row holds the pairs i < j in component order
-        return forms.KForm(dim, 2, coeffs[np.triu_indices(dim, 1)])  # rejects dim < 2
+    try:  # refuses a pair with i == j or an index outside [0, dim), and dim < 2
+        return forms._two_form_from_pairs(dim, pairs)
     except ValueError as exc:
         raise SchemaError(f"bad omega {pairs!r}: {exc}") from exc
 

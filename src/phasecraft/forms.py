@@ -153,9 +153,10 @@ def coboundary_matrix(alg: LieAlgebraSpec, k: int) -> np.ndarray:
         for m, c in enumerate(idx):
             rest = idx[:m] + idx[m + 1:]
             for i, j, value in terms[c]:
+                if i in rest or j in rest:
+                    continue
                 row, sign = _sorted_sign(rest[:m] + (i, j) + rest[m:])
-                if sign:
-                    mat[rows[row], col] -= (-1) ** m * sign * value
+                mat[rows[row], col] -= (-1) ** m * sign * value
     return mat
 
 
@@ -163,16 +164,14 @@ def cocycle_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     """Orthonormal basis of Z^k = Ker delta_k (SVD rank cutoff 1e-10)."""
     if k < 0:
         return []
-    _, null = _spaces(coboundary_matrix(alg, k))
-    return [KForm(alg.dim, k, col) for col in null.T]
+    return [KForm(alg.dim, k, col) for col in _spaces(coboundary_matrix(alg, k))[1].T]
 
 
 def coboundary_space(alg: LieAlgebraSpec, k: int) -> list[KForm]:
     """Orthonormal basis of B^k = Im delta_{k-1}."""
     if k < 1:
         return []
-    img, _ = _spaces(coboundary_matrix(alg, k - 1))
-    return [KForm(alg.dim, k, col) for col in img.T]
+    return [KForm(alg.dim, k, col) for col in _spaces(coboundary_matrix(alg, k - 1))[0].T]
 
 
 def cohomology_dim(alg: LieAlgebraSpec, k: int) -> int:
@@ -216,6 +215,18 @@ def _two_form_matrix(omega: KForm) -> np.ndarray:
     mat = np.zeros((omega.dim, omega.dim))
     mat[np.triu_indices(omega.dim, 1)] = omega.coeffs
     return mat - mat.T
+
+
+def _two_form_from_pairs(dim: int, pairs) -> KForm:
+    """The two-form with omega(e_i, e_j) = value per ``(i, j, value)``; a
+    later pair on the same two indices wins.  The inverse of _two_form_matrix."""
+    positions = _positions(dim, 2)
+    w = np.zeros(len(positions))
+    for i, j, value in pairs:
+        if i == j or not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"omega pair {[i, j, value]} needs two distinct indices in [0, {dim})")
+        w[positions[min(i, j), max(i, j)]] = value if i < j else -value
+    return KForm(dim, 2, w)
 
 
 def _spaces(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

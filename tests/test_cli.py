@@ -784,12 +784,19 @@ def test_a_second_run_removes_the_files_that_only_the_old_manifest_lists(tmp_pat
     listed = {r["name"] for r in read_json(out, "manifest.json")["files"]}
     assert set(_tree(out)) == listed | {"manifest.json", "notes.txt"}
     assert _manifest_matches(out)
+    # a listed file whose bytes changed since its run was written stays
+    assert cli.main(["euler", euler, "--out", str(out)]) == 0
+    (out / "euler.csv").write_text("edited\n")
+    assert cli.main(["wigner", wigner, "--out", str(out)]) == 0
+    assert "euler.csv" in _tree(out) and "conservation.json" not in _tree(out)
     # only plain names: a listed path, or a manifest that cannot be read, removes nothing
     (tmp_path / "outside.txt").write_text("x")
     (out / "sub").mkdir()
     (out / "sub" / "f").write_text("x")
-    for old in ({"files": [{"name": "../outside.txt"}, {"name": "sub/f"}, {"name": "sub"}]},
-                {"files": [{"name": "notes.txt"}, "not a record"]}, "[not json"):
+    x_sha = hashlib.sha256(b"x").hexdigest()
+    notes_sha = hashlib.sha256((out / "notes.txt").read_bytes()).hexdigest()
+    for old in ({"files": [{"name": name, "sha256": x_sha} for name in ("../outside.txt", "sub/f", "sub")]},
+                {"files": [{"name": "notes.txt", "sha256": notes_sha}, "not a record"]}, "[not json"):
         (out / "manifest.json").write_text(old if isinstance(old, str) else json.dumps(old))
         assert cli.main(["euler", euler, "--out", str(out)]) == 0
     assert (tmp_path / "outside.txt").exists()
