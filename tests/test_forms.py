@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -433,3 +434,18 @@ def test_cocycle_space_answers_every_degree(name):
 def test_a_cocycle_holds_its_components_only():
     # it used to be a dense (7, 7, 7, 7) tensor
     assert cocycle_space(_HEIS, 4)[0].coeffs.shape == (35,)
+
+
+def test_two_form_from_pairs_inverts_the_matrix():
+    # omega(e_i, e_j) = value for each pair, either order; a later pair wins
+    omega = forms._two_form_from_pairs(4, [[0, 2, 1.5], [3, 1, 2.0], [2, 0, 9.0], [2, 0, 0.5]])
+    want = np.zeros((4, 4))
+    want[0, 2], want[2, 0], want[3, 1], want[1, 3] = -0.5, 0.5, 2.0, -2.0
+    npt.assert_array_equal(forms._two_form_matrix(omega), want)
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=10)
+    pairs = [[i, j, v] for (i, j), v in zip(itertools.combinations(range(5), 2), w)]
+    npt.assert_array_equal(forms._two_form_from_pairs(5, pairs).coeffs, w)
+    for bad in ([1, 1, 0.0], [0, 4, 1.0], [-1, 0, 1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"omega pair {bad}")):
+            forms._two_form_from_pairs(4, [bad])
