@@ -435,9 +435,10 @@ def _frozen(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _check_scalars(obj, positive=(), finite=()) -> None:
+def _check_scalars(obj, positive=(), finite=(), integral=()) -> None:
     """``ValueError`` ("<name> must be ...") unless each field of ``obj`` named
-    in ``positive`` lies in (0, inf) and each named in ``finite`` is finite."""
+    in ``positive`` lies in (0, inf), each named in ``finite`` is finite and
+    each named in ``integral`` is a Python or numpy integer other than a bool."""
     for name in positive:
         value = getattr(obj, name)
         if not 0 < value < math.inf:  # written so that a NaN fails the test as well
@@ -445,6 +446,10 @@ def _check_scalars(obj, positive=(), finite=()) -> None:
     for name in finite:
         if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+    for name in integral:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _from_checked(cls, *values):

@@ -81,11 +81,9 @@ class ShellEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        _check_scalars(self, positive=("epsilon",), finite=("center",))
-        for name in ("samples", "seed"):  # np.uint64(1.5) would put seed 1.5 on seed 1's streams
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # np.uint64(1.5) would put seed 1.5 on seed 1's streams
+        _check_scalars(self, positive=("epsilon",), finite=("center",),
+                       integral=("samples", "seed"))
         if self.samples < _N_BATCHES:
             raise ValueError(f"need at least {_N_BATCHES} samples")
         if not 0 <= self.seed < _SEED_LIMIT:

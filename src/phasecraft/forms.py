@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, _frozen
+from .algebra import LieAlgebraSpec, _check_scalars, _frozen
 from .errors import DegreeOverflow, DimensionMismatch, NotSubalgebra
 
 __all__ = [
@@ -53,6 +53,7 @@ class KForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _check_scalars(self, integral=("dim", "degree"))  # math.comb takes no float
         if not 0 <= self.degree <= self.dim:
             raise ValueError(f"degree must lie in [0, dim = {self.dim}], got {self.degree}")
         w = _frozen(np.array(self.coeffs, dtype=float), "coeffs")

@@ -58,6 +58,7 @@ _TAIL_BOUND = 1.0e-8
 _FD_STEP = 1.0e-4
 _GRAD_TOL = 1.0e-8
 _ROW_BLOCK = 32  # rows of wigner_transform's half-correlation per pass: 0.5 MB at N = 512
+_COL_BLOCK = 64  # FFT-table columns per pass of _symbol_to_kernel: 4 MB at N = 512
 # star_product refuses operands whose edge ratios (the largest |W| on the outer
 # rows and columns over the largest |W|) both exceed this
 _EDGE_RATIO_BOUND = 1.0e-6
@@ -347,54 +348,65 @@ def marginals(w: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 def _symbol_to_kernel(values, dq, dp, p0, hbar) -> np.ndarray:
     """Integral-operator kernel K[x_j, x_k] on the half-step lattice
     h = dq/2 (2 Nq points) from complex symbol samples (Nq x Np,
-    dq dp = 2 pi hbar / Np), by the inverse midpoint map."""
+    dq dp = 2 pi hbar / Np), by the inverse midpoint map.  Diagonal d of K
+    reads the rows of parity d of F, the sums along p interpolated x4 along q,
+    so the sums come first and one FFT along q and one inverse FFT of length
+    2 Nq per block of columns give only those rows."""
     nq, np_ = values.shape
     two_nq, two_np = 2 * nq, 2 * np_
-    # symbol upsampled x4 along q: rows at spacing dq/4 index (j + k)
-    a4 = _upsample2(_upsample2(values, axis=0), axis=0)
-    # F[l, r] = sum_m a4[l, m] e^{i p_m r h / hbar}, p_m = p0 + m dp,
-    # p_m r h / hbar = p0 r h / hbar + pi m r / Np  -> zero-padded inverse
-    # FFT of length 2 Np (exactly periodic in r with period 2 Np)
-    # Extend the p-window to the full reciprocal of the half-step lattice:
+    # sum_m values[i, m] e^{i p_m r h / hbar}, p_m = p0 + m dp, where p_m r h / hbar
+    # = p0 r h / hbar + pi m r / Np  -> zero-padded unnormalised inverse FFT of
+    # length 2 Np.  Extend the p-window to the full reciprocal of the half-step lattice:
     # the upper half aliases to momenta below the band, so replicate the
     # matching band edges (zero for decaying symbols, exact for constants).
-    table = np.empty((4 * nq, two_np), dtype=complex)
-    table[:, :np_] = a4
-    table[:, np_ : 3 * np_ // 2] = a4[:, -1:]
-    table[:, 3 * np_ // 2 :] = a4[:, :1]
-    del a4
-    np.fft.ifft(table, axis=1, out=table)  # in place (numpy >= 2): no second table
-    table *= two_np
-    # K[j, k] = F[j + k, (j - k) mod 2 Np] e^{i p0 (j - k) h / hbar}, filled one
-    # diagonal d = j - k at a time.  The discrete p-sum is periodic in d with
-    # period 2 Np; beyond half that period the entries are aliases of the
+    table = np.empty((nq, two_np), dtype=complex)
+    table[:, :np_] = values
+    table[:, np_ : 3 * np_ // 2] = values[:, -1:]
+    table[:, 3 * np_ // 2 :] = values[:, :1]
+    np.fft.ifft(table, axis=1, out=table, norm="forward")  # in place (numpy >= 2)
+    # A column's x4 interpolation (Nyquist split at Nq/2, as by two _upsample2) at
+    # rows 2 m + e is 2 ifft_{2 Nq}(Z)[m], Z its spectrum on 2 Nq bins times the
+    # shift e^{2 pi i k e / 4 Nq} of each signed bin k; 2 / 2 Nq joins the constant.
+    half = nq // 2
+    shift = np.exp(1j * np.pi * np.fft.fftfreq(two_nq))
+    block = min(two_np, _COL_BLOCK)  # block starts are even: odd columns are 1::2
+    spec = np.zeros((block, two_nq), dtype=complex)
+    phase = np.exp(1j * p0 * np.arange(-np_, np_ + 1) * (dq / 2.0) / hbar)
+    # K[j, k] = F[j + k, (j - k) mod 2 Np] e^{i p0 (j - k) h / hbar} dp / (2 pi hbar),
+    # filled one diagonal d = j - k at a time.  The discrete p-sum is periodic in d
+    # with period 2 Np; beyond half that period the entries are aliases of the
     # (decayed) short-range content, so the diagonals |d| > Np stay zero.
-    seps = np.arange(-np_, np_ + 1)
-    phase = np.exp(1j * p0 * seps * (dq / 2.0) / hbar)
     kern = np.zeros((two_nq, two_nq), dtype=complex)
     flat = kern.reshape(-1)
-    for d, ph in zip(range(-np_, np_ + 1), phase):
-        start = d * two_nq if d >= 0 else -d  # flat index of K[d, 0] or K[0, -d]
-        diagonal = flat[start :: two_nq + 1][: two_nq - abs(d)]
-        np.multiply(table[abs(d) : 2 * two_nq - 1 - abs(d) : 2, d % two_np], ph, out=diagonal)
-    kern *= dp / (2.0 * np.pi * hbar)
+    for lo in range(0, two_np, block):
+        cols = np.fft.fft(table[:, lo : lo + block].T, axis=1)
+        spec[:, :half] = cols[:, :half]
+        spec[:, -half + 1 :] = cols[:, half + 1 :]
+        spec[:, half] = spec[:, -half] = 0.5 * cols[:, half]
+        spec[1::2] *= shift
+        rows = np.fft.ifft(spec, axis=1, norm="forward")
+        for c in range(lo, lo + block):  # column c = d mod 2 Np holds d = c - 2 Np, +-c or c
+            for d in (c - two_np,) if c > np_ else (c, -c) if c == np_ else (c,):
+                start = d * two_nq if d >= 0 else -d  # flat index of K[d, 0] or K[0, -d]
+                diag = flat[start :: two_nq + 1][: two_nq - abs(d)]
+                np.multiply(rows[c - lo, abs(d) // 2 :][: len(diag)], phase[d + np_], out=diag)
+    kern *= dp / (2.0 * np.pi * hbar * nq)
     return kern
 
 
-def _kernel_to_symbol(kern: np.ndarray, dq, p0, hbar) -> np.ndarray:
-    """Symbol samples on the reported N x N window from the kernel of a
-    doubled star-product grid (2N x 2N) on its half-step lattice (4N
-    points): the window's rows are rows N // 2 ... N // 2 + N - 1 of the
-    doubled grid, i.e. the even rows N, N + 2, ..., 3N - 2 of the half-step
-    lattice, and its momenta every second one of the doubled grid's 2N."""
-    two_nq = kern.shape[0]
-    n = two_nq // 4
-    np_ = 2 * n
+def _kernel_to_symbol(quarters: np.ndarray, dq, p0, hbar) -> np.ndarray:
+    """Symbol samples on the reported N x N window from the quarters
+    C[s] = K[s::4, -s mod 4 :: 4] of the composed kernel K of a doubled
+    star-product grid (2N x 2N) on its half-step lattice (4N points): the
+    window's rows are the even rows N ... 3N - 2 of that lattice (rows
+    N // 2 ... 3N // 2 - 1 of the doubled grid), its momenta every second one."""
+    n = quarters.shape[1]
+    two_nq, np_ = 4 * n, 2 * n
     i = np.arange(n, 3 * n, 2)[:, None]
     r = np.arange(two_nq)
-    # even separations: s = r dq, entries K[(i + r) % 2Nq, (i - r) % 2Nq]
-    gather = kern[(i + r) % two_nq, (i - r) % two_nq]
-    folded = gather.reshape(n, -1, np_).sum(axis=1)
+    # even separations s = r dq: K[x, y] at x, y = (i +- r) % 2Nq, x + y = 2 i = 0 mod 4
+    x, y = (i + r) % two_nq, (i - r) % two_nq
+    folded = quarters[x % 4, x // 4, y // 4].reshape(n, -1, np_).sum(axis=1)
     # sum_r folded[i, r] e^{-i p_m r dq / hbar} with p_m = p0 + m dp
     r = np.arange(np_)
     base = np.exp(-1j * p0 * r * dq / hbar)
@@ -416,7 +428,8 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     Implemented by the kernel factorization: both symbols are mapped to
     integral kernels on a doubled lattice (zero-padded in q so periodic
     images stay out of the reported window), composed by quadrature, and
-    mapped back.  The map-back folds the kernel's periodic image into the
+    mapped back; of the composed kernel only the quarter that the map-back
+    reads (row + column = 0 mod 4) is computed.  The map-back folds the kernel's periodic image into the
     result, and that image vanishes only when the product decays inside the
     window, so at least one operand must decay to the window's edges in q
     and in p.  Then 1 * A = A * 1 = A, the conjugation rule
@@ -456,10 +469,12 @@ def star_product(a: PhaseGrid, b: PhaseGrid) -> PhaseGrid:
     dp_fine = a.dp / 2.0
     ka = _symbol_to_kernel(doubled(a.values), a.dq, dp_fine, a.p0, a.hbar)
     kb = _symbol_to_kernel(doubled(b.values), b.dq, dp_fine, b.p0, b.hbar)
-    kern = ka @ kb
+    quarters = np.empty((4, n, n), dtype=complex)
+    for s in range(4):
+        np.matmul(ka[s::4], kb[:, -s % 4 :: 4], out=quarters[s])
     del ka, kb
-    kern *= a.dq / 2.0
-    sym = _kernel_to_symbol(kern, a.dq, a.p0, a.hbar)
+    quarters *= a.dq / 2.0
+    sym = _kernel_to_symbol(quarters, a.dq, a.p0, a.hbar)
     # products of real symbols need not be real; PhaseGrid keeps the complex
     # part only when it is genuine
     return PhaseGrid(sym, a.dq, a.dp, a.q0, a.p0, a.hbar)

@@ -136,6 +136,17 @@ def test_kform_refuses_a_wrong_shape_or_degree(n, k, coeffs):
         KForm(n, k, coeffs)
 
 
+@pytest.mark.parametrize("n,k,coeffs,field", [
+    (3, 1.5, np.ones(3), "degree"),      # used to end in math.comb's TypeError
+    (3.0, 1, np.ones(3), "dim"),
+    (True, 1, [1.0], "dim"),             # used to be accepted
+    (2, True, [1.0, 2.0], "degree"),
+], ids=["float_degree", "float_dim", "bool_dim", "bool_degree"])
+def test_kform_refuses_a_dim_or_degree_that_is_not_an_integer(n, k, coeffs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        KForm(n, k, coeffs)
+
+
 def test_forms_on_different_dimensions_do_not_combine():
     # wedge and + used to end in numpy's raw broadcast ValueError
     a, b = basis_one_form(3, 0), basis_one_form(4, 1)

@@ -461,34 +461,36 @@ def _full_map_back(kern, n, dq, p0, hbar):
 
 
 def test_star_maps_back_only_the_kept_rows_bit_for_bit(monkeypatch):
+    # dq = 15/64: neither dq / 2 nor the map-back's constants is a power of two
     n = 64
-    w0 = wg.wigner_transform(wg.ho_ground(n, -8.0, 8.0))
+    w0 = wg.wigner_transform(wg.ho_ground(n, -7.5, 7.5))
     other = wg.wigner_transform(
-        wg.gaussian_packet(0.7, n, -8.0, 8.0, q_center=0.5, p_center=0.3)
+        wg.gaussian_packet(0.7, n, -7.5, 7.5, q_center=0.5, p_center=0.3)
     )
     a = wg.star_product(w0, other)
     b = wg.PhaseGrid(np.conj(a.values), a.dq, a.dp, a.q0, a.p0, a.hbar)
     kernels = []
-    to_symbol = wg._kernel_to_symbol
+    to_kernel = wg._symbol_to_kernel
 
-    def recording(kern, *args):
-        kernels.append(kern.copy())
-        return to_symbol(kern, *args)
+    def recording(values, *args):
+        kernels.append(to_kernel(values, *args))
+        return kernels[-1].copy()
 
-    monkeypatch.setattr(wg, "_kernel_to_symbol", recording)
+    monkeypatch.setattr(wg, "_symbol_to_kernel", recording)
     # A * A and its conjugate are generic complex symbols; A * conj(A) is real
     for x, y, dtype in ((a, a, np.complex128), (b, b, np.complex128), (a, b, np.float64)):
         got = wg.star_product(x, y)
-        want = wg.PhaseGrid(_full_map_back(kernels[-1], n, x.dq, x.p0, x.hbar),
+        ka, kb = kernels[-2:]
+        want = wg.PhaseGrid(_full_map_back(ka @ kb * (x.dq / 2.0), n, x.dq, x.p0, x.hbar),
                             x.dq, x.dp, x.q0, x.p0, x.hbar)
         assert got.values.dtype == want.values.dtype == dtype
         assert np.array_equal(got.values, want.values)
 
 
-def _parent_kernel(values, dq, dp, p0, hbar):
-    # the oracle: the inverse midpoint map with its index, phase and cut
-    # built in 2-D for each operand, the padded table transformed into a
-    # new array
+def _two_step_kernel(values, dq, dp, p0, hbar):
+    # the reference: the symbol interpolated x4 along q by two _upsample2
+    # passes, then the inverse midpoint map with its index, phase and cut
+    # built in 2-D, the padded table transformed into a new array
     nq, np_ = values.shape
     two_nq, two_np = 2 * nq, 2 * np_
     a4 = wg._upsample2(wg._upsample2(values, axis=0), axis=0)
@@ -506,6 +508,53 @@ def _parent_kernel(values, dq, dp, p0, hbar):
     return kern
 
 
+def _parent_kernel(values, dq, dp, p0, hbar):
+    # the oracle: the inverse midpoint map with its index, phase and cut
+    # built in 2-D for each operand; its spectral stage transforms along p,
+    # then along q, and forms both row parities of every column of the x4
+    # table (stored transposed, a column per row) from the spectrum on 2 Nq bins
+    nq, np_ = values.shape
+    two_nq, two_np = 2 * nq, 2 * np_
+    pad = np.empty((nq, two_np), dtype=complex)
+    pad[:, :np_] = values
+    pad[:, np_ : 3 * np_ // 2] = values[:, -1:]
+    pad[:, 3 * np_ // 2 :] = values[:, :1]
+    cols = np.fft.fft(np.fft.ifft(pad, axis=1, norm="forward").T, axis=1)
+    half = nq // 2
+    spec = np.zeros((two_np, two_nq), dtype=complex)
+    spec[:, :half] = cols[:, :half]
+    spec[:, -half + 1 :] = cols[:, half + 1 :]
+    spec[:, half] = spec[:, -half] = 0.5 * cols[:, half]
+    table = np.empty((two_np, 4 * nq), dtype=complex)
+    table[:, 0::2] = np.fft.ifft(spec, axis=1, norm="forward")
+    table[:, 1::2] = np.fft.ifft(spec * np.exp(1j * np.pi * np.fft.fftfreq(two_nq)),
+                                 axis=1, norm="forward")
+    j = np.arange(two_nq)
+    ll = np.add.outer(j, j)
+    rr = np.subtract.outer(j, j)
+    phase = np.exp(1j * p0 * rr * (dq / 2.0) / hbar)
+    kern = table[rr % two_np, ll] * phase * (dp / (2.0 * np.pi * hbar * nq))
+    kern[np.abs(rr) > two_np // 2] = 0.0
+    return kern
+
+
+def _recorded_kernels(monkeypatch, a, b):
+    # star_product(a, b) and the (values, args, kernel) of each operand
+    calls = []
+    to_kernel = wg._symbol_to_kernel
+
+    def recording(values, *args):
+        kern = to_kernel(values, *args)
+        calls.append((values.copy(), args, kern.copy()))
+        return kern
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wg, "_symbol_to_kernel", recording)
+        prod = wg.star_product(a, b)
+    assert len(calls) == 2
+    return prod, calls
+
+
 def test_star_kernels_match_the_two_dimensional_map_bit_for_bit(monkeypatch):
     # dq = 15/64 makes the constant dp / (2 pi hbar) no power of two, so the
     # order of the phase and constant multiplications shows in the bits
@@ -516,22 +565,36 @@ def test_star_kernels_match_the_two_dimensional_map_bit_for_bit(monkeypatch):
     )
     a = wg.star_product(w0, other)
     assert np.iscomplexobj(a.values)
-    calls = []
-    to_kernel = wg._symbol_to_kernel
-
-    def recording(values, *args):
-        kern = to_kernel(values, *args)
-        calls.append((values.copy(), args, kern.copy()))
-        return kern
-
-    monkeypatch.setattr(wg, "_symbol_to_kernel", recording)
-    wg.star_product(a, w0)
-    assert len(calls) == 2
-    for values, args, kern in calls:
+    for values, args, kern in _recorded_kernels(monkeypatch, a, w0)[1]:
         assert values.shape == (2 * n, 2 * n)
         want = _parent_kernel(values, *args)
         assert kern.dtype == want.dtype == np.complex128
         assert np.array_equal(kern, want)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("half", [7.5, 8.0])
+def test_star_kernel_matches_the_two_step_interpolation(monkeypatch, n, half):
+    # The kernel's spectral stage runs in another order than the x4
+    # interpolation by two _upsample2 passes, so it rounds differently: within
+    # 8 eps of the largest entry, for the kernels and for the products
+    eps = np.finfo(float).eps
+    w0 = wg.wigner_transform(wg.ho_ground(n, -half, half))
+    gauss = wg.wigner_transform(
+        wg.gaussian_packet(0.7, n, -half, half, q_center=0.5, p_center=0.3)
+    )
+    prod = wg.star_product(w0, gauss)
+    assert np.iscomplexobj(prod.values)
+    one = wg.phase_grid_constant(1.0, w0)
+    for a, b in ((prod, gauss), (one, prod), (gauss, one)):
+        got, calls = _recorded_kernels(monkeypatch, a, b)
+        for values, args, kern in calls:
+            want = _two_step_kernel(values, *args)
+            assert np.max(np.abs(kern - want)) <= 8 * eps * np.max(np.abs(want))
+        with monkeypatch.context() as patch:
+            patch.setattr(wg, "_symbol_to_kernel", _two_step_kernel)
+            want = wg.star_product(a, b).values
+        assert np.max(np.abs(got.values - want)) <= 8 * eps * np.max(np.abs(want))
 
 
 def _star_peak_kib(n):
