@@ -37,13 +37,17 @@ builds for the seed, ``algebra.expm`` on the so(1,3) top's step matrix,
 so13 fixtures and ``forms.cohomology_dim(alg, 2)`` on so13, gl3 and
 heisenberg_rot (the rows that ``perfbench/kernels.py`` names),
 ``wigner.wigner_transform`` at N = 256 and 512 and ``star_product(1, W)``
-at N = 128 on the first state of each size in the ``phase_grid`` workload
-of the seed, ``affine.lattice_dynamics`` for 100 steps on the n = 2 and
+at N = 128 (rows ``transform_N256``, ``transform_N512``, ``star_N128``) on
+the first state of each size in the ``phase_grid`` workload of the seed,
+``affine.lattice_dynamics`` for 100 steps on the n = 2 and
 n = 3 hyperbolic lattices of the ``bodies`` workload, and ``cli.run`` of
 ``scenarios/ho_ground_wigner.json`` into a temporary directory (microseconds
-per call).  Then the same side times one fresh process of each entry of
-``identity.CLI_COMMANDS`` (wall seconds, row ``cli.<name>``).  A kernel or
-command has no bound, so its verdict is ``gain`` or ``-``.
+per call).  ``star_product(1, W)`` at N = 256 and 512 (rows ``star_N256``
+and ``star_N512``, on the same states) takes the best of ``ROUNDS`` single
+calls, each N in a fresh process of its own, as a product at N = 512 can
+peak at a few hundred MiB.  Then the same side times one fresh process of
+each entry of ``identity.CLI_COMMANDS`` (wall seconds, row ``cli.<name>``).
+A kernel or command has no bound, so its verdict is ``gain`` or ``-``.
 Standard library only.
 """
 
@@ -62,9 +66,11 @@ from pathlib import Path
 from identity import CLI_COMMANDS, ONE_THREAD, TIMEOUT_S, cli, declared_workloads
 
 ROUNDS, CALLS = 5, 20
+FRESH = ("star_N256", "star_N512")  # timed apart by single calls, see kernel_times
 # below ten pairs the base IQR can be 0, and any win would read as a gain
 MIN_PAIRS = 10
-# one process of --kernels, run in a checkout with its src and perfbench on the path;
+# one process of --kernels, run in a checkout with its src and perfbench on the path, that
+# times only the kernels named after "only", or every one but those named after "skip";
 # its last line is a JSON object of microseconds per call, by kernel
 KERNELS = """
 import json, sys, tempfile
@@ -74,7 +80,8 @@ from phasecraft import affine, algebra, cli, forms, rigid, wigner
 from phasecraft.algebra import BilinearForm, GroupElement
 from phasecraft.fixtures import fixture
 import workloads
-seed, rounds, calls = map(int, sys.argv[1:])
+seed, rounds, calls = map(int, sys.argv[1:4])
+mode, names = sys.argv[4], set(sys.argv[5:])
 tops, so13 = workloads.rigid_tops(seed), workloads.general_bodies(seed)[2].params["scenario"]
 free = tops[0].params["scenario"]
 bodies = {
@@ -100,8 +107,10 @@ for spec in workloads.phase_grid(seed):
 for n in (256, 512):
     psi = workloads.psi_of(states[n]["state"], states[n]["grid"])
     kernels[f"transform_N{n}"] = lambda psi=psi: wigner.wigner_transform(psi)
-w = wigner.wigner_transform(workloads.psi_of(states[128]["state"], states[128]["grid"]))
-kernels["star_N128"] = lambda one=wigner.phase_grid_constant(1.0, w): wigner.star_product(one, w)
+for n in (128, 256, 512):
+    w = wigner.wigner_transform(workloads.psi_of(states[n]["state"], states[n]["grid"]))
+    kernels[f"star_N{n}"] = lambda w=w, one=wigner.phase_grid_constant(1.0, w): (
+        wigner.star_product(one, w))
 for tag, spec in (("n2", workloads.lattice_pairs(seed)[0]),
                   ("n3", workloads.general_bodies(seed)[0])):
     init = spec.params["scenario"]["initial"]
@@ -114,6 +123,8 @@ kernels["cli_wigner_ho_ground"] = lambda: cli.run("wigner", "scenarios/ho_ground
                                                   out.name, None)
 best = {}
 for name, fn in kernels.items():
+    if (name in names) != (mode == "only"):
+        continue
     fn()
     times = []
     for _ in range(rounds):
@@ -167,16 +178,25 @@ def summary(metric: dict, base: list, change: list) -> dict:
             "move": (med_c - med_b) / med_b if med_b else 0.0, "wins": wins, "verdict": verdict}
 
 
-def kernel_times(checkout: Path, seed: int) -> dict:
-    """Microseconds per call of each kernel, from one fresh process, and the
-    wall seconds of one fresh process of each command, as ``cli.<name>``."""
+def kernel_process(checkout: Path, seed: int, calls: int, mode: str, names) -> dict:
+    """Microseconds per call, by kernel, from one fresh ``KERNELS`` process."""
     path = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
-    proc = subprocess.run([sys.executable, "-c", KERNELS, str(seed), str(ROUNDS), str(CALLS)],
+    proc = subprocess.run([sys.executable, "-c", KERNELS, str(seed), str(ROUNDS), str(calls),
+                           mode, *names],
                           cwd=checkout, env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"kernel timing in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    times = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def kernel_times(checkout: Path, seed: int) -> dict:
+    """Microseconds per call of each kernel, from one fresh process and one
+    more per ``FRESH`` kernel, and the wall seconds of one fresh process of
+    each command, as ``cli.<name>``."""
+    times = kernel_process(checkout, seed, CALLS, "skip", FRESH)
+    for name in FRESH:
+        times.update(kernel_process(checkout, seed, 1, "only", [name]))
     for name, args in CLI_COMMANDS.items():
         with tempfile.TemporaryDirectory() as out:
             start = time.perf_counter()

@@ -613,17 +613,18 @@ def _star_peak_kib(n):
 
 
 def test_star_product_at_n_256_peaks_below_175_mib():
-    # each kernel is filled diagonal by diagonal from its FFT table, only the
-    # kept rows are mapped back and each temporary is freed before the next one
-    # is built; with every temporary alive to the end the product peaked at
-    # about 200 MiB
+    # each kernel is filled diagonal by diagonal from the rows it reads, only
+    # the mapped-back quarter of the product is computed and each temporary is
+    # freed before the next one is built; with every temporary alive to the end
+    # the product peaked at about 200 MiB
     assert _star_peak_kib(256) < 175 * 1024
 
 
 def test_star_product_at_n_512_peaks_below_350_mib():
     # at the peak two 2048 x 2048 complex kernels (64 MiB each) and one
-    # 4096 x 2048 FFT table (128 MiB) are alive; a 2048 x 2048 int64 gather
-    # index (32 MiB) beside them would cross the bound
+    # 1024 x 2048 table of sums along p (32 MiB) are alive; the 4096 x 2048
+    # x4-interpolated table (128 MiB) that the kernels were once read from
+    # brought the product to about 321 MiB
     assert _star_peak_kib(512) < 350 * 1024
 
 
