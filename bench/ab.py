@@ -45,8 +45,11 @@ n = 3 hyperbolic lattices of the ``bodies`` workload, and ``cli.run`` of
 per call).  ``star_product(1, W)`` at N = 256 and 512 (rows ``star_N256``
 and ``star_N512``, on the same states) takes the best of ``ROUNDS`` single
 calls, each N in a fresh process of its own, as a product at N = 512 can
-peak at a few hundred MiB.  Then the same side times one fresh process of
-each entry of ``identity.CLI_COMMANDS`` (wall seconds, row ``cli.<name>``).
+peak at a few hundred MiB.  After the kernel pairs, ``--pairs`` pairs time
+one fresh process of each entry of ``identity.CLI_COMMANDS`` (wall seconds,
+row ``cli.<name>``): the base and the change of each command run back to
+back, the base first when the pair's index plus the command's is even, so
+a slow spell of the host falls on both sides of a command alike.
 A kernel or command has no bound, so its verdict is ``gain`` or ``-``.
 Standard library only.
 """
@@ -192,19 +195,32 @@ def kernel_process(checkout: Path, seed: int, calls: int, mode: str, names) -> d
 
 def kernel_times(checkout: Path, seed: int) -> dict:
     """Microseconds per call of each kernel, from one fresh process and one
-    more per ``FRESH`` kernel, and the wall seconds of one fresh process of
-    each command, as ``cli.<name>``."""
+    more per ``FRESH`` kernel."""
     times = kernel_process(checkout, seed, CALLS, "skip", FRESH)
     for name in FRESH:
         times.update(kernel_process(checkout, seed, 1, "only", [name]))
-    for name, args in CLI_COMMANDS.items():
-        with tempfile.TemporaryDirectory() as out:
-            start = time.perf_counter()
-            proc = cli(checkout, args, Path(out))
-            times[f"cli.{name}"] = time.perf_counter() - start
-        if proc.returncode != 0:
-            raise SystemExit(f"{name} in {checkout} exited {proc.returncode}:\n"
-                             f"{proc.stderr.decode()}")
+    return times
+
+
+def order(k: int) -> tuple:
+    """The sides in the order they run: the base first for even k."""
+    return ("base", "change") if k % 2 == 0 else ("change", "base")
+
+
+def command_times(checkouts: dict, k: int) -> dict:
+    """Per side, the wall seconds of one fresh process of each
+    ``CLI_COMMANDS`` entry, as ``cli.<name>``: the two sides of a command
+    run back to back, in the ``order`` of k plus the command's index."""
+    times = {"base": {}, "change": {}}
+    for index, (name, args) in enumerate(CLI_COMMANDS.items()):
+        for label in order(k + index):
+            with tempfile.TemporaryDirectory() as out:
+                start = time.perf_counter()
+                proc = cli(checkouts[label], args, Path(out))
+                times[label][f"cli.{name}"] = time.perf_counter() - start
+            if proc.returncode != 0:
+                raise SystemExit(f"{name} in {checkouts[label]} exited {proc.returncode}:\n"
+                                 f"{proc.stderr.decode()}")
     return times
 
 
@@ -214,7 +230,7 @@ def paired(checkouts: dict, pairs: int, seeds: list, label: str, measure) -> dic
     values = {"base": [], "change": []}
     for k in range(pairs):
         seed = seeds[k % len(seeds)]
-        for name in ("base", "change") if k % 2 == 0 else ("change", "base"):
+        for name in order(k):
             values[name].append(measure(checkouts[name], seed))
             print(f"{label} pair {k + 1}/{pairs} seed {seed} {name}: "
                   + ", ".join(f"{m} {v:.4g}" for m, v in values[name][-1].items()),
@@ -263,6 +279,12 @@ def main(argv=None) -> int:
     bad = False
     if args.kernels:
         values = paired(checkouts, args.pairs, seeds, "kernels", kernel_times)
+        for k in range(args.pairs):
+            for label, times in command_times(checkouts, k).items():
+                values[label][k].update(times)
+                print(f"commands pair {k + 1}/{args.pairs} {label}: "
+                      + ", ".join(f"{m} {v:.4g}" for m, v in times.items()),
+                      file=sys.stderr, flush=True)
         record["tables"]["kernels"] = table("kernels", [
             {"name": name, "unit": "s" if name.startswith("cli.") else "us", "better": "lower"}
             for name in values["base"][0]], values)

@@ -16,12 +16,17 @@ one-dimensional lattice of the deformation invariants with 1/sinh^2
 repulsion (strength M^2) and 1/cosh^2 attraction (strength N^2); the
 isotropic d'Alembert model likewise becomes an inverse-square lattice in
 Q = exp(q).
+
+The lattice energy and flow are straight-line code that ``_lattice_code``
+generates and compiles once per variant, n and dilatation well on or off.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +58,9 @@ __all__ = [
 
 _DEGENERACY_TOL = 1.0e-10
 _DENOM_FLOOR = 1.0e-14
+# the largest n whose lattice kernel is generated: its source grows as n^3, and it
+# compiled in 13 ms at n = 8, 0.09 s at 16 (0.36 MB of source) and 0.8 s at 32 (2.6 MB)
+_MAX_LATTICE_N = 16
 
 
 # ---------------------------------------------------------------------------
@@ -369,92 +377,153 @@ def lattice_hamiltonian(
 
     ``dilatation_k`` adds the optional harmonic well k/2 (mean(q) - c)^2 that
     stabilizes the free dilatational mode.  Double sums run over all (a, b),
-    a != b, matching the printed normalization.
+    a != b, matching the printed normalization.  ValueError as in
+    ``lattice_dynamics``.
     """
     n = lat.n
-    q = lat.q.tolist()
-    p = lat.p.tolist() if lat.p is not None else [0.0] * n
+    energy = _lattice_model(variant, params, n, dilatation_k, dilatation_center)[1]
     zeros = [0.0] * (n * (n - 1) // 2)
-    m_up = _upper(lat.M) if lat.M is not None else zeros
-    n_up = _upper(lat.N) if lat.N is not None else zeros
-    well, _, dt_dp, terms = _lattice_model(variant, params, dilatation_k, dilatation_center)(q, p)
+    p = lat.p.tolist() if lat.p is not None else [0.0] * n
+    well, dt_dp, pairs = energy(lat.q.tolist(), p, _upper(lat.M) if lat.M is not None else zeros,
+                                _upper(lat.N) if lat.N is not None else zeros)
     # T is quadratic in p, so T = p . dT/dp / 2
-    energy = 0.5 * float(np.dot(p, dt_dp)) + well
-    pairs = 0.0
-    for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
-        pairs += c_m * (m * m) + c_n * (nv * nv)
-    return energy + pairs
+    return 0.5 * float(np.dot(p, dt_dp)) + well + pairs
 
 
-def _lattice_model(variant, params, dil_k, dil_c):
-    """Bind a lattice variant, its constant (``a``, or ``I`` for calogero) and
-    the dilatation well once; ValueError for an unknown variant, a missing,
-    zero or non-finite constant or a non-finite well setting.  The returned
-    ``kernel(q, p)``, on lists of floats, gives (well energy, dH/dq, dH/dp,
-    terms): the one-body gradients include the well, and ``terms`` holds per
-    pair a < b in row-major order (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a,
-    dc_N/dq_b) of the pair part sum_{a<b} c_M M_ab^2 + c_N N_ab^2 of H, both
-    orderings of the printed double sum counted.  Pair terms come first, so a
-    colliding or NaN q raises SingularConfiguration."""
+def _lattice_model(variant, params, n, dil_k, dil_c):
+    """The compiled ``(flow, energy)`` of ``_lattice_code`` bound to the
+    constant (``a``, or ``I`` for calogero) and the dilatation well;
+    ValueError as listed in ``lattice_dynamics`` (a bool or a string is not
+    a real number)."""
     if variant not in ("hyperbolic", "trigonometric", "calogero"):
         raise ValueError(f"unknown lattice variant {variant!r}")
-    hyper, calogero = variant == "hyperbolic", variant == "calogero"
-    key = "I" if calogero else "a"
-    strength = float(params[key]) if key in params else math.nan
-    if not (math.isfinite(strength) and strength != 0.0):
-        raise ValueError(f"the {variant} lattice needs a finite nonzero {key!r}, "
-                         f"got {params.get(key)!r}")
+    if n > _MAX_LATTICE_N:
+        raise ValueError(f"lattice kernels exist for n <= {_MAX_LATTICE_N} invariants, got n = {n}")
+    key = "I" if variant == "calogero" else "a"
+    strength = params.get(key)
+    if not (_finite_real(strength) and strength != 0.0):
+        raise ValueError(f"the {variant} lattice needs a finite nonzero real {key!r}, "
+                         f"got {strength!r}")
     for name, value in (("dilatation_k", dil_k), ("dilatation_center", dil_c)):
-        if not math.isfinite(value):
-            raise ValueError(f"the dilatation well needs a finite {name}, got {value!r}")
-    if calogero:
+        if not _finite_real(value):
+            raise ValueError(f"the dilatation well needs a finite real {name}, got {value!r}")
+    strength = float(strength)
+    if variant == "calogero":
         scale, sign = 0.25 / strength, 1.0
     else:
-        scale, sign = 1.0 / (16.0 * strength), -1.0 if hyper else 1.0
-        rep_f, att_f = (math.sinh, math.cosh) if hyper else (math.sin, math.cos)
+        scale, sign = 1.0 / (16.0 * strength), -1.0 if variant == "hyperbolic" else 1.0
+    bind = _lattice_code(variant, n, dil_k != 0.0)
+    return bind(strength, scale, sign, float(dil_k), float(dil_c))
 
-    def kernel(q, p):
-        n = len(q)
-        terms = []
-        try:
-            qs = [math.exp(x) for x in q] if calogero else q
-            for a in range(n):
-                for b in range(a + 1, n):
-                    # repulsive and attractive denominators, c_M = scale / rep^2 and
-                    # c_N = sign * scale / att^2, and their q_a and q_b derivatives
-                    if calogero:
-                        rep, att = qs[a] - qs[b], qs[a] + qs[b]
-                        rep_a, rep_b = qs[a], -qs[b]
-                        att_a, att_b = qs[a], qs[b]
-                    else:
-                        half = 0.5 * (qs[a] - qs[b])
-                        rep, att = rep_f(half), att_f(half)
-                        rep_a, att_a = 0.5 * att, -0.5 * sign * rep
-                        rep_b, att_b = -rep_a, -att_a
-                    if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
-                        raise SingularConfiguration("lattice denominator underflow")
-                    cm, cn = scale / rep**2, sign * scale / att**2
-                    terms.append((cm, cn, -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep,
-                                  -2.0 * cn * att_a / att, -2.0 * cn * att_b / att))
-        except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf
-            raise Overflow("deformation invariants too far apart for the lattice terms") from exc
-        if calogero:
-            # T = sum_a exp(-2 q_a) p_a^2 / 2I
-            try:
-                dt_dp = [math.exp(-2.0 * x) / strength * y for x, y in zip(q, p)]
-            except OverflowError as exc:
-                raise Overflow("kinetic weight exp(-2 q) leaves the float64 range") from exc
-            dt_dq = [-d * y for d, y in zip(dt_dp, p)]
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _lattice_terms(variant, n, well, flow) -> list:
+    """Source lines shared by the energy and the flow: per pair k = (a, b),
+    a < b, in row-major order, the denominators repk and attk, their floor
+    check and cmk, cnk of the pair part sum_k cmk Mk^2 + cnk Nk^2 of H (both
+    orderings of the printed double sum counted); then vA = dH/dpA and the
+    well energy.  With ``flow`` also dcmk/dqa, dcmk/dqb, dcnk/dqa, dcnk/dqb
+    (dmak, dmbk, dnak, dnbk) and the one-body part wA of dH/dqA if nonzero."""
+    calogero, q = variant == "calogero", [f"q{a}" for a in range(n)]
+    lines = [f"x{a} = exp(q{a})" for a in range(n) if calogero]
+    for k, (a, b) in enumerate(_skew_tables(n)[0]):
+        if calogero:  # rep = Qa - Qb and att = Qa + Qb with Q = exp(q)
+            lines += [f"rep{k} = x{a} - x{b}", f"att{k} = x{a} + x{b}"]
+            legs = (f"x{a}", f"-x{b}", f"x{a}", f"x{b}")  # their q_a and q_b derivatives
         else:
-            dt_dp = [y / strength for y in p]
-            dt_dq = [0.0] * n
-        if dil_k == 0.0:
-            return 0.0, dt_dq, dt_dp, terms
-        shift = sum(q) / n - dil_c
-        pull = dil_k * shift / n
-        return 0.5 * dil_k * shift**2, [d + pull for d in dt_dq], dt_dp, terms
+            rep, att = ("sinh", "cosh") if variant == "hyperbolic" else ("sin", "cos")
+            lines += [f"half = 0.5 * (q{a} - q{b})", f"rep{k} = {rep}(half)",
+                      f"att{k} = {att}(half)"]
+            if flow:
+                lines += [f"ra{k} = 0.5 * att{k}", f"aa{k} = half_sign * rep{k}"]
+            legs = (f"ra{k}", f"-ra{k}", f"aa{k}", f"-aa{k}")
+        lines += [f"if not (abs(rep{k}) >= {_DENOM_FLOOR!r} and abs(att{k}) >= {_DENOM_FLOOR!r}):",
+                  '    raise SingularConfiguration("lattice denominator underflow")',
+                  f"cm{k} = scale / rep{k} ** 2", f"cn{k} = sign_scale / att{k} ** 2"]
+        if flow:
+            lines += [f"d{x}{k} = -2.0 * c{x[0]}{k} * {leg} / {den}{k}" for x, leg, den in
+                      zip(("ma", "mb", "na", "nb"), legs, ("rep", "rep", "att", "att"))]
+    if lines:
+        lines = ["try:", *("    " + line for line in lines),
+                 "except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf",
+                 '    raise Overflow("deformation invariants too far apart for the lattice terms")'
+                 " from exc"]
+    if calogero:  # T = sum_a exp(-2 q_a) p_a^2 / 2I
+        lines += ["try:", *(f"    v{a} = exp(-2.0 * q{a}) / strength * p{a}" for a in range(n)),
+                  "except OverflowError as exc:", '    raise Overflow("kinetic weight exp(-2 q) '
+                  'leaves the float64 range") from exc',
+                  *(f"w{a} = -v{a} * p{a}" for a in range(n) if flow)]
+    else:
+        lines += [f"v{a} = p{a} / strength" for a in range(n)]
+    if well:
+        lines.append(f"shift = sum([{', '.join(q)}]) / {n} - dil_c")
+        if flow:
+            lines.append(f"pull = dil_k * shift / {n}")
+            lines += [f"w{a} = {f'w{a}' if calogero else '0.0'} + pull" for a in range(n)]
+        lines.append("well = 0.5 * dil_k * shift ** 2")
+    return lines
 
-    return kernel
+
+@functools.lru_cache(maxsize=None)
+def _lattice_code(variant, n, well):
+    """The straight-line lattice kernel around ``_lattice_terms``, compiled
+    once per (variant, n, well on or off): its factory ``bind(strength,
+    scale, sign, dil_k, dil_c) -> (flow, energy)``, so no float enters the
+    cache key.  ``flow(y)`` is the vector field on flat states: (q, p) are
+    canonical; dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew, and the rotor
+    brackets of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
+        dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N],
+    each entry a sum over the legs of ``_skew_tables``.  ``energy(q, p, M,
+    N)`` gives (well energy, dH/dp, pair part of H).  Every floating-point
+    operation is the replaced loop kernel's, in its order: the results are
+    bit-identical.  A colliding or NaN q raises SingularConfiguration, in
+    the flow Overflow if q is not finite (an RK4 stage built from an
+    overflowing derivative).  ``linecache`` holds the source for tracebacks."""
+    pairs, _, legs = _skew_tables(n)
+    ks, q = range(len(pairs)), [f"q{a}" for a in range(n)]
+    state = [*q, *(f"p{a}" for a in range(n)), *(f"M{k}" for k in ks), *(f"N{k}" for k in ks)]
+    dp = [f"-w{a}" if well or variant == "calogero" else "-0.0" for a in range(n)]
+    for k, (a, b) in enumerate(pairs):
+        dp[a] += f" - (dma{k} * sm{k} + dna{k} * sn{k})"
+        dp[b] += f" - (dmb{k} * sm{k} + dnb{k} * sn{k})"
+
+    def bracket(g, h, k):  # sum over the legs (s, i, j) of s (gi Mj - Mi gj + hi Nj - Ni hj)
+        return "0.0" + "".join(f" + {s!r} * ({g}{i} * M{j} - M{i} * {g}{j} + {h}{i} * N{j}"
+                               f" - N{i} * {h}{j})" for s, i, j in legs[k])
+
+    flow = [
+        f"[{', '.join(state)}] = y", "try:",
+        *("    " + line for line in _lattice_terms(variant, n, well, True)),
+        "except SingularConfiguration:  # a collision, or an RK4 stage built from an overflow",
+        f"    if all(map(isfinite, [{', '.join(q)}])):", "        raise",
+        '    raise Overflow("the lattice state left the float64 range") from None',
+        *(f"sm{k}, sn{k} = M{k} * M{k}, N{k} * N{k}" for k in ks),
+        *(f"dp{a} = {expr}" for a, expr in enumerate(dp)),
+        *(f"gm{k}, gn{k} = 2.0 * cm{k} * M{k}, 2.0 * cn{k} * N{k}" for k in ks if n > 2),
+        "return [", *(f"    v{a}," for a in range(n)), *(f"    dp{a}," for a in range(n)),
+        *(f"    {bracket('gm', 'gn', k)}," for k in ks),
+        *(f"    {bracket('gn', 'gm', k)}," for k in ks), "]"]
+    energy = [
+        f"[{', '.join(state)}] = q + p + M + N",
+        *_lattice_terms(variant, n, well, False),
+        f"return {'well' if well else '0.0'}, [{', '.join(f'v{a}' for a in range(n))}], 0.0"
+        + "".join(f" + (cm{k} * (M{k} * M{k}) + cn{k} * (N{k} * N{k}))" for k in ks)]
+    source = "\n".join([
+        "def bind(strength, scale, sign, dil_k, dil_c):",
+        "    half_sign, sign_scale = -0.5 * sign, sign * scale",
+        "    def flow(y):", *("        " + line for line in flow),
+        "    def energy(q, p, M, N):", *("        " + line for line in energy),
+        "    return flow, energy", ""])
+    filename = f"<lattice kernel {variant} n={n}{' well' if well else ''}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sinh": math.sinh, "cosh": math.cosh, "sin": math.sin, "cos": math.cos,
+                 "exp": math.exp, "isfinite": math.isfinite, "Overflow": Overflow,
+                 "SingularConfiguration": SingularConfiguration}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
 
 
 # ---------------------------------------------------------------------------
@@ -512,47 +581,6 @@ def _flat_state(lat: TwoPolarState) -> list:
     return [*lat.q.tolist(), *lat.p.tolist(), *_upper(lat.M), *_upper(lat.N)]
 
 
-def _lattice_flow(variant, params, n, dil_k, dil_c):
-    """The lattice vector field on flat states (see ``_flat_state``).
-
-    (q, p) are canonical.  dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew;
-    the rotor brackets drho/dt = [rho, dH/drho] and dtau/dt = [tau, dH/dtau]
-    of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
-        dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N].
-    """
-    kernel = _lattice_model(variant, params, dil_k, dil_c)
-    pairs, _, legs = _skew_tables(n)
-    n_start = 2 * n + len(pairs)
-
-    def flow(y):
-        q, p, m, nn = y[:n], y[n : 2 * n], y[2 * n : n_start], y[n_start:]
-        try:
-            _, dh_dq, dh_dp, terms = kernel(q, p)
-        except SingularConfiguration:
-            if all(map(math.isfinite, q)):
-                raise
-            # an RK4 stage built from an overflowing derivative, not a collision
-            raise Overflow("the lattice state left the float64 range") from None
-        dp, g_m, g_n = [-d for d in dh_dq], [], []
-        for (a, b), (c_m, c_n, dm_a, dm_b, dn_a, dn_b), mv, nv in zip(pairs, terms, m, nn):
-            m2, n2 = mv * mv, nv * nv
-            dp[a] -= dm_a * m2 + dn_a * n2
-            dp[b] -= dm_b * m2 + dn_b * n2
-            g_m.append(2.0 * c_m * mv)
-            g_n.append(2.0 * c_n * nv)
-        d_m, d_n = [], []
-        for row in legs:
-            sum_m = sum_n = 0.0
-            for s, i, j in row:
-                sum_m += s * (g_m[i] * m[j] - m[i] * g_m[j] + g_n[i] * nn[j] - nn[i] * g_n[j])
-                sum_n += s * (g_n[i] * m[j] - m[i] * g_n[j] + g_m[i] * nn[j] - nn[i] * g_m[j])
-            d_m.append(sum_m)
-            d_n.append(sum_n)
-        return dh_dp + dp + d_m + d_n
-
-    return flow
-
-
 def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
                 dilatation_k: float = 0.0, dilatation_center: float = 0.0):
     """Time derivatives (dq, dp, dM, dN) of the lattice chart.
@@ -564,7 +592,7 @@ def lattice_rhs(variant: str, params: dict, lat: TwoPolarState,
     model), pushed through the linear change to (M, N).  dM and dN are
     returned as full antisymmetric matrices.
     """
-    flow = _lattice_flow(variant, params, lat.n, dilatation_k, dilatation_center)
+    flow = _lattice_model(variant, params, lat.n, dilatation_k, dilatation_center)[0]
     return _unflatten(lat.n, flow(_flat_state(lat)))
 
 
@@ -585,16 +613,20 @@ def lattice_dynamics(
     invariants collide or cross, Overflow when the state leaves the float64
     range, and ValueError for a ``dt`` that is not finite and positive, a
     ``sample_every`` below 1, a ``steps`` that is not a non-negative
-    integer, a state without p, M or N, an unknown variant, a missing, zero
-    or non-finite constant or a non-finite well setting.  Each sample after
-    the first shares L, R and ``degenerate`` with ``lat`` and is built without
-    the constructor's checks: the loop checks finiteness and ordering at
-    every step, and ``_unflatten`` makes M and N exactly antisymmetric.
+    integer, a state without p, M or N, an unknown variant, a lattice of
+    more than ``_MAX_LATTICE_N`` invariants (the message names n), a
+    constant that is missing, not a real number, zero or not finite, or a
+    well setting that is not a finite real number.  Each step is one
+    ``algebra.rk4`` step of the compiled flow of ``_lattice_code``.  Each
+    sample after the first shares L, R and ``degenerate`` with ``lat`` and
+    is built without the constructor's checks: the loop checks finiteness
+    and ordering at every step, and ``_unflatten`` makes M and N exactly
+    antisymmetric.
     """
     check_step(dt, sample_every, steps)
     y = _flat_state(lat)
     n = lat.n
-    flow = _lattice_flow(variant, params, n, dilatation_k, dilatation_center)
+    flow = _lattice_model(variant, params, n, dilatation_k, dilatation_center)[0]
     out = [lat]
     for k in range(steps):
         y = rk4(flow, y, dt)

@@ -337,17 +337,19 @@ def _run_affine(scn: dict, art: _Artifacts) -> list[dict]:
     model, constants, init = scn["model"], scn["constants"], scn["initial"]
     dt, t_end, steps, sample_every = _time_grid(scn)
     tol = scn["tolerances"]
+    n = len(init["phi"] if "phi" in init else init["q"])
+    if n > affine._MAX_LATTICE_N:  # checked before the lattice kernel is generated
+        raise SchemaError(f"the lattice has n = {n} invariants, over the budget of "
+                          f"{affine._MAX_LATTICE_N}")
 
     try:
         if "phi" in init:
-            n = len(init["phi"])
             state = affine.AffineState(
                 phi=_shape(init["phi"], "initial.phi", (n, n)),
                 sigma_hat=_shape(init["sigma_hat"], "initial.sigma_hat", (n, n)),
             )
             lat = affine.to_two_polar(state)
         else:
-            n = len(init["q"])
             lat = affine.TwoPolarState(
                 L=_shape(init["L"], "initial.L", (n, n), default=np.eye(n)),
                 R=_shape(init["R"], "initial.R", (n, n), default=np.eye(n)),

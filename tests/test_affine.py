@@ -1,3 +1,6 @@
+import math
+import traceback
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +25,8 @@ from phasecraft.affine import (
     to_two_polar,
     two_polar,
 )
-from phasecraft.algebra import expm
+from phasecraft.affine import _DENOM_FLOOR, _skew_tables
+from phasecraft.algebra import expm, rk4
 from phasecraft.errors import (
     ModelMismatch,
     OrientationReversed,
@@ -352,7 +356,8 @@ def test_lattice_singular_configuration():
     # a NaN invariant (an RK4 stage; TwoPolarState refuses one) fails the denominator floor
     for variant, params in (("trigonometric", {"a": 1.0}), ("calogero", {"I": 1.0})):
         with pytest.raises(SingularConfiguration):
-            affine._lattice_model(variant, params, 0.0, 0.0)([0.5, np.nan], [0.0, 0.0])
+            affine._lattice_model(variant, params, 2, 0.0, 0.0)[1]([0.5, np.nan], [0.0, 0.0],
+                                                                  [0.0], [0.0])
     far = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([800.0, -800.0]))
     for variant, params in (("hyperbolic", {"a": 1.0}), ("calogero", {"I": 1.0})):
         with pytest.raises(Overflow):
@@ -894,3 +899,315 @@ def test_quadratic_internal_energy_raw_tensor():
         for a in range(2) for b in range(2) for c in range(2) for d in range(2)
     )
     assert got == pytest.approx(want)
+
+
+# ---------------------------------------------------------------------------
+# the loop kernel that the generated lattice code replaced, kept verbatim as its oracle
+
+
+def _lattice_model(variant, params, dil_k, dil_c):
+    """Bind a lattice variant, its constant (``a``, or ``I`` for calogero) and
+    the dilatation well once; ValueError for an unknown variant, a missing,
+    zero or non-finite constant or a non-finite well setting.  The returned
+    ``kernel(q, p)``, on lists of floats, gives (well energy, dH/dq, dH/dp,
+    terms): the one-body gradients include the well, and ``terms`` holds per
+    pair a < b in row-major order (c_M, c_N, dc_M/dq_a, dc_M/dq_b, dc_N/dq_a,
+    dc_N/dq_b) of the pair part sum_{a<b} c_M M_ab^2 + c_N N_ab^2 of H, both
+    orderings of the printed double sum counted.  Pair terms come first, so a
+    colliding or NaN q raises SingularConfiguration."""
+    if variant not in ("hyperbolic", "trigonometric", "calogero"):
+        raise ValueError(f"unknown lattice variant {variant!r}")
+    hyper, calogero = variant == "hyperbolic", variant == "calogero"
+    key = "I" if calogero else "a"
+    strength = float(params[key]) if key in params else math.nan
+    if not (math.isfinite(strength) and strength != 0.0):
+        raise ValueError(f"the {variant} lattice needs a finite nonzero {key!r}, "
+                         f"got {params.get(key)!r}")
+    for name, value in (("dilatation_k", dil_k), ("dilatation_center", dil_c)):
+        if not math.isfinite(value):
+            raise ValueError(f"the dilatation well needs a finite {name}, got {value!r}")
+    if calogero:
+        scale, sign = 0.25 / strength, 1.0
+    else:
+        scale, sign = 1.0 / (16.0 * strength), -1.0 if hyper else 1.0
+        rep_f, att_f = (math.sinh, math.cosh) if hyper else (math.sin, math.cos)
+
+    def kernel(q, p):
+        n = len(q)
+        terms = []
+        try:
+            qs = [math.exp(x) for x in q] if calogero else q
+            for a in range(n):
+                for b in range(a + 1, n):
+                    # repulsive and attractive denominators, c_M = scale / rep^2 and
+                    # c_N = sign * scale / att^2, and their q_a and q_b derivatives
+                    if calogero:
+                        rep, att = qs[a] - qs[b], qs[a] + qs[b]
+                        rep_a, rep_b = qs[a], -qs[b]
+                        att_a, att_b = qs[a], qs[b]
+                    else:
+                        half = 0.5 * (qs[a] - qs[b])
+                        rep, att = rep_f(half), att_f(half)
+                        rep_a, att_a = 0.5 * att, -0.5 * sign * rep
+                        rep_b, att_b = -rep_a, -att_a
+                    if not (abs(rep) >= _DENOM_FLOOR and abs(att) >= _DENOM_FLOOR):
+                        raise SingularConfiguration("lattice denominator underflow")
+                    cm, cn = scale / rep**2, sign * scale / att**2
+                    terms.append((cm, cn, -2.0 * cm * rep_a / rep, -2.0 * cm * rep_b / rep,
+                                  -2.0 * cn * att_a / att, -2.0 * cn * att_b / att))
+        except (OverflowError, ValueError) as exc:  # sinh/exp overflow; sin/cos of inf
+            raise Overflow("deformation invariants too far apart for the lattice terms") from exc
+        if calogero:
+            # T = sum_a exp(-2 q_a) p_a^2 / 2I
+            try:
+                dt_dp = [math.exp(-2.0 * x) / strength * y for x, y in zip(q, p)]
+            except OverflowError as exc:
+                raise Overflow("kinetic weight exp(-2 q) leaves the float64 range") from exc
+            dt_dq = [-d * y for d, y in zip(dt_dp, p)]
+        else:
+            dt_dp = [y / strength for y in p]
+            dt_dq = [0.0] * n
+        if dil_k == 0.0:
+            return 0.0, dt_dq, dt_dp, terms
+        shift = sum(q) / n - dil_c
+        pull = dil_k * shift / n
+        return 0.5 * dil_k * shift**2, [d + pull for d in dt_dq], dt_dp, terms
+
+    return kernel
+
+
+def _lattice_flow(variant, params, n, dil_k, dil_c):
+    """The lattice vector field on flat states (see ``_flat_state``).
+
+    (q, p) are canonical.  dH/dM = 2 c_M M and dH/dN = 2 c_N N are skew;
+    the rotor brackets drho/dt = [rho, dH/drho] and dtau/dt = [tau, dH/dtau]
+    of rho = (N - M)/2 and tau = -(M + N)/2 become, in (M, N),
+        dM/dt = [dH/dM, M] + [dH/dN, N],  dN/dt = [dH/dN, M] + [dH/dM, N].
+    """
+    kernel = _lattice_model(variant, params, dil_k, dil_c)
+    pairs, _, legs = _skew_tables(n)
+    n_start = 2 * n + len(pairs)
+
+    def flow(y):
+        q, p, m, nn = y[:n], y[n : 2 * n], y[2 * n : n_start], y[n_start:]
+        try:
+            _, dh_dq, dh_dp, terms = kernel(q, p)
+        except SingularConfiguration:
+            if all(map(math.isfinite, q)):
+                raise
+            # an RK4 stage built from an overflowing derivative, not a collision
+            raise Overflow("the lattice state left the float64 range") from None
+        dp, g_m, g_n = [-d for d in dh_dq], [], []
+        for (a, b), (c_m, c_n, dm_a, dm_b, dn_a, dn_b), mv, nv in zip(pairs, terms, m, nn):
+            m2, n2 = mv * mv, nv * nv
+            dp[a] -= dm_a * m2 + dn_a * n2
+            dp[b] -= dm_b * m2 + dn_b * n2
+            g_m.append(2.0 * c_m * mv)
+            g_n.append(2.0 * c_n * nv)
+        d_m, d_n = [], []
+        for row in legs:
+            sum_m = sum_n = 0.0
+            for s, i, j in row:
+                sum_m += s * (g_m[i] * m[j] - m[i] * g_m[j] + g_n[i] * nn[j] - nn[i] * g_n[j])
+                sum_n += s * (g_n[i] * m[j] - m[i] * g_n[j] + g_m[i] * nn[j] - nn[i] * g_m[j])
+            d_m.append(sum_m)
+            d_n.append(sum_n)
+        return dh_dp + dp + d_m + d_n
+
+    return flow
+
+
+def _loop_energy(variant, params, lat, dilatation_k=0.0, dilatation_center=0.0):
+    """``lattice_hamiltonian`` as written on the loop kernel."""
+    n = lat.n
+    q = lat.q.tolist()
+    p = lat.p.tolist() if lat.p is not None else [0.0] * n
+    zeros = [0.0] * (n * (n - 1) // 2)
+    m_up = affine._upper(lat.M) if lat.M is not None else zeros
+    n_up = affine._upper(lat.N) if lat.N is not None else zeros
+    well, _, dt_dp, terms = _lattice_model(variant, params, dilatation_k, dilatation_center)(q, p)
+    # T is quadratic in p, so T = p . dT/dp / 2
+    energy = 0.5 * float(np.dot(p, dt_dp)) + well
+    pairs = 0.0
+    for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
+        pairs += c_m * (m * m) + c_n * (nv * nv)
+    return energy + pairs
+
+
+def _bits(values):
+    """Floats by their bits: signed zeros apart, NaN equal to NaN."""
+    return [float(x).hex() for x in values]
+
+
+def _outcome(fn, *args):
+    """The bits of what ``fn`` returns, or the type and message of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    return _bits(out) if isinstance(out, list) else out
+
+
+LATTICE_VARIANTS = [("hyperbolic", {"a": 1.3}), ("trigonometric", {"a": -0.8}),
+                    ("calogero", {"I": 0.6})]
+
+
+def _random_flat_states(n, seed):
+    """Seeded flat states: spread invariants, and invariants 1e-6 from a collision
+    (for the trigonometric lattice also 1e-6 from a zero of cos(dq/2))."""
+    rng = np.random.default_rng(seed)
+    pairs = n * (n - 1) // 2
+    states = []
+    for q in (np.sort(rng.uniform(-1.5, 1.5, n))[::-1],
+              0.7 - 1e-6 * np.arange(n) * (1.0 + rng.uniform(size=n)),
+              np.array([np.pi - 1e-6, 0.0, -0.5, -0.9, -1.2][:n])):
+        rest = rng.normal(scale=2.0, size=n + 2 * pairs)
+        states.append([*q.tolist(), *rest.tolist()])
+    return states
+
+
+@pytest.mark.parametrize("dilatation_k", [0.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("variant,params", LATTICE_VARIANTS,
+                         ids=[v for v, _ in LATTICE_VARIANTS])
+def test_generated_lattice_code_is_the_loop_kernel_bit_for_bit(variant, params, n,
+                                                               dilatation_k):
+    flow, energy = affine._lattice_model(variant, params, n, dilatation_k, 0.4)
+    kernel = _lattice_model(variant, params, dilatation_k, 0.4)
+    reference = _lattice_flow(variant, params, n, dilatation_k, 0.4)
+    for seed in range(3):
+        for y in _random_flat_states(n, 10 * n + seed):
+            assert _outcome(flow, y) == _outcome(reference, y)
+            q, p, pair_part = y[:n], y[n:2 * n], y[2 * n:]
+            m_up, n_up = pair_part[:len(pair_part) // 2], pair_part[len(pair_part) // 2:]
+            well, _, dt_dp, terms = kernel(q, p)
+            got_well, got_dt_dp, got_pairs = energy(q, p, m_up, n_up)
+            pairs = 0.0
+            for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
+                pairs += c_m * (m * m) + c_n * (nv * nv)
+            assert _bits([got_well, *got_dt_dp, got_pairs]) == _bits([well, *dt_dp, pairs])
+            if all(a > b for a, b in zip(q, q[1:])):
+                q_arr, p_arr, m_mat, n_mat = affine._unflatten(n, y)
+                lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q_arr, p=p_arr, M=m_mat, N=n_mat)
+                well_args = (variant, params, lat, dilatation_k, 0.4)
+                assert (_bits([lattice_hamiltonian(*well_args)])
+                        == _bits([_loop_energy(*well_args)]))
+
+
+@pytest.mark.parametrize("variant,params", LATTICE_VARIANTS,
+                         ids=[v for v, _ in LATTICE_VARIANTS])
+def test_lattice_dynamics_is_rk4_on_the_loop_flow_bit_for_bit(variant, params):
+    q, p, m_mat, n_mat = affine._unflatten(3, [1.1, 0.2, -0.9, 0.1, -0.3, 0.2,
+                                               0.5, -0.4, 0.3, 0.2, 0.1, -0.6])
+    lat = TwoPolarState(L=np.eye(3), R=np.eye(3), q=q, p=p, M=m_mat, N=n_mat)
+    got = lattice_dynamics(variant, params, lat, 1e-3, 50, sample_every=50, dilatation_k=3.0)[-1]
+    want = affine._flat_state(lat)
+    for _ in range(50):
+        want = rk4(_lattice_flow(variant, params, 3, 3.0, 0.0), want, 1e-3)
+    assert _bits(affine._flat_state(got)) == _bits(want)
+
+
+@pytest.mark.parametrize("dilatation_k", [0.0, 3.0])
+@pytest.mark.parametrize("variant,params", LATTICE_VARIANTS,
+                         ids=[v for v, _ in LATTICE_VARIANTS])
+def test_generated_lattice_code_raises_as_the_loop_kernel(variant, params, dilatation_k):
+    # the same error type and message, or the same bits, on every state
+    flow, energy = affine._lattice_model(variant, params, 3, dilatation_k, 0.0)
+    kernel = _lattice_model(variant, params, dilatation_k, 0.0)
+    reference = _lattice_flow(variant, params, 3, dilatation_k, 0.0)
+    inf, nan = math.inf, math.nan
+    outcomes = {}
+    for q in ([0.3, 0.3, -1.0], [0.5, nan, -1.0], [800.0, 0.0, -800.0], [inf, inf, 0.0],
+              [inf, 0.0, -1.0], [nan, nan, nan], [1e300, 0.0, -1e300], [0.0, -1.0, -400.0]):
+        y = q + [0.2, -0.1, 0.3] + [0.5, -0.4, 0.3, 0.2, 0.1, -0.6]
+        outcomes[tuple(q)] = _outcome(flow, y)
+        assert outcomes[tuple(q)] == _outcome(reference, y)
+
+        def kernel_energy(q, p, m_up, n_up):
+            well, _, dt_dp, terms = kernel(q, p)
+            return [well, *dt_dp, sum(c_m * (m * m) + c_n * (nv * nv)
+                                      for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up))]
+
+        args = (q, y[3:6], y[6:9], y[9:])
+        assert _outcome(lambda *a: [*energy(*a)[:1], *energy(*a)[1], energy(*a)[2]], *args) \
+            == _outcome(kernel_energy, *args)
+    # and the cases name what they stand for
+    assert outcomes[0.3, 0.3, -1.0] == (SingularConfiguration, "lattice denominator underflow")
+    assert outcomes[0.5, nan, -1.0] == (Overflow, "the lattice state left the float64 range")
+    with pytest.raises(SingularConfiguration, match="underflow"):  # the energy keeps the floor
+        energy([0.5, nan, -1.0], [0.0] * 3, [0.0] * 3, [0.0] * 3)
+    if variant != "trigonometric":  # sinh(400) and exp(800) overflow; sin(400) does not
+        assert outcomes[800.0, 0.0, -800.0] == (
+            Overflow, "deformation invariants too far apart for the lattice terms")
+    if variant == "hyperbolic":  # an RK4 stage whose q is not finite: inf - inf is NaN
+        assert outcomes[inf, inf, 0.0] == (Overflow, "the lattice state left the float64 range")
+    if variant == "calogero":  # exp(-2 q) of q = -400 overflows
+        assert outcomes[0.0, -1.0, -400.0] == (
+            Overflow, "kinetic weight exp(-2 q) leaves the float64 range")
+
+
+def test_a_generated_lattice_line_shows_in_a_traceback():
+    flow, _ = affine._lattice_model("hyperbolic", {"a": 1.0}, 2, 0.0, 0.0)
+    with pytest.raises(SingularConfiguration) as err:
+        flow([0.3, 0.3, 0.0, 0.0, 1.0, 0.0])
+    text = "".join(traceback.format_exception(err.value))
+    assert "<lattice kernel hyperbolic n=2>" in text
+    assert 'raise SingularConfiguration("lattice denominator underflow")' in text
+
+
+def test_lattice_code_is_compiled_once_per_variant_n_and_well():
+    first = affine._lattice_model("trigonometric", {"a": 1.0}, 3, 0.0, 0.0)
+    other = affine._lattice_model("trigonometric", {"a": -2.5}, 3, 0.0, 7.0)
+    well = affine._lattice_model("trigonometric", {"a": 1.0}, 3, 2.0, 0.0)
+    assert [f.__code__ for f in first] == [f.__code__ for f in other]
+    assert [f.__code__ for f in first] != [f.__code__ for f in well]
+    y = [0.9, 0.1, -0.8, 0.3, -0.2, 0.1, 0.5, -0.4, 0.3, 0.2, 0.1, -0.6]
+    assert _bits(other[0](y)) == _bits(_lattice_flow("trigonometric", {"a": -2.5}, 3, 0.0, 7.0)(y))
+
+
+_PAIR = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.array([0.3, 0.1]),
+                      M=np.array([[0.0, 1.0], [-1.0, 0.0]]), N=np.array([[0.0, 0.5], [-0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("variant,params,well,named", [
+    ("hyperbolic", {"a": "2"}, {}, "'a'"),
+    ("hyperbolic", {"a": True}, {}, "'a'"),
+    ("trigonometric", {"a": None}, {}, "'a'"),
+    ("hyperbolic", {"a": [1.0]}, {}, "'a'"),
+    ("calogero", {"I": "1.5"}, {}, "'I'"),
+    ("hyperbolic", {"a": 1.0}, {"dilatation_k": "x"}, "dilatation_k"),
+    ("hyperbolic", {"a": 1.0}, {"dilatation_k": 1.0, "dilatation_center": True},
+     "dilatation_center"),
+], ids=["a_string", "a_bool", "a_none", "a_list", "I_string", "k_string", "center_bool"])
+def test_lattice_model_refuses_a_constant_that_is_not_a_real_number(variant, params, well,
+                                                                    named):
+    # float() used to read "2" as 2.0 and True as 1.0, and None or [1.0] ended in a TypeError
+    with pytest.raises(ValueError, match=named):
+        lattice_hamiltonian(variant, params, _PAIR, **well)
+    with pytest.raises(ValueError, match=named):
+        affine.lattice_rhs(variant, params, _PAIR, **well)
+    with pytest.raises(ValueError, match=named):
+        lattice_dynamics(variant, params, _PAIR, 1e-3, 5, **well)
+
+
+def test_lattice_model_takes_any_real_number_as_a_float():
+    want = lattice_hamiltonian("hyperbolic", {"a": 2.0}, _PAIR, dilatation_k=3.0)
+    for a, k in ((2, 3), (np.float64(2.0), np.int64(3)), (np.int32(2), np.float32(3.0))):
+        assert lattice_hamiltonian("hyperbolic", {"a": a}, _PAIR, dilatation_k=k) == want
+
+
+def test_lattice_larger_than_the_budget_is_refused_by_n():
+    def lattice(n):
+        skew = np.triu(np.ones((n, n)), 1)
+        return TwoPolarState(L=np.eye(n), R=np.eye(n), q=np.linspace(2.0, -2.0, n),
+                             p=np.zeros(n), M=skew - skew.T, N=np.zeros((n, n)))
+
+    n = affine._MAX_LATTICE_N
+    assert math.isfinite(lattice_hamiltonian("hyperbolic", {"a": 1.0}, lattice(n)))
+    big = lattice(n + 1)
+    with pytest.raises(ValueError, match=f"n = {n + 1}"):
+        lattice_hamiltonian("hyperbolic", {"a": 1.0}, big)
+    with pytest.raises(ValueError, match=f"n = {n + 1}"):
+        affine.lattice_rhs("calogero", {"I": 1.0}, big)
+    with pytest.raises(ValueError, match=f"n = {n + 1}"):
+        lattice_dynamics("trigonometric", {"a": 1.0}, big, 1e-3, 1)

@@ -1,6 +1,7 @@
 """The paired benchmark harness, bench/ab.py: its verdict rule and the JSON
 record that ends every run."""
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,12 +113,25 @@ def test_the_json_line_carries_the_workload_tables(tmp_path, monkeypatch, capsys
 def test_the_json_line_carries_the_kernel_and_command_rows(tmp_path, monkeypatch, capsys):
     times = iter(range(100))
     monkeypatch.setattr(ab, "kernel_times", lambda checkout, seed: {
-        "step_so13": 40.0 + next(times), "cli.import": 0.2})
+        "step_so13": 40.0 + next(times)})
+    runs = []
+
+    def cli(checkout, args, out):
+        runs.append((checkout.name, args))
+        return subprocess.CompletedProcess(args, 0, b"", b"")
+
+    monkeypatch.setattr(ab, "cli", cli)
     monkeypatch.setattr(ab, "git", lambda checkout, *args: None)
-    argv = [str(tmp_path), str(tmp_path), "--kernels", "--pairs", "2"]
+    argv = [str(tmp_path / "base"), str(tmp_path / "change"), "--kernels", "--pairs", "2"]
     returned, _, record = _record(capsys, monkeypatch, argv)
     assert record["tables"] == returned
     assert record["seconds"] is None
     rows = returned["kernels"]
+    assert list(rows) == ["step_so13", *(f"cli.{name}" for name in ab.CLI_COMMANDS)]
     assert (rows["step_so13"]["unit"], rows["cli.import"]["unit"]) == ("us", "s")
-    assert rows["cli.import"]["wins"] == 0
+    assert all(len(row["base"]) == len(row["change"]) == 2 for row in rows.values())
+    # both sides of a command back to back, the base first when pair + command index is even
+    assert runs == [(side, args) for k in range(2)
+                    for index, args in enumerate(ab.CLI_COMMANDS.values())
+                    for side in (("base", "change") if (k + index) % 2 == 0
+                                 else ("change", "base"))]

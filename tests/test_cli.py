@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasecraft import cli
+from phasecraft import affine, cli
 from phasecraft.errors import GridTooCoarse, SchemaError
 
 
@@ -498,6 +498,21 @@ def test_affine_initial_mixing_the_two_charts_is_schema_error(tmp_path, extra):
     scen = write(tmp_path, "b.json", {**LATTICE, "model": "affine_left", "initial": initial})
     with pytest.raises(SchemaError, match=r"'initial\.p'"):
         cli.run("affine", scen, str(tmp_path / "ok"), seed=None)
+
+
+@pytest.mark.parametrize("chart", ["lattice", "configuration"])
+def test_affine_lattice_over_the_budget_is_schema_error(tmp_path, chart):
+    # refused by n before the lattice kernel is generated, from the library's own bound
+    n = affine._MAX_LATTICE_N + 1
+    zeros = np.zeros((n, n)).tolist()
+    initial = ({"q": np.linspace(2.0, -2.0, n).tolist(), "p": [0.0] * n, "M": zeros, "N": zeros}
+               if chart == "lattice" else
+               {"phi": np.diag(np.exp(np.linspace(1.0, -1.0, n))).tolist(), "sigma_hat": zeros})
+    model = "lattice_hyperbolic" if chart == "lattice" else "affine_left"
+    scen = write(tmp_path, "a.json", {**LATTICE, "model": model, "initial": initial})
+    with pytest.raises(SchemaError, match=f"n = {n} invariants"):
+        cli.run("affine", scen, str(tmp_path / "out"), seed=None)
+    assert cli.main(["affine", scen, "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("initial", [
