@@ -17,8 +17,7 @@ repulsion (strength M^2) and 1/cosh^2 attraction (strength N^2); the
 isotropic d'Alembert model likewise becomes an inverse-square lattice in
 Q = exp(q).
 
-The lattice energy and flow are straight-line code that ``_lattice_code``
-generates and compiles once per variant, n and dilatation well on or off.
+The lattice flow and energy are straight-line code compiled by ``_lattice_code``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import functools
 import linecache
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +58,7 @@ __all__ = [
 
 _DEGENERACY_TOL = 1.0e-10
 _DENOM_FLOOR = 1.0e-14
-# the largest n whose lattice kernel is generated: its source grows as n^3, and it
-# compiled in 13 ms at n = 8, 0.09 s at 16 (0.36 MB of source) and 0.8 s at 32 (2.6 MB)
+# the largest generated lattice kernel: its code grows as n^3 (0.09 s to compile at 16)
 _MAX_LATTICE_N = 16
 
 
@@ -416,8 +415,10 @@ def _lattice_model(variant, params, n, dil_k, dil_c):
     return bind(strength, scale, sign, float(dil_k), float(dil_c))
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def _finite_real(value) -> bool:  # math.isfinite(10**400) raises, so an int is compared
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 def _lattice_terms(variant, n, well, flow) -> list:
@@ -512,6 +513,7 @@ def _lattice_code(variant, n, well):
         f"return {'well' if well else '0.0'}, [{', '.join(f'v{a}' for a in range(n))}], 0.0"
         + "".join(f" + (cm{k} * (M{k} * M{k}) + cn{k} * (N{k} * N{k}))" for k in ks)]
     source = "\n".join([
+        "from math import cos, cosh, exp, isfinite, sin, sinh",
         "def bind(strength, scale, sign, dil_k, dil_c):",
         "    half_sign, sign_scale = -0.5 * sign, sign * scale",
         "    def flow(y):", *("        " + line for line in flow),
@@ -519,9 +521,7 @@ def _lattice_code(variant, n, well):
         "    return flow, energy", ""])
     filename = f"<lattice kernel {variant} n={n}{' well' if well else ''}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sinh": math.sinh, "cosh": math.cosh, "sin": math.sin, "cos": math.cos,
-                 "exp": math.exp, "isfinite": math.isfinite, "Overflow": Overflow,
-                 "SingularConfiguration": SingularConfiguration}
+    namespace = {"Overflow": Overflow, "SingularConfiguration": SingularConfiguration}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["bind"]
 

@@ -1034,6 +1034,21 @@ def _loop_energy(variant, params, lat, dilatation_k=0.0, dilatation_center=0.0):
     return energy + pairs
 
 
+def _loop_energy_parts(kernel, q, p, m_up, n_up):
+    """The loop kernel's well energy, dH/dp and pair part of H, in one list."""
+    well, _, dt_dp, terms = kernel(q, p)
+    pairs = 0.0
+    for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
+        pairs += c_m * (m * m) + c_n * (nv * nv)
+    return [well, *dt_dp, pairs]
+
+
+def _energy_parts(energy, q, p, m_up, n_up):
+    """The same list from a compiled energy."""
+    well, dt_dp, pairs = energy(q, p, m_up, n_up)
+    return [well, *dt_dp, pairs]
+
+
 def _bits(values):
     """Floats by their bits: signed zeros apart, NaN equal to NaN."""
     return [float(x).hex() for x in values]
@@ -1079,13 +1094,9 @@ def test_generated_lattice_code_is_the_loop_kernel_bit_for_bit(variant, params, 
         for y in _random_flat_states(n, 10 * n + seed):
             assert _outcome(flow, y) == _outcome(reference, y)
             q, p, pair_part = y[:n], y[n:2 * n], y[2 * n:]
-            m_up, n_up = pair_part[:len(pair_part) // 2], pair_part[len(pair_part) // 2:]
-            well, _, dt_dp, terms = kernel(q, p)
-            got_well, got_dt_dp, got_pairs = energy(q, p, m_up, n_up)
-            pairs = 0.0
-            for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up):
-                pairs += c_m * (m * m) + c_n * (nv * nv)
-            assert _bits([got_well, *got_dt_dp, got_pairs]) == _bits([well, *dt_dp, pairs])
+            args = (q, p, pair_part[:len(pair_part) // 2], pair_part[len(pair_part) // 2:])
+            assert (_bits(_energy_parts(energy, *args))
+                    == _bits(_loop_energy_parts(kernel, *args)))
             if all(a > b for a, b in zip(q, q[1:])):
                 q_arr, p_arr, m_mat, n_mat = affine._unflatten(n, y)
                 lat = TwoPolarState(L=np.eye(n), R=np.eye(n), q=q_arr, p=p_arr, M=m_mat, N=n_mat)
@@ -1101,9 +1112,9 @@ def test_lattice_dynamics_is_rk4_on_the_loop_flow_bit_for_bit(variant, params):
                                                0.5, -0.4, 0.3, 0.2, 0.1, -0.6])
     lat = TwoPolarState(L=np.eye(3), R=np.eye(3), q=q, p=p, M=m_mat, N=n_mat)
     got = lattice_dynamics(variant, params, lat, 1e-3, 50, sample_every=50, dilatation_k=3.0)[-1]
-    want = affine._flat_state(lat)
+    want, reference = affine._flat_state(lat), _lattice_flow(variant, params, 3, 3.0, 0.0)
     for _ in range(50):
-        want = rk4(_lattice_flow(variant, params, 3, 3.0, 0.0), want, 1e-3)
+        want = rk4(reference, want, 1e-3)
     assert _bits(affine._flat_state(got)) == _bits(want)
 
 
@@ -1122,15 +1133,8 @@ def test_generated_lattice_code_raises_as_the_loop_kernel(variant, params, dilat
         y = q + [0.2, -0.1, 0.3] + [0.5, -0.4, 0.3, 0.2, 0.1, -0.6]
         outcomes[tuple(q)] = _outcome(flow, y)
         assert outcomes[tuple(q)] == _outcome(reference, y)
-
-        def kernel_energy(q, p, m_up, n_up):
-            well, _, dt_dp, terms = kernel(q, p)
-            return [well, *dt_dp, sum(c_m * (m * m) + c_n * (nv * nv)
-                                      for (c_m, c_n, *_), m, nv in zip(terms, m_up, n_up))]
-
         args = (q, y[3:6], y[6:9], y[9:])
-        assert _outcome(lambda *a: [*energy(*a)[:1], *energy(*a)[1], energy(*a)[2]], *args) \
-            == _outcome(kernel_energy, *args)
+        assert _outcome(_energy_parts, energy, *args) == _outcome(_loop_energy_parts, kernel, *args)
     # and the cases name what they stand for
     assert outcomes[0.3, 0.3, -1.0] == (SingularConfiguration, "lattice denominator underflow")
     assert outcomes[0.5, nan, -1.0] == (Overflow, "the lattice state left the float64 range")
@@ -1178,10 +1182,14 @@ _PAIR = TwoPolarState(L=np.eye(2), R=np.eye(2), q=np.array([1.0, -1.0]), p=np.ar
     ("hyperbolic", {"a": 1.0}, {"dilatation_k": "x"}, "dilatation_k"),
     ("hyperbolic", {"a": 1.0}, {"dilatation_k": 1.0, "dilatation_center": True},
      "dilatation_center"),
-], ids=["a_string", "a_bool", "a_none", "a_list", "I_string", "k_string", "center_bool"])
+    ("trigonometric", {"a": 10**400}, {}, "'a'"),
+    ("hyperbolic", {"a": 1.0}, {"dilatation_k": -10**400}, "dilatation_k"),
+], ids=["a_string", "a_bool", "a_none", "a_list", "I_string", "k_string", "center_bool",
+        "a_int_beyond_float", "k_int_beyond_float"])
 def test_lattice_model_refuses_a_constant_that_is_not_a_real_number(variant, params, well,
                                                                     named):
-    # float() used to read "2" as 2.0 and True as 1.0, and None or [1.0] ended in a TypeError
+    # float() used to read "2" as 2.0 and True as 1.0, None or [1.0] ended in a TypeError
+    # and 10**400 in an OverflowError
     with pytest.raises(ValueError, match=named):
         lattice_hamiltonian(variant, params, _PAIR, **well)
     with pytest.raises(ValueError, match=named):
